@@ -18,7 +18,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, StructuralError
-from .grid import Grid, dx, dxx, integrate, l2_norm_sq
+from .grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx, dx_values, dxx,
+                   dxx_values, integrate, l2_norm_sq, trapezoid_weights)
 from .materials import Material, eval_f, eval_fp, rho
 from .state import DiagnosticsRecord, State, Trajectory
 
@@ -53,19 +54,31 @@ def compute_record(
     epsilon: float,
     prev: Optional[DiagnosticsRecord] = None,
 ) -> DiagnosticsRecord:
-    """One diagnostics row; accumulators continue from ``prev`` by trapezoid."""
-    th = state.theta.values
-    thx_sq = l2_norm_sq(dx(state.theta, grid).values, grid)
-    thxx_sq = l2_norm_sq(dxx(state.theta, grid).values, grid)
-    vx_sq = l2_norm_sq(dx(state.v, grid).values, grid)
-    vxx_sq = l2_norm_sq(dxx(state.v, grid).values, grid)
-    uxx_sq = l2_norm_sq(dxx(state.u, grid).values, grid)
-    y = hfunc(state, material, grid)
-
-    if prev is None:
-        diss = 0.0
-        eps_diss = 0.0
+    """One diagnostics row; accumulators continue from ``prev`` by trapezoid.
+    One pass over the arrays, bit-identical to the row composed from
+    :func:`energy`, :func:`hfunc` and the grid operators."""
+    if state.n_nodes != grid.n_nodes:
+        raise StructuralError(f"state has {state.n_nodes} nodes, grid {grid.n_nodes}")
+    w = trapezoid_weights(grid)
+    h = grid.h
+    v, u, th = state.v.values, state.u.values, state.theta.values
+    thx2 = dx_values(th, h, BC_NEUMANN) ** 2
+    thx_sq = float(w @ thx2)
+    vx_sq = float(w @ dx_values(v, h, BC_HINGED) ** 2)
+    vxx_sq = float(w @ dxx_values(v, h, BC_HINGED) ** 2)
+    uxx_sq = float(w @ dxx_values(u, h, BC_DIRICHLET) ** 2)
+    ke = 0.5 * float(w @ v ** 2)
+    pe = 0.5 * float(w @ dx_values(u, h, BC_DIRICHLET) ** 2)
+    mass = float(w @ th)
+    th_min = float(th.min())
+    if th_min < material.rho_floor:
+        y = None
     else:
+        weighted = float(w @ (rho(material, th) * thx2))
+        y = 1.0 + 0.5 * vx_sq + 0.5 * uxx_sq + 0.5 * weighted
+
+    diss = eps_diss = 0.0
+    if prev is not None:
         half_dt = 0.5 * (state.t - prev.t)
         diss = prev.dissipation_accum + half_dt * (prev.thetax_l2sq + thx_sq)
         eps_diss = prev.eps_dissipation_accum + epsilon * half_dt * (
@@ -74,14 +87,14 @@ def compute_record(
 
     return DiagnosticsRecord(
         t=state.t,
-        energy=energy(state, grid),
-        theta_mass=integrate(th, grid),
-        theta_min=float(th.min()),
+        energy=ke + pe + mass,
+        theta_mass=mass,
+        theta_min=th_min,
         theta_max=float(th.max()),
         hfunc=y,
         hfunc_valid=y is not None,
         thetax_l2sq=thx_sq,
-        thetaxx_l2sq=thxx_sq,
+        thetaxx_l2sq=float(w @ dxx_values(th, h, BC_NEUMANN) ** 2),
         vx_l2sq=vx_sq,
         vxx_l2sq=vxx_sq,
         uxx_l2sq=uxx_sq,

@@ -37,6 +37,10 @@ class HypothesisError(Thermoelast1dError):
 class SchemeError(Thermoelast1dError):
     """A linear solve failed or the time integrator lost stability."""
 
+    def __init__(self, message, t=None):
+        super().__init__(message)
+        self.t = t
+
 
 class PositivityError(Thermoelast1dError):
     """Temperature undershot below -positivity_tol during a run."""

@@ -10,6 +10,9 @@ summation-by-parts cancellations the diagnostics rely on:
 * ``free``           -- no constraint (derived/diagnostic fields), one-sided
   second-order boundary stencils.
 
+The array kernels :func:`dx_values` / :func:`dxx_values` are the one copy of
+the stencils, used by :func:`dx` / :func:`dxx` and by the time steppers.
+
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
 """
@@ -17,6 +20,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,17 +65,29 @@ class Grid:
 
     @property
     def nodes(self) -> np.ndarray:
-        x = self.a + self.h * np.arange(self.n_nodes)
-        x[-1] = self.b
-        x.flags.writeable = False
-        return x
+        return _grid_nodes(self)
 
     def quad_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights (h/2, h, ..., h, h/2)."""
-        w = np.full(self.n_nodes, self.h)
-        w[0] = w[-1] = 0.5 * self.h
-        w.flags.writeable = False
-        return w
+        return trapezoid_weights(self)
+
+
+@lru_cache(maxsize=256)
+def _grid_nodes(grid: Grid) -> np.ndarray:
+    """Node coordinates of ``grid`` (read-only, shared per grid)."""
+    x = grid.a + grid.h * np.arange(grid.n_nodes)
+    x[-1] = grid.b
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=256)
+def trapezoid_weights(grid: Grid) -> np.ndarray:
+    """Trapezoid weights of ``grid`` (read-only, shared per grid)."""
+    w = np.full(grid.n_nodes, grid.h)
+    w[0] = w[-1] = 0.5 * grid.h
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -144,49 +160,58 @@ def _check(field: Field, grid: Grid, min_cells: int = 2) -> np.ndarray:
     return vals
 
 
-def dx(field: Field, grid: Grid) -> Field:
-    """First derivative: central interior, bc-aware boundary closure."""
-    f = _check(field, grid)
-    h = grid.h
+def dx_values(f: np.ndarray, h: float, bc_kind: str) -> np.ndarray:
+    """First derivative of nodal values: central interior, bc-aware ends."""
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    if field.bc_kind == BC_NEUMANN:
+    if bc_kind == BC_NEUMANN:
         # zero slope is the boundary condition itself
         out[0] = 0.0
         out[-1] = 0.0
-    elif field.bc_kind == BC_HINGED:
+    elif bc_kind == BC_HINGED:
         # antisymmetric ghost f[-1] = -f[1] about the zero boundary value;
         # keeps the discrete product rule with neumann_zero partners exact
-        out[0] = (f[1] - (-f[1])) / (2.0 * h)
-        out[-1] = ((-f[-2]) - f[-2]) / (2.0 * h)
+        out[0] = f[1] / h
+        out[-1] = -f[-2] / h
     else:
         # one-sided second-order, interior biased
         out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
         out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    bc = BC_DIRICHLET if field.bc_kind == BC_NEUMANN else BC_FREE
-    return Field(out, bc)
+    return out
 
 
-def dxx(field: Field, grid: Grid) -> Field:
-    """Second derivative: 3-point interior, ghost-node boundary closure."""
-    f = _check(field, grid)
-    h2 = grid.h * grid.h
+def dxx_values(f: np.ndarray, h: float, bc_kind: str) -> np.ndarray:
+    """Second derivative of nodal values: 3-point interior, ghost-node ends."""
+    h2 = h * h
     out = np.empty_like(f)
     out[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h2
-    if field.bc_kind == BC_NEUMANN:
+    if bc_kind == BC_NEUMANN:
         # reflected ghost f[-1] = f[1]
         out[0] = 2.0 * (f[1] - f[0]) / h2
         out[-1] = 2.0 * (f[-2] - f[-1]) / h2
-    elif field.bc_kind in _ZERO_VALUE_BCS:
+    elif bc_kind in _ZERO_VALUE_BCS:
         # antisymmetric ghost through the exact zero boundary value
         out[0] = -2.0 * f[0] / h2
         out[-1] = -2.0 * f[-1] / h2
     else:
-        _check(field, grid, min_cells=3)
         out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
         out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
-    bc = BC_DIRICHLET if field.bc_kind in _ZERO_VALUE_BCS else BC_FREE
-    return Field.clamped(out, bc) if bc == BC_DIRICHLET else Field(out, bc)
+    return out
+
+
+def dx(field: Field, grid: Grid) -> Field:
+    """First derivative as a field (see :func:`dx_values`)."""
+    out = dx_values(_check(field, grid), grid.h, field.bc_kind)
+    return Field(out, BC_DIRICHLET if field.bc_kind == BC_NEUMANN else BC_FREE)
+
+
+def dxx(field: Field, grid: Grid) -> Field:
+    """Second derivative as a field (see :func:`dxx_values`)."""
+    f = _check(field, grid, min_cells=3 if field.bc_kind == BC_FREE else 2)
+    out = dxx_values(f, grid.h, field.bc_kind)
+    if field.bc_kind in _ZERO_VALUE_BCS:
+        return Field.clamped(out, BC_DIRICHLET)
+    return Field(out, BC_FREE)
 
 
 def dxxxx(field: Field, grid: Grid) -> Field:
@@ -216,7 +241,7 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
         raise StructuralError(
             f"values have {values.shape[0]} nodes but grid has {grid.n_nodes}"
         )
-    return float(grid.quad_weights() @ values)
+    return float(trapezoid_weights(grid) @ values)
 
 
 def l2_norm_sq(values: np.ndarray, grid: Grid) -> float:

@@ -142,7 +142,7 @@ def make_material(kind: str, rho_floor: float = DEFAULT_RHO_FLOOR, table_path=No
 
 def _as_nonneg(xi):
     arr = np.asarray(xi, dtype=float)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise DomainError(f"material evaluated at negative argument (min {arr.min()})")
     return arr
 

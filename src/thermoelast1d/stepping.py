@@ -5,9 +5,10 @@ second-order diffusion) are treated implicitly through sparse LU
 factorizations cached per (grid, dt, epsilon); the wave/constitutive
 coupling is explicit under the CFL-type restriction dt <= cfl_safety * h.
 
-Raw-array stencils below mirror the public operators in :mod:`.grid`; they
-skip Field construction in the hot loop but use identical closures, so the
-summation-by-parts cancellations the diagnostics rely on hold exactly.
+The steppers work on raw arrays with the stencil kernels of :mod:`.grid`
+(the ones behind the public ``dx``/``dxx``), so no Field is built in the hot
+loop and the summation-by-parts cancellations the diagnostics rely on hold
+exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from .diagnostics import compute_record
 from .errors import ContractError, PositivityError, SchemeError
-from .grid import Grid
+from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
 from .materials import Material, eval_f
 from .state import SolverConfig, State, Trajectory, make_state
 
@@ -30,62 +31,23 @@ Forcing = Tuple[Callable[[np.ndarray, float], np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# raw-array stencils (interior central; bc-specific boundary closures)
-# ---------------------------------------------------------------------------
-
-
-def dx_neumann(f: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
-
-
-def dx_hinged(f: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = f[1] / h
-    out[-1] = -f[-2] / h
-    return out
-
-
-def dxx_dirichlet(f: np.ndarray, h: float) -> np.ndarray:
-    h2 = h * h
-    out = np.empty_like(f)
-    out[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h2
-    out[0] = -2.0 * f[0] / h2
-    out[-1] = -2.0 * f[-1] / h2
-    return out
-
-
-# ---------------------------------------------------------------------------
 # implicit system matrices (boundary rows encode the boundary conditions)
 # ---------------------------------------------------------------------------
 
 
-def heat_system_dirichlet(grid: Grid, c: float) -> sp.csc_matrix:
-    """I - c*D2 with identity boundary rows (value pinned)."""
-    n = grid.n_nodes
-    r = c / grid.h ** 2
-    main = np.full(n, 1.0 + 2.0 * r)
-    main[0] = main[-1] = 1.0
-    lower = np.full(n - 1, -r)
-    upper = np.full(n - 1, -r)
-    upper[0] = 0.0
-    lower[-1] = 0.0
-    return sp.diags([lower, main, upper], [-1, 0, 1], format="csc")
-
-
-def heat_system_neumann(grid: Grid, c: float) -> sp.csc_matrix:
-    """I - c*D2 with reflected-ghost rows (zero boundary flux)."""
+def heat_system(grid: Grid, c: float, bc_kind: str) -> sp.csc_matrix:
+    """I - c*D2 with identity boundary rows for ``dirichlet_zero`` (value
+    pinned) or reflected-ghost rows for ``neumann_zero`` (zero flux)."""
     n = grid.n_nodes
     r = c / grid.h ** 2
     main = np.full(n, 1.0 + 2.0 * r)
     lower = np.full(n - 1, -r)
     upper = np.full(n - 1, -r)
-    upper[0] = -2.0 * r
-    lower[-1] = -2.0 * r
+    if bc_kind == BC_DIRICHLET:
+        main[0] = main[-1] = 1.0
+        upper[0] = lower[-1] = 0.0
+    else:
+        upper[0] = lower[-1] = -2.0 * r
     return sp.diags([lower, main, upper], [-1, 0, 1], format="csc")
 
 
@@ -96,25 +58,19 @@ def biharmonic_system_hinged(grid: Grid, c: float) -> sp.csc_matrix:
     if n < 5:
         raise ContractError("fourth-order operator needs n_cells >= 4")
     q = c / grid.h ** 4
-    m = sp.lil_matrix((n, n))
-    for i in range(2, n - 2):
-        m[i, i - 2] = q
-        m[i, i - 1] = -4.0 * q
-        m[i, i] = 1.0 + 6.0 * q
-        m[i, i + 1] = -4.0 * q
-        m[i, i + 2] = q
+    main = np.full(n, 1.0 + 6.0 * q)
     # hinged closure: ghost v[-1] = -v[1] folds onto the diagonal
-    m[1, 0] = -4.0 * q
-    m[1, 1] = 1.0 + 5.0 * q
-    m[1, 2] = -4.0 * q
-    m[1, 3] = q
-    m[n - 2, n - 1] = -4.0 * q
-    m[n - 2, n - 2] = 1.0 + 5.0 * q
-    m[n - 2, n - 3] = -4.0 * q
-    m[n - 2, n - 4] = q
-    m[0, 0] = 1.0
-    m[n - 1, n - 1] = 1.0
-    return m.tocsc()
+    main[1] = main[-2] = 1.0 + 5.0 * q
+    main[0] = main[-1] = 1.0
+    # identity rows at the ends carry no off-diagonal entries
+    up1, lo1 = np.full(n - 1, -4.0 * q), np.full(n - 1, -4.0 * q)
+    up2, lo2 = np.full(n - 2, q), np.full(n - 2, q)
+    up1[0] = up2[0] = lo1[-1] = lo2[-1] = 0.0
+    m = sp.diags([lo2, lo1, main, up1, up2], [-2, -1, 0, 1, 2], format="csc")
+    # same sparsity and entry order as an entry-by-entry assembly
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m
 
 
 @lru_cache(maxsize=64)
@@ -122,30 +78,25 @@ def _cached_factors(grid: Grid, dt: float, epsilon: float, scheme: str):
     """LU factorizations reused across every step of a run."""
     try:
         if scheme == "imex1":
-            lu_th = splu(heat_system_neumann(grid, dt))
+            lu_th = splu(heat_system(grid, dt, BC_NEUMANN))
             lu_v = lu_u = None
             if epsilon > 0.0:
                 lu_v = splu(biharmonic_system_hinged(grid, epsilon * dt))
-                lu_u = splu(heat_system_dirichlet(grid, epsilon * dt))
+                lu_u = splu(heat_system(grid, epsilon * dt, BC_DIRICHLET))
             return {"lu_v": lu_v, "lu_u": lu_u, "lu_th": lu_th}
         if scheme == "imex2":
             c = 0.25 * dt
-            out = {
-                "lu_th": splu(heat_system_neumann(grid, c)),
-                "mul_th": heat_system_neumann(grid, -c).tocsr(),
-                "lu_v": None,
-                "mul_v": None,
-                "lu_u": None,
-                "mul_u": None,
-            }
+            out = dict.fromkeys(("lu_v", "mul_v", "lu_u", "mul_u"))
+            out["lu_th"] = splu(heat_system(grid, c, BC_NEUMANN))
+            out["mul_th"] = heat_system(grid, -c, BC_NEUMANN).tocsr()
             if epsilon > 0.0:
                 out["lu_v"] = splu(biharmonic_system_hinged(grid, epsilon * c))
                 out["mul_v"] = biharmonic_system_hinged(grid, -epsilon * c).tocsr()
-                out["lu_u"] = splu(heat_system_dirichlet(grid, epsilon * c))
-                out["mul_u"] = heat_system_dirichlet(grid, -epsilon * c).tocsr()
+                out["lu_u"] = splu(heat_system(grid, epsilon * c, BC_DIRICHLET))
+                out["mul_u"] = heat_system(grid, -epsilon * c, BC_DIRICHLET).tocsr()
             return out
         if scheme == "limit":
-            return {"lu_th": splu(heat_system_neumann(grid, dt))}
+            return {"lu_th": splu(heat_system(grid, dt, BC_NEUMANN))}
     except RuntimeError as exc:  # SuperLU failures (singular factor)
         raise SchemeError(f"linear solve factorization failed: {exc}") from exc
     raise ContractError(f"unknown scheme {scheme!r}")
@@ -160,6 +111,11 @@ def _pin(arr: np.ndarray) -> np.ndarray:
 def _f_of(material: Material, th: np.ndarray) -> np.ndarray:
     # undershoots within the positivity tolerance are evaluated as f(0) = 0
     return eval_f(material, np.maximum(th, 0.0))
+
+
+def _wave_force(u: np.ndarray, fth: np.ndarray, h: float) -> np.ndarray:
+    """u_xx - (f(Theta))_x on the pinned/zero-flux closures."""
+    return dxx_values(u, h, BC_DIRICHLET) - dx_values(fth, h, BC_NEUMANN)
 
 
 class ImexStepper:
@@ -179,9 +135,9 @@ class ImexStepper:
         dt = self.cfg.dt
         h = self.grid.h
         fth = _f_of(self.material, th)
-        rhs_v = _pin(v + dt * (dxx_dirichlet(u, h) - dx_neumann(fth, h)))
+        rhs_v = _pin(v + dt * _wave_force(u, fth, h))
         rhs_u = _pin(u + dt * v)
-        rhs_th = th - dt * fth * dx_hinged(v, h)
+        rhs_th = th - dt * fth * dx_values(v, h, BC_HINGED)
         v1 = self.f["lu_v"].solve(rhs_v) if self.f["lu_v"] is not None else rhs_v
         u1 = self.f["lu_u"].solve(rhs_u) if self.f["lu_u"] is not None else rhs_u
         th1 = self.f["lu_th"].solve(rhs_th)
@@ -215,14 +171,12 @@ class Imex2Stepper:
         h = self.grid.h
         m = self.material
         fth = _f_of(m, th)
-        v_half = _pin(v + 0.5 * dt * (dxx_dirichlet(u, h) - dx_neumann(fth, h)))
+        v_half = _pin(v + 0.5 * dt * _wave_force(u, fth, h))
         u1 = _pin(u + dt * v_half)
-        g = dx_hinged(v_half, h)
+        g = dx_values(v_half, h, BC_HINGED)
         th_mid = th - 0.5 * dt * fth * g
         th1 = th - dt * _f_of(m, th_mid) * g
-        v1 = _pin(
-            v_half + 0.5 * dt * (dxx_dirichlet(u1, h) - dx_neumann(_f_of(m, th1), h))
-        )
+        v1 = _pin(v_half + 0.5 * dt * _wave_force(u1, _f_of(m, th1), h))
         return v1, u1, th1
 
     def advance(self, v, u, th, t):
@@ -262,21 +216,14 @@ class LimitStepper:
         h = self.grid.h
         m = self.material
         fth = _f_of(m, th)
-        v_half = _pin(
-            v + 0.5 * dt * (dxx_dirichlet(u, h) - dx_neumann(fth, h) + self._force(0, t))
-        )
+        v_half = _pin(v + 0.5 * dt * (_wave_force(u, fth, h) + self._force(0, t)))
         u1 = _pin(u + dt * v_half)
-        rhs_th = th + dt * (-fth * dx_hinged(v_half, h) + self._force(1, t + dt))
+        g = dx_values(v_half, h, BC_HINGED)
+        rhs_th = th + dt * (-fth * g + self._force(1, t + dt))
         th1 = self.f["lu_th"].solve(rhs_th)
         v1 = _pin(
             v_half
-            + 0.5
-            * dt
-            * (
-                dxx_dirichlet(u1, h)
-                - dx_neumann(_f_of(m, th1), h)
-                + self._force(0, t + dt)
-            )
+            + 0.5 * dt * (_wave_force(u1, _f_of(m, th1), h) + self._force(0, t + dt))
         )
         return v1, u1, th1
 
@@ -323,8 +270,11 @@ def run_simulation(
     for k in range(1, n_steps + 1):
         t_new = k * cfg.dt
         v, u, th = stepper.advance(v, u, th, (k - 1) * cfg.dt)
-        if not np.all(np.isfinite(th)) or not np.all(np.isfinite(v)):
-            raise SchemeError(f"non-finite state at t = {t_new:.6g}")
+        for name, arr in (("v", v), ("u", u), ("theta", th)):
+            if not np.isfinite(arr).all():
+                raise SchemeError(
+                    f"non-finite {name} at step {k}, t = {t_new:.6g}", t=t_new
+                )
         th_min = float(th.min())
         if th_min < -cfg.positivity_tol:
             raise PositivityError(

@@ -1,5 +1,10 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoelast1d.diagnostics import (
     DifferenceNorms,
@@ -13,12 +18,17 @@ from thermoelast1d.diagnostics import (
     weak_form_residual,
 )
 from thermoelast1d.errors import ContractError, StructuralError
-from thermoelast1d.grid import Grid
+from thermoelast1d.grid import Field, Grid, dx, dxx, integrate, l2_norm_sq
 from thermoelast1d.initial_data import equilibrium, standing_wave
-from thermoelast1d.materials import identity_material
+from thermoelast1d.materials import (
+    identity_material,
+    log1p_material,
+    rational_saturating_material,
+    tabulated_material,
+)
 from thermoelast1d.solver_eps import run_eps
 from thermoelast1d.solver_limit import run_limit
-from thermoelast1d.state import SolverConfig, Trajectory, make_state
+from thermoelast1d.state import DiagnosticsRecord, SolverConfig, Trajectory, make_state
 
 MAT = identity_material()
 
@@ -258,3 +268,111 @@ def test_energy_and_hfunc_values():
     y = hfunc(init, MAT, g)
     # y = 1 + 1/2 |u_xx|^2 = 1 + 0.09 pi^4 / 4
     assert y == pytest.approx(1.0 + 0.09 * np.pi**4 / 4, rel=1e-3)
+
+
+def composed_row(state, material, grid, epsilon, prev):
+    """The diagnostics row composed from the public operators."""
+    th = state.theta.values
+    thx_sq = l2_norm_sq(dx(state.theta, grid).values, grid)
+    vxx_sq = l2_norm_sq(dxx(state.v, grid).values, grid)
+    uxx_sq = l2_norm_sq(dxx(state.u, grid).values, grid)
+    y = hfunc(state, material, grid)
+    diss = eps_diss = 0.0
+    if prev is not None:
+        half_dt = 0.5 * (state.t - prev.t)
+        diss = prev.dissipation_accum + half_dt * (prev.thetax_l2sq + thx_sq)
+        eps_diss = prev.eps_dissipation_accum + epsilon * half_dt * (
+            (prev.vxx_l2sq + prev.uxx_l2sq) + (vxx_sq + uxx_sq)
+        )
+    return DiagnosticsRecord(
+        t=state.t,
+        energy=energy(state, grid),
+        theta_mass=integrate(th, grid),
+        theta_min=float(th.min()),
+        theta_max=float(th.max()),
+        hfunc=y,
+        hfunc_valid=y is not None,
+        thetax_l2sq=thx_sq,
+        thetaxx_l2sq=l2_norm_sq(dxx(state.theta, grid).values, grid),
+        vx_l2sq=l2_norm_sq(dx(state.v, grid).values, grid),
+        vxx_l2sq=vxx_sq,
+        uxx_l2sq=uxx_sq,
+        dissipation_accum=diss,
+        eps_dissipation_accum=eps_diss,
+    )
+
+
+def _bits(rec):
+    return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(rec)]
+
+
+_XI = np.linspace(0.0, 3.0, 7)
+MATERIALS = [
+    identity_material(),
+    log1p_material(),
+    rational_saturating_material(),
+    tabulated_material(_XI, _XI / (1.0 + 0.5 * _XI)),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(4, 300),
+    seed=st.integers(0, 10_000),
+    mat=st.sampled_from(MATERIALS),
+    theta_base=st.sampled_from([-0.2, 0.0, 0.05, 1.0, 4.0]),
+    epsilon=st.sampled_from([0.0, 1e-2]),
+)
+def test_compute_record_equals_composed_row_bitwise(n, seed, mat, theta_base, epsilon):
+    g = Grid(-0.5, 1.5, n)
+    rng = np.random.default_rng(seed)
+
+    def state(t):
+        k = g.n_nodes
+        theta = max(theta_base, 0.0) + np.abs(rng.normal(scale=0.3, size=k))
+        if theta_base <= 0.0:
+            theta[rng.integers(k)] = theta_base  # at or below the rho floor
+        return make_state(t, rng.normal(size=k), rng.normal(size=k), theta)
+
+    s0, s1 = state(0.0), state(0.01)
+    prev = compute_record(s0, mat, g, epsilon, None)
+    assert _bits(prev) == _bits(composed_row(s0, mat, g, epsilon, None))
+    rec = compute_record(s1, mat, g, epsilon, prev)
+    assert _bits(rec) == _bits(composed_row(s1, mat, g, epsilon, prev))
+    assert rec.hfunc_valid == (theta_base > 0.0)
+
+
+def test_compute_record_rejects_grid_mismatch():
+    g = Grid(0.0, 1.0, 16)
+    s = equilibrium(Grid(0.0, 1.0, 8))
+    with pytest.raises(StructuralError):
+        compute_record(s, MAT, g, 0.0, None)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-2])
+def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
+    """Each step builds only the state's 3 Fields; the trapezoid weights are
+    looked up through the grid a fixed number of times, not once per step."""
+    counts = Counter()
+    post_init, quad_weights = Field.__post_init__, Grid.quad_weights
+
+    def counted_post_init(self):
+        counts["fields"] += 1
+        post_init(self)
+
+    def counted_quad_weights(self):
+        counts["weights"] += 1
+        return quad_weights(self)
+
+    monkeypatch.setattr(Field, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Grid, "quad_weights", counted_quad_weights)
+    g = Grid(0.0, 1.0, 64)
+    init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
+    seen = {}
+    for k in (4, 8):
+        cfg = SolverConfig(dt=g.h / 2, t_end=k * g.h / 2, epsilon=epsilon)
+        counts.clear()
+        (run_eps if epsilon > 0 else run_limit)(init, MAT, cfg, g)
+        assert counts["fields"] == 3 * k
+        seen[k] = counts["weights"]
+    assert seen[4] == seen[8]

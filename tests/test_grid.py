@@ -13,7 +13,9 @@ from thermoelast1d.grid import (
     Field,
     Grid,
     dx,
+    dx_values,
     dxx,
+    dxx_values,
     dxxxx,
     gn_constants,
     integrate,
@@ -193,6 +195,41 @@ def test_operators_are_linear(alpha, beta, seed, bc):
         rhs = alpha * op(Field(fa, bc), g).values + beta * op(Field(fb, bc), g).values
         scale = np.max(np.abs(rhs)) + 1.0
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+
+# --- array kernels and cached grid arrays ----------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 200),
+    seed=st.integers(0, 10_000),
+    bc=st.sampled_from([BC_DIRICHLET, BC_NEUMANN, BC_HINGED, BC_FREE]),
+)
+def test_array_kernels_equal_public_operators(n, seed, bc):
+    g = Grid(-0.3, 1.7, n)
+    f = np.random.default_rng(seed).normal(size=g.n_nodes)
+    if bc in (BC_DIRICHLET, BC_HINGED):
+        f[0] = f[-1] = 0.0
+    field = Field(f, bc)
+    assert np.array_equal(dx_values(f, g.h, bc), dx(field, g).values)
+    assert np.array_equal(dxx_values(f, g.h, bc), dxx(field, g).values)
+    if bc == BC_HINGED:
+        # the ends equal the antisymmetric-ghost central difference bit for bit
+        d = dx_values(f, g.h, bc)
+        assert d[0] == (f[1] - (-f[1])) / (2.0 * g.h)
+        assert d[-1] == ((-f[-2]) - f[-2]) / (2.0 * g.h)
+
+
+def test_nodes_and_weights_cached_read_only():
+    g = Grid(0.0, 2.0, 10)
+    assert g.nodes is Grid(0.0, 2.0, 10).nodes
+    assert g.quad_weights() is Grid(0.0, 2.0, 10).quad_weights()
+    assert not g.nodes.flags.writeable
+    assert not g.quad_weights().flags.writeable
+    w = g.quad_weights()
+    assert w[0] == w[-1] == 0.1 and np.all(w[1:-1] == 0.2)
+    assert g.nodes[-1] == 2.0
 
 
 # --- norms ------------------------------------------------------------------

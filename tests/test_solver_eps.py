@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from thermoelast1d.diagnostics import energy, energy_identity_residual
-from thermoelast1d.errors import ConfigError, ContractError, PositivityError
+from thermoelast1d.errors import ConfigError, ContractError, PositivityError, SchemeError
 from thermoelast1d.grid import Grid, dxx, l2_norm_sq
 from thermoelast1d.initial_data import equilibrium, standing_wave
 from thermoelast1d.materials import identity_material, log1p_material
 from thermoelast1d.solver_eps import run_eps, step_eps
 from thermoelast1d.state import SolverConfig, make_state
+from thermoelast1d.stepping import biharmonic_system_hinged, run_simulation
 
 
 @pytest.fixture
@@ -206,3 +208,60 @@ def test_recorder_streams(grid):
     init = equilibrium(grid)
     run_eps(init, MAT, cfg, grid, recorder=lambda s, r: seen.append(r.t))
     assert len(seen) == cfg.n_steps() + 1
+
+
+def _biharmonic_entrywise(grid, c):
+    """I + c*D4 with hinged closures, assembled entry by entry."""
+    n = grid.n_nodes
+    q = c / grid.h ** 4
+    m = sp.lil_matrix((n, n))
+    for i in range(2, n - 2):
+        m[i, i - 2] = q
+        m[i, i - 1] = -4.0 * q
+        m[i, i] = 1.0 + 6.0 * q
+        m[i, i + 1] = -4.0 * q
+        m[i, i + 2] = q
+    m[1, 0] = -4.0 * q
+    m[1, 1] = 1.0 + 5.0 * q
+    m[1, 2] = -4.0 * q
+    m[1, 3] = q
+    m[n - 2, n - 1] = -4.0 * q
+    m[n - 2, n - 2] = 1.0 + 5.0 * q
+    m[n - 2, n - 3] = -4.0 * q
+    m[n - 2, n - 4] = q
+    m[0, 0] = 1.0
+    m[n - 1, n - 1] = 1.0
+    return m.tocsc()
+
+
+@pytest.mark.parametrize("n_cells", list(range(4, 65)))
+@pytest.mark.parametrize("c", [2.5e-9, -2.5e-9, 0.0])
+def test_biharmonic_matrix_same_csc_arrays(n_cells, c):
+    """The banded assembly hands SuperLU the very arrays of the entry-by-entry
+    one (c = 0 checks that zero bands are dropped the same way)."""
+    g = Grid(0.0, 1.0, n_cells)
+    got, ref = biharmonic_system_hinged(g, c), _biharmonic_entrywise(g, c)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_biharmonic_needs_four_cells():
+    with pytest.raises(ContractError):
+        biharmonic_system_hinged(Grid(0.0, 1.0, 3), 1.0)
+
+
+class _NaNInU:
+    label = "stub"
+
+    def advance(self, v, u, th, t):
+        u = u.copy()
+        u[1] = np.nan
+        return v, u, th
+
+
+def test_nonfinite_u_raises_scheme_error_with_time(grid):
+    cfg = cfg_for(grid, t_end=grid.h)
+    with pytest.raises(SchemeError, match=r"non-finite u at step 1") as exc:
+        run_simulation(_NaNInU(), standing_wave(grid), MAT, cfg, grid)
+    assert exc.value.t == cfg.dt
