@@ -100,11 +100,6 @@ def gamma1(eta: float, K: float, c1: float, c2: float, c3: float, c4: float) -> 
     return group_velocity + group_remainder + group_gradient + group_flux
 
 
-def gamma1_for(eta: float, K: float, grid: Grid, material: Material) -> float:
-    gn = gn_constants(grid)
-    return gamma1(eta, K, gn.c1, gn.c2, material.c3, material.c4)
-
-
 def gamma2(K: float, c1: float, c2: float, c3: float, c4: float) -> float:
     """Parabolic difference estimate constant: twice gamma1 at eta = 1/2."""
     return 2.0 * gamma1(0.5, K, c1, c2, c3, c4)

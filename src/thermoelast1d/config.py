@@ -21,6 +21,7 @@ Configs round-trip losslessly through :func:`serialize_config`.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -79,8 +80,6 @@ class SolverSpec:
     scheme: str = "imex1"
     cfl_safety: float = 0.5
     positivity_tol: float = 1e-12
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 25
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,6 @@ class RunConfig:
             scheme=self.solver.scheme,
             cfl_safety=self.solver.cfl_safety,
             positivity_tol=self.solver.positivity_tol,
-            newton_tol=self.solver.newton_tol,
-            newton_max_iters=self.solver.newton_max_iters,
         )
 
     def build_initial_state(self, grid: Grid) -> State:
@@ -165,12 +162,13 @@ _SCHEMA = {
     "material": {"kind": str, "rho_floor": float, "table": str},
     "solver": {
         "epsilon": float, "dt": float, "t_end": float, "scheme": str,
-        "cfl_safety": float, "positivity_tol": float, "newton_tol": float,
-        "newton_max_iters": int,
+        "cfl_safety": float, "positivity_tol": float,
     },
     "initial_data": None,  # open schema, validated per kind
     "output": {"record_every": int, "directory": str, "formats": str},
 }
+
+_DEPRECATED_KEYS = {("solver", "newton_tol"), ("solver", "newton_max_iters")}  # ignored
 
 
 def parse_config(text: str) -> RunConfig:
@@ -213,6 +211,11 @@ def parse_config(text: str) -> RunConfig:
             continue
         seen[(section, key)] = lineno
         schema = _SCHEMA[section]
+        if (section, key) in _DEPRECATED_KEYS:
+            warnings.warn(f"line {lineno}: '{section}.{key}' is deprecated and "
+                          "ignored (no shipped scheme iterates)", DeprecationWarning,
+                          stacklevel=2)
+            continue
         if schema is not None and key not in schema:
             errors.append(f"line {lineno}: unknown key '{section}.{key}'")
             continue
@@ -249,8 +252,6 @@ def parse_config(text: str) -> RunConfig:
         scheme=take("solver", "scheme", str, "imex1"),
         cfl_safety=take("solver", "cfl_safety", float, 0.5),
         positivity_tol=take("solver", "positivity_tol", float, 1e-12),
-        newton_tol=take("solver", "newton_tol", float, 1e-10),
-        newton_max_iters=take("solver", "newton_max_iters", int, 25),
     )
     kind = raw["initial_data"].pop("kind", "standing_wave")
     params = []
@@ -315,10 +316,6 @@ def _semantic_errors(cfg: RunConfig):
         errs.append(f"solver.scheme must be one of {SCHEMES}, got {s.scheme!r}")
     if not s.cfl_safety > 0:
         errs.append(f"solver.cfl_safety must be > 0, got {s.cfl_safety}")
-    if s.newton_max_iters < 1:
-        errs.append(f"solver.newton_max_iters must be >= 1, got {s.newton_max_iters}")
-    if not s.newton_tol > 0:
-        errs.append(f"solver.newton_tol must be > 0, got {s.newton_tol}")
     if s.positivity_tol < 0:
         errs.append(f"solver.positivity_tol must be >= 0, got {s.positivity_tol}")
     if o.record_every < 1:
@@ -356,8 +353,6 @@ def serialize_config(cfg: RunConfig) -> str:
         f"scheme = {s.scheme}",
         f"cfl_safety = {num(s.cfl_safety)}",
         f"positivity_tol = {num(s.positivity_tol)}",
-        f"newton_tol = {num(s.newton_tol)}",
-        f"newton_max_iters = {s.newton_max_iters}",
         "",
         "[initial_data]",
         f"kind = {cfg.initial_data.kind}",

@@ -6,6 +6,10 @@ Conventions
 * All spatial integrals use the trapezoid rule on the run's grid.
 * All time integrals over trajectories use the trapezoid rule on the
   recorded time grid.
+* Trajectory diagnostics stack blocks of stored states into C-contiguous
+  ``(block, N)`` arrays; ``np.vecdot(rows, w)`` equals ``w @ row`` per row
+  bit for bit there (numpy 2.4/OpenBLAS; a dgemv ``rows @ w`` is not), and
+  time sums stay sequential: every value equals the one-state loop's.
 * Quantities whose displays are squared norms are reported squared; the
   CSV/report headers say so.
 """
@@ -13,7 +17,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -112,26 +116,32 @@ def energy_identity_residual(traj: Trajectory) -> np.ndarray:
     return e - e[0] + traj.record_series("eps_dissipation_accum")
 
 
+def _dx_rows(rows: np.ndarray, h: float, bc_kind: str) -> np.ndarray:
+    """:func:`dx_values` of each row of a C-contiguous ``(block, N)`` stack."""
+    return dx_values(rows.T, h, bc_kind).T
+
+
 def mass_identity_residual(traj: Trajectory, material: Material) -> np.ndarray:
     """r(t) = int Theta(t) - int Theta_0 - int_0^t int f'(Theta) Theta_x v.
 
     Evaluated on the snapshot timeline (the space-time source term needs
-    the full fields).
+    the full fields), one block of stored states at a time.
     """
     grid = traj.grid
+    w = trapezoid_weights(grid)
     times = traj.times
     mass = np.empty(times.shape)
     source = np.empty(times.shape)
-    for j, s in enumerate(traj.states):
-        mass[j] = integrate(s.theta.values, grid)
+    for lo, hi in traj.blocks(0, len(times)):
+        th = traj.stacked("theta", lo, hi)
+        mass[lo:hi] = np.vecdot(th, w)
         integrand = (
-            eval_fp(material, np.maximum(s.theta.values, 0.0))
-            * dx(s.theta, grid).values
-            * s.v.values
+            eval_fp(material, np.maximum(th, 0.0))
+            * _dx_rows(th, grid.h, BC_NEUMANN)
+            * traj.stacked("v", lo, hi)
         )
-        source[j] = integrate(integrand, grid)
-    acc = _cumtrapz(source, times)
-    return mass - mass[0] - acc
+        source[lo:hi] = np.vecdot(integrand, w)
+    return mass - mass[0] - _cumtrapz(source, times)
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -174,14 +184,17 @@ class SpaceTimeTestFunction:
     the open interval, T and T' vanish at the horizon) or ``"wt"``
     (temperature identity: X free at the boundary, T vanishes at the
     horizon).
+
+    ``X``/``Xp`` take the node array; ``T``/``Tp``/``Tpp`` take the whole
+    array of snapshot times (a scalar return is broadcast) or a float.
     """
 
     target: str
     X: Callable[[np.ndarray], np.ndarray]
     Xp: Callable[[np.ndarray], np.ndarray]
-    T: Callable[[float], float]
-    Tp: Callable[[float], float]
-    Tpp: Callable[[float], float]
+    T: Callable[..., Union[float, np.ndarray]]
+    Tp: Callable[..., Union[float, np.ndarray]]
+    Tpp: Callable[..., Union[float, np.ndarray]]
     t_end: float
     label: str = ""
 
@@ -306,7 +319,7 @@ def weak_form_residual(
     the temperature identity tests Theta with the advective flux terms.
     """
     grid = traj.grid
-    w = grid.quad_weights()
+    w = trapezoid_weights(grid)
     times = traj.times
     t_end = float(times[-1])
     if len(traj.states) < 2:
@@ -318,47 +331,43 @@ def weak_form_residual(
     tw[:-1] += 0.5 * wt_time
 
     nodes = grid.nodes
-    r_wu = []
-    r_wt = []
     for tf in test_bank:
         _validate_test_function(tf, grid, t_end)
-        Xv = tf.X(nodes)
-        Xpv = tf.Xp(nodes)
-        Tv = np.array([tf.T(t) for t in times])
-        Tpv = np.array([tf.Tp(t) for t in times])
-        Tppv = np.array([tf.Tpp(t) for t in times])
+    space = [(tf.X(nodes), tf.Xp(nodes)) for tf in test_bank]
+    # per member and state: the spatial integrals the identity pairs with
+    # its time factors ("wu" fills three, "wt" four)
+    proj = np.empty((len(test_bank), 4, len(times)))
+    for lo, hi in traj.blocks(0, len(times)):
+        v, u, th = (traj.stacked(f, lo, hi) for f in ("v", "u", "theta"))
+        thx = _dx_rows(th, grid.h, BC_NEUMANN)
+        ux = _dx_rows(u, grid.h, BC_DIRICHLET)
+        th_pos = np.maximum(th, 0.0)
+        fp_thx = eval_fp(material, th_pos) * thx
+        fp_thx_v = fp_thx * v
+        fv_v = eval_f(material, th_pos) * v
+        for i, (tf, (X, Xp)) in enumerate(zip(test_bank, space)):
+            if tf.target == "wu":
+                pairs = ((u, X), (ux, Xp), (fp_thx, X))
+            else:
+                pairs = ((th, X), (thx, Xp), (fp_thx_v, X), (fv_v, Xp))
+            for k, (field_values, x_factor) in enumerate(pairs):
+                proj[i, k, lo:hi] = np.vecdot(field_values * x_factor, w)
 
+    s0 = traj.states[0]
+    r_wu = []
+    r_wt = []
+    for tf, (X, _), p in zip(test_bank, space, proj):
+        T, Tp, Tpp = (np.broadcast_to(fn(times), times.shape)
+                      for fn in (tf.T, tf.Tp, tf.Tpp))
+        # cumsum keeps the sequential left-to-right sum of the time rule
         if tf.target == "wu":
-            acc = 0.0
-            for j, s in enumerate(traj.states):
-                ux = dx(s.u, grid).values
-                fp_thx = eval_fp(material, np.maximum(s.theta.values, 0.0)) * dx(
-                    s.theta, grid
-                ).values
-                acc += tw[j] * (
-                    Tppv[j] * float(w @ (s.u.values * Xv))
-                    + Tv[j] * float(w @ (ux * Xpv))
-                    + Tv[j] * float(w @ (fp_thx * Xv))
-                )
-            s0 = traj.states[0]
-            acc -= Tv[0] * float(w @ (s0.v.values * Xv))
-            acc += Tpv[0] * float(w @ (s0.u.values * Xv))
+            acc = np.cumsum(tw * (Tpp * p[0] + T * p[1] + T * p[2]))[-1]
+            acc -= T[0] * float(w @ (s0.v.values * X))
+            acc += Tp[0] * float(w @ (s0.u.values * X))
             r_wu.append(abs(acc))
         else:
-            acc = 0.0
-            for j, s in enumerate(traj.states):
-                th = s.theta.values
-                thx = dx(s.theta, grid).values
-                v = s.v.values
-                fpv = eval_fp(material, np.maximum(th, 0.0))
-                fv = eval_f(material, np.maximum(th, 0.0))
-                acc += tw[j] * (
-                    -Tpv[j] * float(w @ (th * Xv))
-                    + Tv[j] * float(w @ (thx * Xpv))
-                    - Tv[j] * float(w @ (fpv * thx * v * Xv))
-                    - Tv[j] * float(w @ (fv * v * Xpv))
-                )
-            acc -= Tv[0] * float(w @ (traj.states[0].theta.values * Xv))
+            acc = np.cumsum(tw * (-Tp * p[0] + T * p[1] - T * p[2] - T * p[3]))[-1]
+            acc -= T[0] * float(w @ (s0.theta.values * X))
             r_wt.append(abs(acc))
 
     return WeakFormResiduals(r_wu=np.array(r_wu), r_wt=np.array(r_wt))
@@ -386,6 +395,23 @@ class DifferenceNorms:
         return self.sup_v_l2 + self.sup_ux_l2 + self.sup_theta_l2 + self.thetax_l2l2
 
 
+def squared_differences(traj_a: Trajectory, traj_b: Trajectory, lo: int, hi: int,
+                        shift: int = 0) -> Tuple[np.ndarray, ...]:
+    """Squared trapezoid norms of ``traj_a.states[j + shift]`` minus
+    ``traj_b.states[j]`` for ``j`` in ``[lo, hi)``, one row per j:
+    (|dv|^2, |d u_x|^2, |dTheta|^2, |dTheta_x|^2), derivatives taken before
+    the difference."""
+    w = trapezoid_weights(traj_a.grid)
+    h = traj_a.grid.h
+    va, ua, tha = (traj_a.stacked(f, lo + shift, hi + shift)
+                   for f in ("v", "u", "theta"))
+    vb, ub, thb = (traj_b.stacked(f, lo, hi) for f in ("v", "u", "theta"))
+    dux = _dx_rows(ua, h, BC_DIRICHLET) - _dx_rows(ub, h, BC_DIRICHLET)
+    dthx = _dx_rows(tha, h, BC_NEUMANN) - _dx_rows(thb, h, BC_NEUMANN)
+    return (np.vecdot((va - vb) ** 2, w), np.vecdot(dux ** 2, w),
+            np.vecdot((tha - thb) ** 2, w), np.vecdot(dthx ** 2, w))
+
+
 def difference_norms(traj_a: Trajectory, traj_b: Trajectory) -> DifferenceNorms:
     ga, gb = traj_a.grid, traj_b.grid
     if (ga.a, ga.b, ga.n_cells) != (gb.a, gb.b, gb.n_cells):
@@ -394,20 +420,9 @@ def difference_norms(traj_a: Trajectory, traj_b: Trajectory) -> DifferenceNorms:
     if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=0.0, atol=1e-12):
         raise StructuralError("trajectories were recorded at different times")
 
-    sup_v = sup_ux = sup_th = 0.0
-    thx_sq = np.empty(ta.shape)
-    for j, (sa, sb) in enumerate(zip(traj_a.states, traj_b.states)):
-        dv = sa.v.values - sb.v.values
-        dux = dx(sa.u, ga).values - dx(sb.u, ga).values
-        dth = sa.theta.values - sb.theta.values
-        dthx = dx(sa.theta, ga).values - dx(sb.theta, ga).values
-        sup_v = max(sup_v, l2_norm_sq(dv, ga))
-        sup_ux = max(sup_ux, l2_norm_sq(dux, ga))
-        sup_th = max(sup_th, l2_norm_sq(dth, ga))
-        thx_sq[j] = l2_norm_sq(dthx, ga)
-    return DifferenceNorms(
-        sup_v_l2=sup_v,
-        sup_ux_l2=sup_ux,
-        sup_theta_l2=sup_th,
-        thetax_l2l2=float(np.trapezoid(thx_sq, ta)),
-    )
+    sq = np.empty((4, len(ta)))
+    for lo, hi in traj_a.blocks(0, len(ta)):
+        sq[:, lo:hi] = squared_differences(traj_a, traj_b, lo, hi)
+    sup_v, sup_ux, sup_th = (float(x) for x in sq[:3].max(axis=1, initial=0.0))
+    return DifferenceNorms(sup_v_l2=sup_v, sup_ux_l2=sup_ux, sup_theta_l2=sup_th,
+                           thetax_l2l2=float(np.trapezoid(sq[3], ta)))

@@ -16,9 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bounds
-from .diagnostics import difference_norms, energy_identity_residual
+from .diagnostics import (difference_norms, energy_identity_residual,
+                          squared_differences)
 from .errors import ContractError
-from .grid import Grid, dx, gn_constants, l2_norm_sq
+from .grid import Grid, gn_constants, l2_norm_sq, trapezoid_weights
 from .initial_data import prepare_rough_data, standing_wave
 from .materials import Material, eval_f, eval_fp, identity_material
 from .solver_eps import run_eps
@@ -237,8 +238,10 @@ def _run_bound_quantities(traj: Trajectory, grid: Grid) -> Tuple[float, float, f
     the stability constants are conditional on, measured from the run.
     Kept as separate sups so the caller can bound mixed-time pairings
     (velocity at one time against temperature at another)."""
-    sup_v = max(math.sqrt(l2_norm_sq(s.v.values, grid)) for s in traj.states)
-    sup_th1 = max(abs(r.theta_mass) for r in traj.records)
+    w = trapezoid_weights(grid)  # sqrt is monotone: sqrt of the sup of the squares
+    sup_v = math.sqrt(max(float(np.vecdot(traj.stacked("v", lo, hi) ** 2, w).max())
+                          for lo, hi in traj.blocks(0, len(traj))))
+    sup_th1 = float(np.max(np.abs(traj.record_series("theta_mass"))))
     diss = traj.records[-1].dissipation_accum
     return sup_v, sup_th1, diss
 
@@ -344,7 +347,7 @@ def exp_time_shift(
     init = standing_wave(grid, amplitude=0.3, theta_amplitude=0.2)
     traj = run_eps(init, material, cfg, grid)
 
-    states = traj.states
+    n_states = len(traj.states)
     times = traj.times
     sup_v, sup_th1, diss = _run_bound_quantities(traj, grid)
     gn = gn_constants(grid)
@@ -352,13 +355,10 @@ def exp_time_shift(
         sup_v + sup_th1, diss, t_end, gn.c1, gn.c2, material.c3, material.c4
     )
 
-    def triple_sq(i, j):
-        si, sj = states[i], states[j]
-        return (
-            l2_norm_sq(si.v.values - sj.v.values, grid)
-            + l2_norm_sq(dx(si.u, grid).values - dx(sj.u, grid).values, grid)
-            + l2_norm_sq(si.theta.values - sj.theta.values, grid)
-        )
+    def triple_sq(lo, hi, k):
+        """|(v, u_x, Theta)(t_{j+k}) - (v, u_x, Theta)(t_j)|^2 for j in [lo, hi)."""
+        dv, dux, dth, _ = squared_differences(traj, traj, lo, hi, shift=k)
+        return dv + dux + dth
 
     report = ExperimentReport(
         name="time-shift",
@@ -368,20 +368,20 @@ def exp_time_shift(
     worst = -math.inf
     for hshift in shifts:
         k = round(hshift / dt)
-        if k < 1 or abs(k * dt - hshift) > 1e-9:
+        if k < 1 or abs(k * dt - hshift) > 1e-9 or k >= n_states:
             raise ContractError(
-                f"shift {hshift} is not a multiple of dt = {dt}"
+                f"shift {hshift} is not a multiple of dt = {dt} within t_end = {t_end}"
             )
-        rhs = triple_sq(k, 0)
-        ratios = np.array(
-            [triple_sq(j + k, j) / rhs if rhs > 0 else 0.0
-             for j in range(1, len(states) - k)]
-        )
+        rhs = float(triple_sq(0, 1, k)[0])
+        ratios = np.zeros(max(n_states - k - 1, 0))
+        if rhs > 0:
+            for lo, hi in traj.blocks(1, n_states - k):
+                ratios[lo - 1:hi - 1] = triple_sq(lo, hi, k) / rhs
         vacuous = rhs <= 1e-28
         max_ratio = 0.0 if vacuous else float(np.max(ratios)) if ratios.size else 0.0
         worst = max(worst, max_ratio)
         report.series[f"shift_{hshift:g}"] = {
-            "t": times[1 : len(states) - k],
+            "t": times[1 : n_states - k],
             "ratio": ratios,
         }
         detail = "vacuous (equilibrium)" if vacuous else ""

@@ -11,7 +11,8 @@ summation-by-parts cancellations the diagnostics rely on:
   second-order boundary stencils.
 
 The array kernels :func:`dx_values` / :func:`dxx_values` are the one copy of
-the stencils, used by :func:`dx` / :func:`dxx` and by the time steppers.
+the stencils, used by :func:`dx` / :func:`dxx`, by the time steppers and, on
+stacks ``(N, ...)`` with the nodes along the first axis, by the diagnostics.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.

@@ -16,11 +16,10 @@ grid level.
 
 from __future__ import annotations
 
-from .errors import PositivityError
 from .grid import Grid
 from .materials import Material
 from .state import SolverConfig, State, Trajectory, make_state
-from .stepping import make_eps_stepper, run_simulation
+from .stepping import check_step, make_eps_stepper, run_simulation
 
 
 def step_eps(state: State, material: Material, cfg: SolverConfig, grid: Grid) -> State:
@@ -31,11 +30,7 @@ def step_eps(state: State, material: Material, cfg: SolverConfig, grid: Grid) ->
         state.v.values.copy(), state.u.values.copy(), state.theta.values.copy(), state.t
     )
     t_new = state.t + cfg.dt
-    if float(th.min()) < -cfg.positivity_tol:
-        raise PositivityError(
-            f"theta reached {th.min():.3e} < -positivity_tol at t = {t_new:.6g}",
-            t=t_new,
-        )
+    check_step(v, u, th, round(t_new / cfg.dt), t_new, cfg, grid)
     return make_state(t_new, v, u, th)
 
 

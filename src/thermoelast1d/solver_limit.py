@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import ContractError, PositivityError
+from .errors import ContractError
 from .grid import Grid
 from .initial_data import ROUGH_KINDS, prepare_rough_data  # re-exported surface
 from .materials import Material
 from .state import SolverConfig, State, Trajectory, make_state
-from .stepping import Forcing, LimitStepper, run_simulation
+from .stepping import Forcing, LimitStepper, check_step, run_simulation
 
 __all__ = [
     "step_limit",
@@ -37,11 +37,7 @@ def step_limit(state: State, material: Material, cfg: SolverConfig, grid: Grid) 
         state.v.values.copy(), state.u.values.copy(), state.theta.values.copy(), state.t
     )
     t_new = state.t + cfg.dt
-    if float(th.min()) < -cfg.positivity_tol:
-        raise PositivityError(
-            f"theta reached {th.min():.3e} < -positivity_tol at t = {t_new:.6g}",
-            t=t_new,
-        )
+    check_step(v, u, th, round(t_new / cfg.dt), t_new, cfg, grid)
     return make_state(t_new, v, u, th)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -13,9 +13,6 @@ from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Field, Grid
 SCHEME_IMEX1 = "imex1"
 SCHEME_IMEX2 = "imex2"
 SCHEMES = (SCHEME_IMEX1, SCHEME_IMEX2)
-
-#: nominal temporal convergence order of each integrator
-TEMPORAL_ORDER = {SCHEME_IMEX1: 1, SCHEME_IMEX2: 2, "limit": 1}
 
 
 @dataclass(frozen=True)
@@ -55,12 +52,7 @@ def make_state(t, v, u, theta) -> State:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-integration parameters.
-
-    ``newton_tol`` / ``newton_max_iters`` are validated and reserved for
-    fully implicit coupling variants; the two shipped schemes are IMEX and
-    never iterate.
-    """
+    """Time-integration parameters."""
 
     dt: float
     t_end: float
@@ -68,8 +60,6 @@ class SolverConfig:
     scheme: str = SCHEME_IMEX1
     cfl_safety: float = 0.5
     positivity_tol: float = 1e-12
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 25
 
     def __post_init__(self):
         problems = []
@@ -87,10 +77,6 @@ class SolverConfig:
             problems.append(f"cfl_safety must be > 0, got {self.cfl_safety}")
         if not self.positivity_tol >= 0.0:
             problems.append(f"positivity_tol must be >= 0, got {self.positivity_tol}")
-        if not self.newton_tol > 0.0:
-            problems.append(f"newton_tol must be > 0, got {self.newton_tol}")
-        if self.newton_max_iters < 1:
-            problems.append(f"newton_max_iters must be >= 1, got {self.newton_max_iters}")
         if problems:
             raise ContractError("; ".join(problems))
 
@@ -145,6 +131,12 @@ class DiagnosticsRecord:
     eps_dissipation_accum: float
 
 
+#: most states, and most values per stacked field, in one block of the
+#: trajectory diagnostics: their working memory is bounded for any run
+STATE_BLOCK = 256
+BLOCK_VALUES = 1 << 14
+
+
 class Trajectory:
     """Recorded run: per-step diagnostics plus state snapshots.
 
@@ -171,6 +163,22 @@ class Trajectory:
     @property
     def final_state(self) -> State:
         return self.states[-1]
+
+    @property
+    def block_size(self) -> int:
+        """States per block: within :data:`STATE_BLOCK` and :data:`BLOCK_VALUES`."""
+        return max(1, min(STATE_BLOCK, BLOCK_VALUES // self.grid.n_nodes))
+
+    def blocks(self, start: int, stop: int) -> Iterator[Tuple[int, int]]:
+        """``(lo, hi)`` bounds splitting ``range(start, stop)`` of the stored
+        states into blocks of at most :attr:`block_size`."""
+        for lo in range(start, stop, self.block_size):
+            yield lo, min(lo + self.block_size, stop)
+
+    def stacked(self, field: str, start: int, stop: int) -> np.ndarray:
+        """Values of ``field`` (``"v"``, ``"u"`` or ``"theta"``) of
+        ``states[start:stop]`` as one C-contiguous ``(stop - start, N)`` array."""
+        return np.stack([getattr(s, field).values for s in self.states[start:stop]])
 
     def record_series(self, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.records]

@@ -122,7 +122,6 @@ class ImexStepper:
     """First-order splitting: explicit coupling at the old level, then
     backward-Euler solves for the stiff linear parts."""
 
-    temporal_order = 1
     label = "imex1"
 
     def __init__(self, grid: Grid, material: Material, cfg: SolverConfig):
@@ -149,7 +148,6 @@ class Imex2Stepper:
     coupling step with the constitutive terms at the half level, half
     Crank-Nicolson diffusion."""
 
-    temporal_order = 2
     label = "imex2"
 
     def __init__(self, grid: Grid, material: Material, cfg: SolverConfig):
@@ -190,7 +188,6 @@ class LimitStepper:
     the constitutive factor lagged; optional manufactured-solution forcing
     (S_v added to the velocity equation, S_theta to the heat equation)."""
 
-    temporal_order = 1
     label = "limit"
 
     def __init__(self, grid: Grid, material: Material, cfg: SolverConfig,
@@ -234,6 +231,27 @@ def make_eps_stepper(grid: Grid, material: Material, cfg: SolverConfig):
     return ImexStepper(grid, material, cfg)
 
 
+def check_step(v: np.ndarray, u: np.ndarray, th: np.ndarray, step: int, t: float,
+               cfg: SolverConfig, grid: Grid) -> None:
+    """Post-step checks of every stepping entry point: finite v, u, Theta,
+    then Theta >= -positivity_tol.  A failure names the step (k of t_k = k dt),
+    t, the fields and the node (first non-finite, or argmin Theta) with its x."""
+    bad = [(n, a) for n, a in (("v", v), ("u", u), ("theta", th))
+           if not np.isfinite(a).all()]
+    if bad:
+        name, arr = bad[0]
+        i = int(np.argmin(np.isfinite(arr)))
+        raise SchemeError(
+            f"non-finite {', '.join(n for n, _ in bad)} at step {step}, t = {t:.6g}; "
+            f"first at {name} node {i} (x = {grid.nodes[i]:.6g}): {arr[i]}", t=t)
+    th_min = float(th.min())
+    if th_min < -cfg.positivity_tol:
+        i = int(np.argmin(th))
+        raise PositivityError(
+            f"theta reached {th_min:.3e} < -positivity_tol at step {step}, "
+            f"t = {t:.6g}, node {i} (x = {grid.nodes[i]:.6g})", t=t)
+
+
 def run_simulation(
     stepper,
     init: State,
@@ -270,17 +288,7 @@ def run_simulation(
     for k in range(1, n_steps + 1):
         t_new = k * cfg.dt
         v, u, th = stepper.advance(v, u, th, (k - 1) * cfg.dt)
-        for name, arr in (("v", v), ("u", u), ("theta", th)):
-            if not np.isfinite(arr).all():
-                raise SchemeError(
-                    f"non-finite {name} at step {k}, t = {t_new:.6g}", t=t_new
-                )
-        th_min = float(th.min())
-        if th_min < -cfg.positivity_tol:
-            raise PositivityError(
-                f"theta reached {th_min:.3e} < -positivity_tol at t = {t_new:.6g}",
-                t=t_new,
-            )
+        check_step(v, u, th, k, t_new, cfg, grid)
         state = make_state(t_new, v, u, th)
         rec = compute_record(state, material, grid, cfg.epsilon, rec)
         traj.records.append(rec)

@@ -9,6 +9,16 @@ fact rather than a quadrature accident.
 
 import numpy as np
 
+from thermoelast1d.diagnostics import (
+    DifferenceNorms,
+    WeakFormResiduals,
+    _cumtrapz,
+    _validate_test_function,
+)
+from thermoelast1d.errors import StructuralError
+from thermoelast1d.grid import dx, integrate, l2_norm_sq
+from thermoelast1d.materials import eval_f, eval_fp
+
 
 def pl_l2_sq(vals: np.ndarray, h: float) -> float:
     a = vals[:-1]
@@ -59,3 +69,109 @@ def trig_field(rng, x, n_modes=4, cosines=True, sines=True):
             val += b * np.sin(k * np.pi * x)
             der += b * k * np.pi * np.cos(k * np.pi * x)
     return val, der
+
+
+# ---------------------------------------------------------------------------
+# Loop references of the trajectory diagnostics: one state (and one test
+# function) at a time through the Field operators.  The vectorised versions
+# in ``thermoelast1d.diagnostics`` must equal them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def mass_identity_residual_loop(traj, material):
+    grid = traj.grid
+    times = traj.times
+    mass = np.empty(times.shape)
+    source = np.empty(times.shape)
+    for j, s in enumerate(traj.states):
+        mass[j] = integrate(s.theta.values, grid)
+        integrand = (
+            eval_fp(material, np.maximum(s.theta.values, 0.0))
+            * dx(s.theta, grid).values
+            * s.v.values
+        )
+        source[j] = integrate(integrand, grid)
+    acc = _cumtrapz(source, times)
+    return mass - mass[0] - acc
+
+
+def weak_form_residual_loop(traj, material, test_bank):
+    grid = traj.grid
+    w = grid.quad_weights()
+    times = traj.times
+    t_end = float(times[-1])
+    if len(traj.states) < 2:
+        raise StructuralError("weak-form residuals need at least two snapshots")
+
+    wt_time = np.diff(times)
+    tw = np.zeros_like(times)
+    tw[1:] += 0.5 * wt_time
+    tw[:-1] += 0.5 * wt_time
+
+    nodes = grid.nodes
+    r_wu = []
+    r_wt = []
+    for tf in test_bank:
+        _validate_test_function(tf, grid, t_end)
+        Xv = tf.X(nodes)
+        Xpv = tf.Xp(nodes)
+        Tv = np.array([tf.T(t) for t in times])
+        Tpv = np.array([tf.Tp(t) for t in times])
+        Tppv = np.array([tf.Tpp(t) for t in times])
+
+        if tf.target == "wu":
+            acc = 0.0
+            for j, s in enumerate(traj.states):
+                ux = dx(s.u, grid).values
+                fp_thx = eval_fp(material, np.maximum(s.theta.values, 0.0)) * dx(
+                    s.theta, grid
+                ).values
+                acc += tw[j] * (
+                    Tppv[j] * float(w @ (s.u.values * Xv))
+                    + Tv[j] * float(w @ (ux * Xpv))
+                    + Tv[j] * float(w @ (fp_thx * Xv))
+                )
+            s0 = traj.states[0]
+            acc -= Tv[0] * float(w @ (s0.v.values * Xv))
+            acc += Tpv[0] * float(w @ (s0.u.values * Xv))
+            r_wu.append(abs(acc))
+        else:
+            acc = 0.0
+            for j, s in enumerate(traj.states):
+                th = s.theta.values
+                thx = dx(s.theta, grid).values
+                v = s.v.values
+                fpv = eval_fp(material, np.maximum(th, 0.0))
+                fv = eval_f(material, np.maximum(th, 0.0))
+                acc += tw[j] * (
+                    -Tpv[j] * float(w @ (th * Xv))
+                    + Tv[j] * float(w @ (thx * Xpv))
+                    - Tv[j] * float(w @ (fpv * thx * v * Xv))
+                    - Tv[j] * float(w @ (fv * v * Xpv))
+                )
+            acc -= Tv[0] * float(w @ (traj.states[0].theta.values * Xv))
+            r_wt.append(abs(acc))
+
+    return WeakFormResiduals(r_wu=np.array(r_wu), r_wt=np.array(r_wt))
+
+
+def difference_norms_loop(traj_a, traj_b):
+    ga = traj_a.grid
+    ta = traj_a.times
+    sup_v = sup_ux = sup_th = 0.0
+    thx_sq = np.empty(ta.shape)
+    for j, (sa, sb) in enumerate(zip(traj_a.states, traj_b.states)):
+        dv = sa.v.values - sb.v.values
+        dux = dx(sa.u, ga).values - dx(sb.u, ga).values
+        dth = sa.theta.values - sb.theta.values
+        dthx = dx(sa.theta, ga).values - dx(sb.theta, ga).values
+        sup_v = max(sup_v, l2_norm_sq(dv, ga))
+        sup_ux = max(sup_ux, l2_norm_sq(dux, ga))
+        sup_th = max(sup_th, l2_norm_sq(dth, ga))
+        thx_sq[j] = l2_norm_sq(dthx, ga)
+    return DifferenceNorms(
+        sup_v_l2=sup_v,
+        sup_ux_l2=sup_ux,
+        sup_theta_l2=sup_th,
+        thetax_l2l2=float(np.trapezoid(thx_sq, ta)),
+    )

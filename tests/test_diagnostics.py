@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    difference_norms_loop,
+    mass_identity_residual_loop,
+    weak_form_residual_loop,
+)
 from thermoelast1d.diagnostics import (
     DifferenceNorms,
+    SpaceTimeTestFunction,
     compute_record,
     default_test_bank,
     difference_norms,
@@ -28,7 +34,14 @@ from thermoelast1d.materials import (
 )
 from thermoelast1d.solver_eps import run_eps
 from thermoelast1d.solver_limit import run_limit
-from thermoelast1d.state import DiagnosticsRecord, SolverConfig, Trajectory, make_state
+from thermoelast1d.state import (
+    BLOCK_VALUES,
+    STATE_BLOCK,
+    DiagnosticsRecord,
+    SolverConfig,
+    Trajectory,
+    make_state,
+)
 
 MAT = identity_material()
 
@@ -376,3 +389,84 @@ def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
         assert counts["fields"] == 3 * k
         seen[k] = counts["weights"]
     assert seen[4] == seen[8]
+
+
+# --- blocked trajectory diagnostics == the per-state loop references --------
+
+
+def _random_trajectory(g, times, rng, undershoot):
+    traj = Trajectory(g, 0.0, "limit")
+    k = g.n_nodes
+    for t in times:
+        theta = 0.5 + np.abs(rng.normal(scale=0.4, size=k))
+        if undershoot:
+            # undershoot nodes take the np.maximum(Theta, 0) path
+            theta[rng.integers(k, size=2)] = -1e-3
+        traj.states.append(make_state(t, rng.normal(size=k), rng.normal(size=k), theta))
+    return traj
+
+
+def _scalar_time_factor_bank(g, t_end):
+    """Hand-built members whose time derivatives return Python scalars."""
+    a, b = g.a, g.b
+    wt = SpaceTimeTestFunction(
+        target="wt",
+        X=lambda x: 1.0 + 0.5 * x,
+        Xp=lambda x: np.full_like(x, 0.5),
+        T=lambda t: 1.0 - t / t_end,
+        Tp=lambda t: -1.0 / t_end,
+        Tpp=lambda t: 0.0,
+        t_end=t_end,
+        label="wt-linear",
+    )
+    wu = SpaceTimeTestFunction(
+        target="wu",
+        X=lambda x: (x - a) * (b - x),
+        Xp=lambda x: (b - x) - (x - a),
+        T=lambda t: (1.0 - t / t_end) ** 2,
+        Tp=lambda t: -2.0 * (1.0 - t / t_end) / t_end,
+        Tpp=lambda t: 2.0 / t_end ** 2,
+        t_end=t_end,
+        label="wu-quadratic",
+    )
+    return [wt, wu]
+
+
+def test_block_size_bounds_states_and_values():
+    for n_cells, size in ((16, STATE_BLOCK), (63, STATE_BLOCK), (64, 252), (4096, 3),
+                          (BLOCK_VALUES, 1), (4 * BLOCK_VALUES, 1)):
+        traj = Trajectory(Grid(0.0, 1.0, n_cells), 0.0, "limit")
+        assert traj.block_size == size
+        assert list(traj.blocks(1, 2 * size + 2)) == [
+            (1, size + 1), (size + 1, 2 * size + 1), (2 * size + 1, 2 * size + 2)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(4, 200),
+    # state count as (blocks, extra): 2, block - 1, block, block + 1, 2 block + 3
+    count=st.sampled_from([(0, 2), (1, -1), (1, 0), (1, 1), (2, 3)]),
+    seed=st.integers(0, 10_000),
+    mat=st.sampled_from(MATERIALS),
+    undershoot=st.booleans(),
+)
+def test_blocked_diagnostics_equal_loop_references_bitwise(n, count, seed, mat,
+                                                           undershoot):
+    g = Grid(-0.5, 1.5, n)
+    block = Trajectory(g, 0.0, "limit").block_size
+    n_states = max(2, count[0] * block + count[1])
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n_states - 1))])
+    times *= 0.3 / times[-1]
+    traj_a = _random_trajectory(g, times, rng, undershoot)
+    traj_b = _random_trajectory(g, times, rng, undershoot)
+    t_end = float(times[-1])
+    bank = default_test_bank(g, t_end, n=4, seed=seed)
+    bank += _scalar_time_factor_bank(g, t_end)
+
+    got = weak_form_residual(traj_a, mat, bank)
+    ref = weak_form_residual_loop(traj_a, mat, bank)
+    assert np.array_equal(got.r_wu, ref.r_wu) and np.array_equal(got.r_wt, ref.r_wt)
+    assert np.array_equal(mass_identity_residual(traj_a, mat),
+                          mass_identity_residual_loop(traj_a, mat))
+    assert difference_norms(traj_a, traj_b) == difference_norms_loop(traj_a, traj_b)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from thermoelast1d.errors import ContractError
 from thermoelast1d.experiments import (
+    _run_bound_quantities,
     exp_energy_audit,
     exp_eps_cauchy,
     exp_mms,
@@ -10,6 +13,11 @@ from thermoelast1d.experiments import (
     exp_stability,
     exp_time_shift,
 )
+from thermoelast1d.grid import Grid, dx, l2_norm_sq
+from thermoelast1d.initial_data import standing_wave
+from thermoelast1d.materials import identity_material
+from thermoelast1d.solver_eps import run_eps
+from thermoelast1d.state import SolverConfig
 
 
 def test_energy_audit_small():
@@ -75,6 +83,40 @@ def test_time_shift_equilibrium_vacuous():
 def test_time_shift_rejects_misaligned_shift():
     with pytest.raises(ContractError, match="multiple"):
         exp_time_shift(shifts=(0.0126,), n_cells=32, dt=2.5e-3, t_end=0.25)
+
+
+def test_time_shift_ratios_and_run_bounds_equal_per_state_loop_bitwise():
+    """A run longer than one block of states: the blocked ratios and the run
+    bound quantities equal the one-state-at-a-time loop bit for bit."""
+    shifts = (2.5e-3, 0.1)
+    rep = exp_time_shift(shifts=shifts, n_cells=32, dt=2.5e-3, t_end=1.0)
+    g = Grid(0.0, 1.0, 32)
+    cfg = SolverConfig(dt=2.5e-3, t_end=1.0, epsilon=1e-2, scheme="imex2")
+    init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
+    traj = run_eps(init, identity_material(), cfg, g)
+    states = traj.states
+    assert len(states) > traj.block_size + 1
+
+    def triple_sq(i, j):
+        si, sj = states[i], states[j]
+        return (
+            l2_norm_sq(si.v.values - sj.v.values, g)
+            + l2_norm_sq(dx(si.u, g).values - dx(sj.u, g).values, g)
+            + l2_norm_sq(si.theta.values - sj.theta.values, g)
+        )
+
+    for hshift in shifts:
+        k = round(hshift / cfg.dt)
+        ref = [triple_sq(j + k, j) / triple_sq(k, 0) for j in range(1, len(states) - k)]
+        assert np.array_equal(rep.series[f"shift_{hshift:g}"]["ratio"], np.array(ref))
+    sup_v = max(math.sqrt(l2_norm_sq(s.v.values, g)) for s in states)
+    sup_th1 = max(abs(r.theta_mass) for r in traj.records)
+    assert _run_bound_quantities(traj, g)[:2] == (sup_v, sup_th1)
+
+
+def test_time_shift_rejects_shift_beyond_horizon():
+    with pytest.raises(ContractError, match="within t_end"):
+        exp_time_shift(shifts=(0.5,), n_cells=16, dt=2.5e-2, t_end=0.25)
 
 
 def test_rough_data_small():

@@ -221,6 +221,23 @@ def test_array_kernels_equal_public_operators(n, seed, bc):
         assert d[-1] == ((-f[-2]) - f[-2]) / (2.0 * g.h)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 200),
+    rows=st.integers(1, 7),
+    seed=st.integers(0, 10_000),
+    bc=st.sampled_from([BC_DIRICHLET, BC_NEUMANN, BC_HINGED, BC_FREE]),
+)
+def test_array_kernels_on_stacks_equal_row_by_row(n, rows, seed, bc):
+    g = Grid(-0.3, 1.7, n)
+    f = np.random.default_rng(seed).normal(size=(rows, g.n_nodes))
+    for kernel in (dx_values, dxx_values):
+        # nodes on the first axis: the transpose of a C-contiguous (rows, N) stack
+        stacked = kernel(f.T, g.h, bc).T
+        assert stacked.shape == f.shape and stacked.flags.c_contiguous
+        assert np.array_equal(stacked, np.stack([kernel(row, g.h, bc) for row in f]))
+
+
 def test_nodes_and_weights_cached_read_only():
     g = Grid(0.0, 2.0, 10)
     assert g.nodes is Grid(0.0, 2.0, 10).nodes

@@ -90,8 +90,7 @@ def test_roundtrip_explicit():
         grid=GridSpec(a=-0.5, b=1.5, n_cells=96),
         material=MaterialSpec(kind="log1p", rho_floor=3e-7),
         solver=SolverSpec(epsilon=0.013, dt=1e-3, t_end=0.123, scheme="imex2",
-                          cfl_safety=0.4, positivity_tol=1e-11,
-                          newton_tol=2e-9, newton_max_iters=11),
+                          cfl_safety=0.4, positivity_tol=1e-11),
         initial_data=InitialDataSpec(
             kind="standing_wave",
             params=(("amplitude", 0.27), ("theta_amplitude", 0.11)),
@@ -99,6 +98,16 @@ def test_roundtrip_explicit():
         output=OutputSpec(record_every=3, directory="res", formats=("csv", "json_lines")),
     )
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_retired_newton_keys_warn_and_are_ignored():
+    text = "[solver]\nt_end = 0.5\nnewton_tol = 2e-9\nnewton_max_iters = 11\n"
+    with pytest.warns(DeprecationWarning) as rec:
+        cfg = parse_config(text)
+    assert ["newton_tol" in str(r.message) for r in rec] == [True, False]
+    assert "newton_max_iters" in str(rec[1].message)
+    assert cfg == parse_config("[solver]\nt_end = 0.5\n")
+    assert "newton" not in serialize_config(cfg)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,7 @@ from thermoelast1d.grid import Grid, dxx, l2_norm_sq
 from thermoelast1d.initial_data import equilibrium, standing_wave
 from thermoelast1d.materials import identity_material, log1p_material
 from thermoelast1d.solver_eps import run_eps, step_eps
+from thermoelast1d.solver_limit import step_limit
 from thermoelast1d.state import SolverConfig, make_state
 from thermoelast1d.stepping import biharmonic_system_hinged, run_simulation
 
@@ -185,6 +188,12 @@ def test_positivity_violation_raises():
     with pytest.raises(PositivityError) as exc:
         run_eps(init, MAT, cfg, g)
     assert exc.value.t is not None
+    # the message names the step, the argmin node of Theta and its x
+    m = re.search(r"at step (\d+), t = (\S+), node (\d+) \(x = (\S+)\)", str(exc.value))
+    assert m is not None
+    step, node = int(m.group(1)), int(m.group(3))
+    assert step == round(exc.value.t / cfg.dt) and step >= 1
+    assert 0 <= node < g.n_nodes and m.group(4) == f"{x[node]:.6g}"
 
 
 def test_nonidentity_material_runs(grid):
@@ -265,3 +274,22 @@ def test_nonfinite_u_raises_scheme_error_with_time(grid):
     with pytest.raises(SchemeError, match=r"non-finite u at step 1") as exc:
         run_simulation(_NaNInU(), standing_wave(grid), MAT, cfg, grid)
     assert exc.value.t == cfg.dt
+
+
+@pytest.mark.parametrize("step_fn,epsilon,scheme", [
+    (step_eps, 1e-2, "imex1"), (step_eps, 1e-2, "imex2"), (step_limit, 0.0, "imex1"),
+])
+@pytest.mark.parametrize("field", ["v", "theta"])
+def test_single_step_nonfinite_raises_scheme_error(step_fn, epsilon, scheme, field):
+    g = Grid(0.0, 1.0, 16)
+    s = standing_wave(g, amplitude=0.2, theta_amplitude=0.2)
+    arrays = {"v": s.v.values.copy(), "u": s.u.values, "theta": s.theta.values.copy()}
+    arrays[field][5] = np.nan
+    state = make_state(0.0, arrays["v"], arrays["u"], arrays["theta"])
+    cfg = SolverConfig(dt=g.h / 2, t_end=4 * g.h, epsilon=epsilon, scheme=scheme)
+    where = r"non-finite .*at step 1, .*node \d+ \(x = "
+    with pytest.raises(SchemeError, match=where) as exc:
+        step_fn(state, MAT, cfg, g)
+    assert exc.value.t == cfg.dt
+    named = str(exc.value).split(" at step")[0].removeprefix("non-finite ").split(", ")
+    assert field in named
