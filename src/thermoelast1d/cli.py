@@ -19,7 +19,8 @@ from .config import parse_config
 from .errors import ConfigError, Thermoelast1dError
 from .grid import Grid, gn_constants
 from .materials import make_material
-from .output import export_trajectory, write_gnuplot, write_report, write_svg_series
+from .output import (export_trajectory, make_output_dir, write_gnuplot, write_report,
+                     write_svg_series)
 from .solver_eps import run_eps
 from .solver_limit import run_limit
 
@@ -107,6 +108,7 @@ def _cmd_run(args) -> int:
     solver_cfg = cfg.build_solver_config(grid)
     init = cfg.build_initial_state(grid)
     outdir = args.output_dir or os.path.join(_output_root(), cfg.output.directory)
+    make_output_dir(outdir)  # an unusable path fails before any step is taken
 
     # a ConfigError (CFL) is reported by main like a parse error
     if solver_cfg.epsilon > 0.0:
@@ -159,6 +161,8 @@ def _kwargs_common(args):
 
 def _cmd_experiment(args) -> int:
     name = args.command
+    outdir = args.output_dir or os.path.join(_output_root(), f"report-{name}")
+    make_output_dir(outdir)
     kw = _kwargs_common(args)
     if name == "energy-audit":
         report = experiments.exp_energy_audit(**kw)
@@ -184,7 +188,6 @@ def _cmd_experiment(args) -> int:
         raise AssertionError(name)
 
     print(report.summary())
-    outdir = args.output_dir or os.path.join(_output_root(), f"report-{name}")
     written = write_report(report, outdir)
     if getattr(args, "plot", None) == "svg" and report.series:
         first = next(iter(report.series.values()))

@@ -559,12 +559,16 @@ class Manufactured:
             return trig["s"], trig["c"]
 
         def s_v(x, t):
+            # the end of one step and the start of the next read the same t
+            if trig.get("v_x") is x and trig["v_t"] == t and not x.flags.writeable:
+                return trig["s_v"]
             s, c = sin_cos(x)
             u_tt = -self.u_amp * self.omega ** 2 * s * math.cos(self.omega * t)
             u_xx = -self.u_amp * k ** 2 * s * math.cos(self.omega * t)
             th = 1.0 + self.th_amp * c * math.exp(-self.decay * t)
             th_x = -self.th_amp * k * s * math.exp(-self.decay * t)
-            return u_tt - u_xx + eval_fp(material, th) * th_x
+            trig.update(v_x=x, v_t=t, s_v=u_tt - u_xx + eval_fp(material, th) * th_x)
+            return trig["s_v"]
 
         def s_th(x, t):
             s, c = sin_cos(x)

@@ -3,12 +3,20 @@
 All float formatting uses %.17g, which round-trips IEEE double exactly;
 column order is fixed (documented in FORMATS.md) so diffs across runs and
 versions stay meaningful.  Writes are bit-stable across reruns.
+
+The CSV writers format a block of at most ``ROW_BLOCK`` rows with one ``%``
+over a row template.  ``%`` converts each value alone with ``float``, so the
+bytes equal one ``"%.17g" % float(x)`` per value.  A snapshot template holds
+its t (formatted once per file) and x (once per grid) as literal text, safe
+as a ``%.17g`` string never contains ``%``.  Write failures name the path.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
+from itertools import chain
 from typing import Dict, Sequence
 
 import numpy as np
@@ -16,47 +24,61 @@ import numpy as np
 from .errors import ContractError, Thermoelast1dError
 from .state import Trajectory
 
-DIAG_COLUMNS = (
-    "t",
-    "E",
-    "int_Theta",
-    "theta_min",
-    "theta_max",
-    "y",
-    "y_valid",
-    "thetax_l2sq",
-    "thetaxx_l2sq",
-    "vx_l2sq",
-    "vxx_l2sq",
-    "uxx_l2sq",
-    "diss_thetax",
-    "diss_eps",
+#: diagnostics.csv header, as in FORMATS.md
+DIAG_COLUMNS = tuple(
+    "t,E,int_Theta,theta_min,theta_max,y,y_valid,thetax_l2sq,thetaxx_l2sq,"
+    "vx_l2sq,vxx_l2sq,uxx_l2sq,diss_thetax,diss_eps".split(",")
 )
 
 _G = "%.17g"
+#: most rows formatted by one ``%`` (one write).  Small on purpose: on run-large,
+#: 64 or more rows per block stranded a finished run's freed states (13 MiB) in
+#: the C heap and raised the next run's peak RSS; 16 or 32 rows, as fast, did not.
+ROW_BLOCK = 32
 
 
-def _fmt(x) -> str:
-    return _G % float(x)
+def make_output_dir(directory) -> None:
+    """Create ``directory`` if missing; an OSError names it."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise Thermoelast1dError(f"cannot create {directory}: {exc}") from exc
+
+
+@contextmanager
+def _writing(path):
+    """Text file open for writing; an OSError of the open or the writes names ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise Thermoelast1dError(f"failed writing {path}: {exc}") from exc
+
+
+def _write_columns(fh, columns, sep: str) -> None:
+    """Rows of ``columns`` (1-D arrays) joined by ``sep``, one ``%.17g`` per
+    value; where a column is shorter than the longest its cells are empty."""
+    lengths = [len(c) for c in columns]
+    n = max(lengths, default=0)
+    cuts = sorted({*range(0, n, ROW_BLOCK), *lengths, n})
+    for lo, hi in zip(cuts, cuts[1:]):
+        present = [c[lo:hi] for c, m in zip(columns, lengths) if m > lo]
+        row = sep.join(_G if m > lo else "" for m in lengths) + "\n"
+        fh.write(row * (hi - lo) % tuple(np.column_stack(present).ravel().tolist()))
 
 
 def _record_row(r) -> list:
-    return [
-        r.t,
-        r.energy,
-        r.theta_mass,
-        r.theta_min,
-        r.theta_max,
-        float("nan") if r.hfunc is None else r.hfunc,
-        1 if r.hfunc_valid else 0,
-        r.thetax_l2sq,
-        r.thetaxx_l2sq,
-        r.vx_l2sq,
-        r.vxx_l2sq,
-        r.uxx_l2sq,
-        r.dissipation_accum,
-        r.eps_dissipation_accum,
-    ]
+    y = float("nan") if r.hfunc is None else r.hfunc
+    return [r.t, r.energy, r.theta_mass, r.theta_min, r.theta_max, y,
+            1 if r.hfunc_valid else 0, r.thetax_l2sq, r.thetaxx_l2sq, r.vx_l2sq,
+            r.vxx_l2sq, r.uxx_l2sq, r.dissipation_accum, r.eps_dissipation_accum]
+
+
+def _write_records(fh, records, sep: str) -> None:
+    row = sep.join((_G,) * len(DIAG_COLUMNS)) + "\n"
+    for lo in range(0, len(records), ROW_BLOCK):
+        block = records[lo:lo + ROW_BLOCK]
+        fh.write(row * len(block) % tuple(chain.from_iterable(map(_record_row, block))))
 
 
 def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("csv",)):
@@ -71,58 +93,35 @@ def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("cs
     for f in formats:
         if f not in ("csv", "json_lines"):
             raise ContractError(f"unknown export format {f!r}")
-    os.makedirs(directory, exist_ok=True)
+    make_output_dir(directory)
     written = []
 
     diag_path = os.path.join(directory, "diagnostics.csv")
-    try:
-        with open(diag_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(DIAG_COLUMNS) + "\n")
-            for r in traj.records:
-                fh.write(",".join(_fmt(x) for x in _record_row(r)) + "\n")
-    except OSError as exc:
-        raise Thermoelast1dError(f"failed writing {diag_path}: {exc}") from exc
+    with _writing(diag_path) as fh:
+        fh.write(",".join(DIAG_COLUMNS) + "\n")
+        _write_records(fh, traj.records, ",")
     written.append(diag_path)
 
-    x = traj.grid.nodes
     if "csv" in formats:
+        # x_rows[j]: node j's row after its t; "%%" stays as "%" of a value slot
+        x = traj.grid.nodes.tolist()
+        x_rows = ((_G + ",%%.17g,%%.17g,%%.17g\n") * len(x) % tuple(x)).splitlines(True)
         for idx, s in enumerate(traj.states):
             path = os.path.join(directory, f"snapshot_{idx:06d}.csv")
-            try:
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write("t,x,v,u,theta\n")
-                    for j in range(len(x)):
-                        fh.write(
-                            ",".join(
-                                _fmt(val)
-                                for val in (
-                                    s.t, x[j], s.v.values[j], s.u.values[j],
-                                    s.theta.values[j],
-                                )
-                            )
-                            + "\n"
-                        )
-            except OSError as exc:
-                raise Thermoelast1dError(f"failed writing {path}: {exc}") from exc
+            prefix = _G % s.t + ","
+            vals = np.column_stack((s.v.values, s.u.values, s.theta.values)).ravel().tolist()
+            with _writing(path) as fh:
+                fh.write("t,x,v,u,theta\n")
+                for lo in range(0, len(x), ROW_BLOCK):
+                    template = prefix + prefix.join(x_rows[lo:lo + ROW_BLOCK])
+                    fh.write(template % tuple(vals[3 * lo:3 * (lo + ROW_BLOCK)]))
             written.append(path)
     if "json_lines" in formats:
         path = os.path.join(directory, "snapshots.jsonl")
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                for s in traj.states:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "t": s.t,
-                                "v": s.v.values.tolist(),
-                                "u": s.u.values.tolist(),
-                                "theta": s.theta.values.tolist(),
-                            }
-                        )
-                        + "\n"
-                    )
-        except OSError as exc:
-            raise Thermoelast1dError(f"failed writing {path}: {exc}") from exc
+        with _writing(path) as fh:
+            for s in traj.states:
+                fh.write(json.dumps({"t": s.t, "v": s.v.values.tolist(), "u": s.u.values.tolist(),
+                                     "theta": s.theta.values.tolist()}) + "\n")
         written.append(path)
     return written
 
@@ -147,14 +146,13 @@ def read_diagnostics_csv(path) -> Dict[str, np.ndarray]:
 
 def write_gnuplot(traj: Trajectory, directory) -> list:
     """Emit series.dat plus a gnuplot script rendering the main series."""
-    os.makedirs(directory, exist_ok=True)
+    make_output_dir(directory)
     dat = os.path.join(directory, "series.dat")
-    with open(dat, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(dat) as fh:
         fh.write("# " + " ".join(DIAG_COLUMNS) + "\n")
-        for r in traj.records:
-            fh.write(" ".join(_fmt(x) for x in _record_row(r)) + "\n")
+        _write_records(fh, traj.records, " ")
     gp = os.path.join(directory, "plot.gp")
-    with open(gp, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(gp) as fh:
         fh.write(
             "set terminal svg size 900,600\n"
             "set output 'series.svg'\n"
@@ -203,11 +201,11 @@ def write_svg_series(series: Dict[str, np.ndarray], t: np.ndarray, path,
         f'range [{ymin:.6g}, {ymax:.6g}]</text>',
     ]
     for i, (name, vals) in enumerate(series.items()):
-        vals = np.asarray(vals, float)
-        pts = " ".join(
-            f"{sx(tv):.2f},{sy(yv):.2f}"
-            for tv, yv in zip(t, vals)
-            if np.isfinite(yv)
+        n = min(len(t), len(vals))
+        vals = np.asarray(vals, float)[:n]
+        ok = np.isfinite(vals)
+        pts = " ".join(["%.2f,%.2f"] * int(ok.sum())) % tuple(
+            np.column_stack((sx(t[:n][ok]), sy(vals[ok]))).ravel().tolist()
         )
         color = colors[i % len(colors)]
         parts.append(
@@ -218,31 +216,24 @@ def write_svg_series(series: Dict[str, np.ndarray], t: np.ndarray, path,
             f'fill="{color}">{name}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path) as fh:
         fh.write("\n".join(parts) + "\n")
     return str(path)
 
 
 def write_report(report, directory) -> list:
     """Persist an experiment report: verdict.txt plus one CSV per series."""
-    os.makedirs(directory, exist_ok=True)
+    make_output_dir(directory)
     written = []
     verdict = os.path.join(directory, "verdict.txt")
-    with open(verdict, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(verdict) as fh:
         fh.write(report.summary() + "\n")
         fh.write(f"params: {json.dumps(report.params, default=str, sort_keys=True)}\n")
     written.append(verdict)
     for name, table in report.series.items():
         path = os.path.join(directory, f"series_{name}.csv")
-        cols = list(table.keys())
-        n = max((len(np.atleast_1d(table[c])) for c in cols), default=0)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(n):
-                row = []
-                for c in cols:
-                    arr = np.atleast_1d(table[c])
-                    row.append(_fmt(arr[i]) if i < len(arr) else "")
-                fh.write(",".join(row) + "\n")
+        with _writing(path) as fh:
+            fh.write(",".join(table) + "\n")
+            _write_columns(fh, [np.atleast_1d(col) for col in table.values()], ",")
         written.append(path)
     return written

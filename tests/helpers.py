@@ -18,6 +18,7 @@ from thermoelast1d.diagnostics import (
 from thermoelast1d.errors import StructuralError
 from thermoelast1d.grid import dx, integrate, l2_norm_sq
 from thermoelast1d.materials import eval_f, eval_fp
+from thermoelast1d.output import _record_row
 
 
 def pl_l2_sq(vals: np.ndarray, h: float) -> float:
@@ -175,3 +176,98 @@ def difference_norms_loop(traj_a, traj_b):
         sup_theta_l2=sup_th,
         thetax_l2l2=float(np.trapezoid(thx_sq, ta)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-value references of the text writers in ``thermoelast1d.output``: one
+# format call per value.  The block writers must produce the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def _fmt(x) -> str:
+    return "%.17g" % float(x)
+
+
+def diagnostics_text_loop(traj, sep=",") -> str:
+    """diagnostics.csv (``sep=","``) or the rows of series.dat (``" "``)."""
+    out = []
+    for r in traj.records:
+        out.append(sep.join(_fmt(x) for x in _record_row(r)) + "\n")
+    return "".join(out)
+
+
+def snapshot_csv_loop(s, x) -> str:
+    out = ["t,x,v,u,theta\n"]
+    for j in range(len(x)):
+        out.append(
+            ",".join(
+                _fmt(val)
+                for val in (s.t, x[j], s.v.values[j], s.u.values[j], s.theta.values[j])
+            )
+            + "\n"
+        )
+    return "".join(out)
+
+
+def series_csv_loop(table) -> str:
+    cols = list(table.keys())
+    n = max((len(np.atleast_1d(table[c])) for c in cols), default=0)
+    out = [",".join(cols) + "\n"]
+    for i in range(n):
+        row = []
+        for c in cols:
+            arr = np.atleast_1d(table[c])
+            row.append(_fmt(arr[i]) if i < len(arr) else "")
+        out.append(",".join(row) + "\n")
+    return "".join(out)
+
+
+def svg_series_loop(series, t, width=900, height=600) -> str:
+    t = np.asarray(t, float)
+    margin = 50.0
+    finite_vals = np.concatenate(
+        [np.asarray(v, float)[np.isfinite(np.asarray(v, float))] for v in series.values()]
+    )
+    if finite_vals.size == 0:
+        finite_vals = np.array([0.0, 1.0])
+    ymin, ymax = float(finite_vals.min()), float(finite_vals.max())
+    if ymax - ymin < 1e-300:
+        ymax = ymin + 1.0
+    tmin, tmax = float(t.min()), float(t.max())
+    if tmax - tmin < 1e-300:
+        tmax = tmin + 1.0
+
+    def sx(tv):
+        return margin + (tv - tmin) / (tmax - tmin) * (width - 2 * margin)
+
+    def sy(yv):
+        return height - margin - (yv - ymin) / (ymax - ymin) * (height - 2 * margin)
+
+    colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
+        f'stroke="black"/>',
+        f'<text x="{margin}" y="20" font-size="13">t in [{tmin:.6g}, {tmax:.6g}], '
+        f'range [{ymin:.6g}, {ymax:.6g}]</text>',
+    ]
+    for i, (name, vals) in enumerate(series.items()):
+        vals = np.asarray(vals, float)
+        pts = " ".join(
+            f"{sx(tv):.2f},{sy(yv):.2f}"
+            for tv, yv in zip(t, vals)
+            if np.isfinite(yv)
+        )
+        color = colors[i % len(colors)]
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
+        )
+        parts.append(
+            f'<text x="{width - margin + 4}" y="{margin + 16 * i}" font-size="12" '
+            f'fill="{color}">{name}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

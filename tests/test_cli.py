@@ -111,3 +111,22 @@ def test_output_root_env(tmp_path, monkeypatch, capsys):
     )
     assert main(["run", "--config", str(cfg)]) == 0
     assert (tmp_path / "subdir" / "diagnostics.csv").exists()
+
+
+def test_output_dir_that_is_a_file_fails_before_compute(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the output directory was checked")
+
+    monkeypatch.setattr("thermoelast1d.cli.run_eps", no_compute)
+    monkeypatch.setattr("thermoelast1d.cli.run_limit", no_compute)
+    monkeypatch.setattr("thermoelast1d.experiments.exp_stability", no_compute)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nn_cells = 16\n[solver]\nt_end = 0.125\n")
+    for argv in (["run", "--config", str(cfg)], ["stability"]):
+        rc = main(argv + ["--output-dir", str(afile)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and str(afile) in err
+        assert "Traceback" not in err

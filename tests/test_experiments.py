@@ -159,3 +159,26 @@ def test_mms_fast_window():
     by_name = {c.name: c for c in rep.checks}
     assert by_name["spatial convergence order"].value >= 1.8
     assert abs(by_name["temporal convergence order"].value - 1.0) <= 0.35
+
+
+def test_mms_velocity_forcing_reuses_only_an_equal_evaluation():
+    from thermoelast1d.experiments import Manufactured
+
+    mat = identity_material()
+    x = Grid(0.0, 1.0, 32).nodes  # read-only, as the stepper passes it
+    s_v, s_th = Manufactured(0.0, 1.0).forcing(mat)
+
+    def fresh(nodes, t):
+        return Manufactured(0.0, 1.0).forcing(mat)[0](nodes, t)
+
+    first = s_v(x, 0.25)
+    assert s_v(x, 0.25) is first
+    s_th(x, 0.5)
+    assert s_v(x, 0.25) is first
+    assert np.array_equal(first, fresh(x, 0.25))
+    later = s_v(x, 0.5)
+    assert later is not first and np.array_equal(later, fresh(x, 0.5))
+    y = np.array(x)  # writeable: may change between calls, never reused
+    assert s_v(y, 0.5) is not later
+    y[3] += 0.01
+    assert np.array_equal(s_v(y, 0.5), fresh(y, 0.5))

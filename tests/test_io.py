@@ -1,7 +1,14 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from helpers import (
+    diagnostics_text_loop,
+    series_csv_loop,
+    snapshot_csv_loop,
+    svg_series_loop,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +22,13 @@ from thermoelast1d.config import (
     parse_config,
     serialize_config,
 )
-from thermoelast1d.errors import ConfigError
+from thermoelast1d.errors import ConfigError, Thermoelast1dError
 from thermoelast1d.grid import Grid
-from thermoelast1d.initial_data import standing_wave
+from thermoelast1d.initial_data import equilibrium, standing_wave
 from thermoelast1d.materials import identity_material
 from thermoelast1d.output import (
+    DIAG_COLUMNS,
+    ROW_BLOCK,
     export_trajectory,
     read_diagnostics_csv,
     read_snapshot_csv,
@@ -28,7 +37,7 @@ from thermoelast1d.output import (
     write_svg_series,
 )
 from thermoelast1d.solver_limit import run_limit
-from thermoelast1d.state import SolverConfig, Trajectory, make_state
+from thermoelast1d.state import DiagnosticsRecord, SolverConfig, Trajectory, make_state
 
 MINIMAL = """
 [solver]
@@ -250,3 +259,137 @@ def test_write_report(tmp_path):
     txt = open(files[0]).read()
     assert "PASS" in txt and "alpha" in txt
     assert os.path.exists(tmp_path / "series_s.csv")
+
+
+def test_formats_md_examples_byte_for_byte(tmp_path):
+    """The byte-level examples of FORMATS.md: an equilibrium limit run, N = 4."""
+    g = Grid(0.0, 1.0, 4)
+    cfg = SolverConfig(dt=0.125, t_end=0.25, epsilon=0.0)
+    traj = run_limit(equilibrium(g, theta_bar=0.5), identity_material(), cfg, g)
+    export_trajectory(traj, tmp_path, formats=("csv", "json_lines"))
+    diag = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert diag[:3] == [
+        "t,E,int_Theta,theta_min,theta_max,y,y_valid,thetax_l2sq,thetaxx_l2sq,"
+        "vx_l2sq,vxx_l2sq,uxx_l2sq,diss_thetax,diss_eps",
+        "0,0.5,0.5,0.5,0.5,1,1,0,0,0,0,0,0,0",
+        "0.125,0.5,0.5,0.49999999999999994,0.5,1,1,9.2444637330587321e-33,"
+        "7.8886090522101181e-31,4.8148248609680896e-34,4.3140830754274083e-32,0,"
+        "5.7777898331617076e-34,0",
+    ]
+    snap = (tmp_path / "snapshot_000001.csv").read_text().splitlines()
+    assert snap[:3] == [
+        "t,x,v,u,theta",
+        "0.125,0,0,0,0.5",
+        "0.125,0.25,6.9388939039072284e-18,0,0.49999999999999994",
+    ]
+    jsonl = (tmp_path / "snapshots.jsonl").read_text().splitlines()
+    assert jsonl[0] == (
+        '{"t": 0.0, "v": [0.0, 0.0, 0.0, 0.0, 0.0], "u": [0.0, 0.0, 0.0, 0.0, 0.0], '
+        '"theta": [0.5, 0.5, 0.5, 0.5, 0.5]}'
+    )
+
+
+# --- block writers == per-value references ------------------------------------
+
+_EDGE_VALUES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1.5e-310, 1e300, -1e300,
+    1e-300, -1e-300, 1.0, -7.0, 4096.0, 9007199254740993.0, 0.1, 1 / 3,
+])
+_ROW_COUNTS = st.one_of(
+    st.sampled_from([ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3000]), st.integers(3, 3000)
+)
+
+
+def _values(rng, n):
+    """Normal draws over 600 decades, with edge values and integers mixed in."""
+    vals = rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, size=n)
+    pick = rng.random(n)
+    vals[pick < 0.3] = rng.choice(_EDGE_VALUES, size=int((pick < 0.3).sum()))
+    ints = pick > 0.85
+    vals[ints] = rng.integers(-10**6, 10**6, size=int(ints.sum()))
+    return vals
+
+
+def _record(rng, t):
+    vals = _values(rng, 12)
+    valid = bool(rng.random() < 0.7)
+    return DiagnosticsRecord(t, *vals[:4], float(vals[4]) if valid else None, valid,
+                             *vals[5:])
+
+
+def _report(series):
+    from thermoelast1d.experiments import CheckResult, ExperimentReport
+
+    return ExperimentReport(name="demo", params={}, checks=[CheckResult("c", True, 0.0, 1.0)],
+                            series=series)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_nodes=_ROW_COUNTS,
+    n_states=st.sampled_from([0, 1, 2]),
+    n_records=st.one_of(st.sampled_from([0, 1, ROW_BLOCK, ROW_BLOCK + 1]),
+                        st.integers(0, 40)),
+    a=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_writers_equal_per_value_references(n_nodes, n_states, n_records, a, seed):
+    rng = np.random.default_rng(seed)
+    g = Grid(a, a + 1.7, n_nodes - 1)
+    traj = Trajectory(g, 0.0, "limit")
+    for k in range(n_states):
+        traj.states.append(make_state(float(_values(rng, 1)[0]), *_values(rng, (3, n_nodes))))
+    times = np.sort(_values(rng, n_records))
+    traj.records.extend(_record(rng, float(t)) for t in times)
+    table = {"t": times, "int": rng.integers(-5, 5, size=n_records // 2),
+             "flag": list(rng.random(n_records % 7) < 0.5), "empty": np.array([]),
+             "scalar": 2.5, "vals": _values(rng, n_records)}
+    with tempfile.TemporaryDirectory() as d:
+        export_trajectory(traj, d, formats=("csv",))
+        write_gnuplot(traj, d)
+        rep = _report({"tab": table, "none": {}})
+        write_report(rep, d)
+        svg = ({"a": table["vals"], "b": table["vals"][: n_records // 3]},
+               times if n_records else np.zeros(1))
+        with np.errstate(invalid="ignore"):  # a range of 2e300 overflows to inf
+            write_svg_series(*svg, os.path.join(d, "s.svg"))
+            svg_ref = svg_series_loop(*svg)
+
+        def text(name):
+            with open(os.path.join(d, name), encoding="utf-8", newline="") as fh:
+                return fh.read()
+
+        header, rows = text("diagnostics.csv").split("\n", 1)
+        assert header == ",".join(DIAG_COLUMNS) and rows == diagnostics_text_loop(traj)
+        header, rows = text("series.dat").split("\n", 1)
+        assert header == "# " + " ".join(DIAG_COLUMNS)
+        assert rows == diagnostics_text_loop(traj, " ")
+        for k, s in enumerate(traj.states):
+            assert text(f"snapshot_{k:06d}.csv") == snapshot_csv_loop(s, g.nodes)
+        assert text("series_tab.csv") == series_csv_loop(table)
+        assert text("series_none.csv") == "\n"
+        assert text("s.svg") == svg_ref
+
+
+# --- output paths that cannot be written --------------------------------------
+
+
+def test_writers_name_an_unwritable_path(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    g, traj = _tiny_traj(2)
+    for write in (lambda: export_trajectory(traj, afile),
+                  lambda: write_gnuplot(traj, afile / "sub"),
+                  lambda: write_report(_report({"s": {"t": [1.0]}}), afile)):
+        with pytest.raises(Thermoelast1dError, match="afile"):
+            write()
+    # a file's place taken by a directory fails in the write, not in makedirs
+    (tmp_path / "d" / "diagnostics.csv").mkdir(parents=True)
+    (tmp_path / "d" / "series_s.csv").mkdir()
+    (tmp_path / "d" / "s.svg").mkdir()
+    with pytest.raises(Thermoelast1dError, match="diagnostics.csv"):
+        export_trajectory(traj, tmp_path / "d")
+    with pytest.raises(Thermoelast1dError, match="series_s.csv"):
+        write_report(_report({"s": {"t": [1.0]}}), tmp_path / "d")
+    with pytest.raises(Thermoelast1dError, match="s.svg"):
+        write_svg_series({"E": np.ones(3)}, np.arange(3.0), tmp_path / "d" / "s.svg")
