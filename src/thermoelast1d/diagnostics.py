@@ -22,10 +22,13 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ContractError, StructuralError
-from .grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx, dx_values, dxx,
-                   dxx_values, integrate, l2_norm_sq, trapezoid_weights)
+from .grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx, dx_rows, dxx,
+                   dxx_rows, integrate, l2_norm_sq, trapezoid_weights)
 from .materials import Material, eval_f, eval_fp, rho
-from .state import DiagnosticsRecord, State, Trajectory
+from .state import DiagnosticsRecord, State, Trajectory, state_block
+
+#: bc kinds of the rows (v, u, Theta) of a state block
+_STATE_BCS = (BC_HINGED, BC_DIRICHLET, BC_NEUMANN)
 
 
 def energy(state: State, grid: Grid) -> float:
@@ -57,29 +60,40 @@ def compute_record(
     grid: Grid,
     epsilon: float,
     prev: Optional[DiagnosticsRecord] = None,
+    *,
+    theta_min: Optional[float] = None,
+    f_theta: Optional[np.ndarray] = None,
 ) -> DiagnosticsRecord:
     """One diagnostics row; accumulators continue from ``prev`` by trapezoid.
-    One pass over the arrays, bit-identical to the row composed from
-    :func:`energy`, :func:`hfunc` and the grid operators."""
+
+    One pass over the state's ``(3, N)`` block: dx and dxx of the three rows
+    in two stacked passes, and every integral from one ``np.vecdot`` over a
+    C-contiguous stack of integrands; bit-identical to the row composed from
+    :func:`energy`, :func:`hfunc` and the grid operators.  ``theta_min``
+    and ``f_theta`` are values the caller already has for this state, and
+    must equal min Theta and f(max(Theta, 0)); they are computed here when
+    not given."""
     if state.n_nodes != grid.n_nodes:
         raise StructuralError(f"state has {state.n_nodes} nodes, grid {grid.n_nodes}")
     w = trapezoid_weights(grid)
-    h = grid.h
-    v, u, th = state.v.values, state.u.values, state.theta.values
-    thx2 = dx_values(th, h, BC_NEUMANN) ** 2
-    thx_sq = float(w @ thx2)
-    vx_sq = float(w @ dx_values(v, h, BC_HINGED) ** 2)
-    vxx_sq = float(w @ dxx_values(v, h, BC_HINGED) ** 2)
-    uxx_sq = float(w @ dxx_values(u, h, BC_DIRICHLET) ** 2)
-    ke = 0.5 * float(w @ v ** 2)
-    pe = 0.5 * float(w @ dx_values(u, h, BC_DIRICHLET) ** 2)
-    mass = float(w @ th)
-    th_min = float(th.min())
-    if th_min < material.rho_floor:
-        y = None
-    else:
-        weighted = float(w @ (rho(material, th) * thx2))
-        y = 1.0 + 0.5 * vx_sq + 0.5 * uxx_sq + 0.5 * weighted
+    block = state_block(state)
+    v, th = block[0], block[2]
+    th_min = float(th.min()) if theta_min is None else theta_min
+    valid = not th_min < material.rho_floor
+    # integrands, one row each: v_x^2, u_x^2, Theta_x^2, v_xx^2, u_xx^2,
+    # Theta_xx^2, v^2, Theta, and rho(Theta) Theta_x^2 while rho is defined
+    rows = np.empty((9 if valid else 8, state.n_nodes))
+    np.square(dx_rows(block, grid.h, _STATE_BCS), out=rows[0:3])
+    np.square(dxx_rows(block, grid.h, _STATE_BCS), out=rows[3:6])
+    np.square(v, out=rows[6])
+    rows[7] = th
+    if valid:
+        # Theta >= rho_floor > 0 here, so f(max(Theta, 0)) is f(Theta)
+        fth = eval_f(material, th) if f_theta is None else f_theta
+        np.multiply(eval_fp(material, th) / fth, rows[2], out=rows[8])
+    ints = np.vecdot(rows, w).tolist()
+    vx_sq, ux_sq, thx_sq, vxx_sq, uxx_sq, thxx_sq, v_sq, mass = ints[:8]
+    y = 1.0 + 0.5 * vx_sq + 0.5 * uxx_sq + 0.5 * ints[8] if valid else None
 
     diss = eps_diss = 0.0
     if prev is not None:
@@ -91,14 +105,14 @@ def compute_record(
 
     return DiagnosticsRecord(
         t=state.t,
-        energy=ke + pe + mass,
+        energy=0.5 * v_sq + 0.5 * ux_sq + mass,
         theta_mass=mass,
         theta_min=th_min,
         theta_max=float(th.max()),
         hfunc=y,
-        hfunc_valid=y is not None,
+        hfunc_valid=valid,
         thetax_l2sq=thx_sq,
-        thetaxx_l2sq=float(w @ dxx_values(th, h, BC_NEUMANN) ** 2),
+        thetaxx_l2sq=thxx_sq,
         vx_l2sq=vx_sq,
         vxx_l2sq=vxx_sq,
         uxx_l2sq=uxx_sq,
@@ -114,11 +128,6 @@ def energy_identity_residual(traj: Trajectory) -> np.ndarray:
     """
     e = traj.record_series("energy")
     return e - e[0] + traj.record_series("eps_dissipation_accum")
-
-
-def _dx_rows(rows: np.ndarray, h: float, bc_kind: str) -> np.ndarray:
-    """:func:`dx_values` of each row of a C-contiguous ``(block, N)`` stack."""
-    return dx_values(rows.T, h, bc_kind).T
 
 
 def mass_identity_residual(traj: Trajectory, material: Material) -> np.ndarray:
@@ -137,7 +146,7 @@ def mass_identity_residual(traj: Trajectory, material: Material) -> np.ndarray:
         mass[lo:hi] = np.vecdot(th, w)
         integrand = (
             eval_fp(material, np.maximum(th, 0.0))
-            * _dx_rows(th, grid.h, BC_NEUMANN)
+            * dx_rows(th, grid.h, BC_NEUMANN)
             * traj.stacked("v", lo, hi)
         )
         source[lo:hi] = np.vecdot(integrand, w)
@@ -339,8 +348,8 @@ def weak_form_residual(
     proj = np.empty((len(test_bank), 4, len(times)))
     for lo, hi in traj.blocks(0, len(times)):
         v, u, th = (traj.stacked(f, lo, hi) for f in ("v", "u", "theta"))
-        thx = _dx_rows(th, grid.h, BC_NEUMANN)
-        ux = _dx_rows(u, grid.h, BC_DIRICHLET)
+        thx = dx_rows(th, grid.h, BC_NEUMANN)
+        ux = dx_rows(u, grid.h, BC_DIRICHLET)
         th_pos = np.maximum(th, 0.0)
         fp_thx = eval_fp(material, th_pos) * thx
         fp_thx_v = fp_thx * v
@@ -406,8 +415,8 @@ def squared_differences(traj_a: Trajectory, traj_b: Trajectory, lo: int, hi: int
     va, ua, tha = (traj_a.stacked(f, lo + shift, hi + shift)
                    for f in ("v", "u", "theta"))
     vb, ub, thb = (traj_b.stacked(f, lo, hi) for f in ("v", "u", "theta"))
-    dux = _dx_rows(ua, h, BC_DIRICHLET) - _dx_rows(ub, h, BC_DIRICHLET)
-    dthx = _dx_rows(tha, h, BC_NEUMANN) - _dx_rows(thb, h, BC_NEUMANN)
+    dux = dx_rows(ua, h, BC_DIRICHLET) - dx_rows(ub, h, BC_DIRICHLET)
+    dthx = dx_rows(tha, h, BC_NEUMANN) - dx_rows(thb, h, BC_NEUMANN)
     return (np.vecdot((va - vb) ** 2, w), np.vecdot(dux ** 2, w),
             np.vecdot((tha - thb) ** 2, w), np.vecdot(dthx ** 2, w))
 

@@ -35,19 +35,29 @@ class HypothesisError(Thermoelast1dError):
 
 
 class SchemeError(Thermoelast1dError):
-    """A linear solve failed or the time integrator lost stability."""
+    """A linear solve failed or the time integrator lost stability.
+
+    ``t`` is the failing time; ``last_record`` is the diagnostics row of the
+    last good step when ``run_simulation`` raised it, else None.
+    """
 
     def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
+        self.last_record = None
 
 
 class PositivityError(Thermoelast1dError):
-    """Temperature undershot below -positivity_tol during a run."""
+    """Temperature undershot below -positivity_tol during a run.
+
+    ``t`` is the failing time; ``last_record`` is the diagnostics row of the
+    last good step when ``run_simulation`` raised it, else None.
+    """
 
     def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
+        self.last_record = None
 
 
 class ConfigError(Thermoelast1dError):

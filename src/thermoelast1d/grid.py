@@ -10,9 +10,12 @@ summation-by-parts cancellations the diagnostics rely on:
 * ``free``           -- no constraint (derived/diagnostic fields), one-sided
   second-order boundary stencils.
 
-The array kernels :func:`dx_values` / :func:`dxx_values` are the one copy of
-the stencils, used by :func:`dx` / :func:`dxx`, by the time steppers and, on
-stacks ``(N, ...)`` with the nodes along the first axis, by the diagnostics.
+The array kernels :func:`dx_values` / :func:`dxx_values` (one field, or a
+stack ``(N, ...)`` with the nodes along the first axis) and
+:func:`dx_rows` / :func:`dxx_rows` (a ``(k, N)`` stack of rows, closed by one
+bc kind or by one kind per row) share one copy of the interior stencils
+and of the boundary closures; they serve :func:`dx` / :func:`dxx`, the time
+steppers and the diagnostics.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -20,7 +23,7 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -93,12 +96,18 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """Nodal values plus the boundary-condition kind they respect."""
+    """Nodal values plus the boundary-condition kind they respect.
+
+    The values are copied into a read-only array, except for the rows of a
+    State's read-only block (``_row_of_block``, set by
+    :func:`~thermoelast1d.state.make_state` only), which are validated and
+    kept as they are."""
 
     values: np.ndarray
     bc_kind: str
+    _row_of_block: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _row_of_block=False):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
             raise StructuralError(f"field values must be 1D, got shape {vals.shape}")
@@ -109,8 +118,9 @@ class Field:
                 f"{self.bc_kind} field must have exactly zero boundary values, "
                 f"got ({vals[0]!r}, {vals[-1]!r})"
             )
-        vals = vals.copy()
-        vals.flags.writeable = False
+        if not (_row_of_block and vals is self.values and not vals.flags.writeable):
+            vals = vals.copy()
+            vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -164,7 +174,16 @@ def _check(field: Field, grid: Grid, min_cells: int = 2) -> np.ndarray:
 def dx_values(f: np.ndarray, h: float, bc_kind: str) -> np.ndarray:
     """First derivative of nodal values: central interior, bc-aware ends."""
     out = np.empty_like(f)
+    _dx_interior(out, f, h)
+    _dx_ends(out, f, h, bc_kind)
+    return out
+
+
+def _dx_interior(out: np.ndarray, f: np.ndarray, h: float) -> None:
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+
+
+def _dx_ends(out: np.ndarray, f: np.ndarray, h: float, bc_kind: str) -> None:
     if bc_kind == BC_NEUMANN:
         # zero slope is the boundary condition itself
         out[0] = 0.0
@@ -178,14 +197,22 @@ def dx_values(f: np.ndarray, h: float, bc_kind: str) -> np.ndarray:
         # one-sided second-order, interior biased
         out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
         out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return out
 
 
 def dxx_values(f: np.ndarray, h: float, bc_kind: str) -> np.ndarray:
     """Second derivative of nodal values: 3-point interior, ghost-node ends."""
     h2 = h * h
     out = np.empty_like(f)
+    _dxx_interior(out, f, h2)
+    _dxx_ends(out, f, h2, bc_kind)
+    return out
+
+
+def _dxx_interior(out: np.ndarray, f: np.ndarray, h2: float) -> None:
     out[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h2
+
+
+def _dxx_ends(out: np.ndarray, f: np.ndarray, h2: float, bc_kind: str) -> None:
     if bc_kind == BC_NEUMANN:
         # reflected ghost f[-1] = f[1]
         out[0] = 2.0 * (f[1] - f[0]) / h2
@@ -197,7 +224,32 @@ def dxx_values(f: np.ndarray, h: float, bc_kind: str) -> np.ndarray:
     else:
         out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
         out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
+
+
+def _rows_kernel(interior, ends, f: np.ndarray, scale: float, bc) -> np.ndarray:
+    """Apply a kernel to each row of a ``(k, N)`` stack.  The interior
+    stencil runs once over the flattened rows; where it straddles two rows
+    it lands on a row end, which the closures then overwrite: for every
+    row at once if ``bc`` is one kind, row by row if it is a kind per row."""
+    out = np.empty(f.shape)
+    interior(out.reshape(-1), f.reshape(-1), scale)
+    if isinstance(bc, str):
+        ends(out.T, f.T, scale, bc)
+    else:
+        for row_out, row, kind in zip(out, f, bc):
+            ends(row_out, row, scale, kind)
     return out
+
+
+def dx_rows(f: np.ndarray, h: float, bc) -> np.ndarray:
+    """:func:`dx_values` of each row of a ``(k, N)`` stack, as a C-contiguous
+    array; ``bc`` is one kind for every row or a sequence of k kinds."""
+    return _rows_kernel(_dx_interior, _dx_ends, f, h, bc)
+
+
+def dxx_rows(f: np.ndarray, h: float, bc) -> np.ndarray:
+    """:func:`dxx_values` of each row of a ``(k, N)`` stack (see :func:`dx_rows`)."""
+    return _rows_kernel(_dxx_interior, _dxx_ends, f, h * h, bc)
 
 
 def dx(field: Field, grid: Grid) -> Field:

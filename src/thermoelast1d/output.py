@@ -166,6 +166,15 @@ def write_gnuplot(traj: Trajectory, directory) -> list:
     return [dat, gp]
 
 
+def _unit_map(lo: float, hi: float):
+    """v -> (v - lo) / (hi - lo), so that finite data always plot: where
+    hi - lo overflows a double the values are halved first, and where it is
+    0 (a single value too large for the +1 widening) every value maps to 0."""
+    s = 1.0 if hi - lo < float("inf") else 0.5
+    lo_s, span = lo * s, (hi * s - lo * s) or 1.0
+    return lambda v: (v * s - lo_s) / span
+
+
 def write_svg_series(series: Dict[str, np.ndarray], t: np.ndarray, path,
                      width: int = 900, height: int = 600) -> str:
     """Standalone SVG line plot of named series against t (no dependencies)."""
@@ -183,11 +192,13 @@ def write_svg_series(series: Dict[str, np.ndarray], t: np.ndarray, path,
     if tmax - tmin < 1e-300:
         tmax = tmin + 1.0
 
+    to_t, to_y = _unit_map(tmin, tmax), _unit_map(ymin, ymax)
+
     def sx(tv):
-        return margin + (tv - tmin) / (tmax - tmin) * (width - 2 * margin)
+        return margin + to_t(tv) * (width - 2 * margin)
 
     def sy(yv):
-        return height - margin - (yv - ymin) / (ymax - ymin) * (height - 2 * margin)
+        return height - margin - to_y(yv) * (height - 2 * margin)
 
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
     parts = [

@@ -41,13 +41,37 @@ class State:
 
 
 def make_state(t, v, u, theta) -> State:
-    """State from raw arrays, pinning the zero-value boundary entries."""
+    """State from raw arrays, pinning the zero-value boundary entries.
+
+    The arrays are copied once into a fresh read-only ``(3, N)`` block
+    (rows v, u, Theta; see :func:`state_block`) whose rows are the State's
+    Fields."""
+    n = len(v)
+    if len(u) != n or len(theta) != n:
+        raise StructuralError("state fields live on different grids")
+    block = np.array((v, u, theta), dtype=float)
+    if block.ndim != 2:
+        raise StructuralError(f"field values must be 1D, got shape {block.shape[1:]}")
+    block[:2, 0] = 0.0
+    block[:2, -1] = 0.0
+    block.flags.writeable = False
     return State(
         t=float(t),
-        v=Field.clamped(v, BC_HINGED),
-        u=Field.clamped(u, BC_DIRICHLET),
-        theta=Field(np.asarray(theta, dtype=float), BC_NEUMANN),
+        v=Field(block[0], BC_HINGED, _row_of_block=True),
+        u=Field(block[1], BC_DIRICHLET, _row_of_block=True),
+        theta=Field(block[2], BC_NEUMANN, _row_of_block=True),
     )
+
+
+def state_block(state: State) -> np.ndarray:
+    """``(v, u, Theta)`` of ``state`` as one C-contiguous ``(3, N)`` array:
+    the block behind a State from :func:`make_state`, a stacked copy
+    otherwise."""
+    block = state.v.values.base
+    if (block is not None and block.shape == (3, state.n_nodes)
+            and state.u.values.base is block and state.theta.values.base is block):
+        return block
+    return np.stack((state.v.values, state.u.values, state.theta.values))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,18 @@ The steppers work on raw arrays with the stencil kernels of :mod:`.grid`
 (the ones behind the public ``dx``/``dxx``), so no Field is built in the hot
 loop and the summation-by-parts cancellations the diagnostics rely on hold
 exactly.
+
+Each step of :func:`run_simulation` is one pass, with every value as in a
+chain of fresh single steps:
+
+* the leapfrog's closing half-kick force (and its f(Theta)) is carried into
+  the next step's opening half-kick (:class:`LimitStepper`), and the carried
+  f(Theta) also gives the row's rho = f'/f;
+* the new (v, u, Theta) are copied once into the State's read-only
+  ``(3, N)`` block (:func:`~thermoelast1d.state.make_state`), which is checked
+  with one finite test and one min Theta (:func:`check_step` builds the
+  message only on failure), and from which
+  :func:`~thermoelast1d.diagnostics.compute_record` takes its row.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from .diagnostics import compute_record
 from .errors import ContractError, PositivityError, SchemeError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
 from .materials import Material, eval_f
-from .state import SolverConfig, State, Trajectory, make_state
+from .state import SolverConfig, State, Trajectory, make_state, state_block
 
 Forcing = Tuple[Callable[[np.ndarray, float], np.ndarray],
                 Callable[[np.ndarray, float], np.ndarray]]
@@ -186,7 +198,13 @@ class Imex2Stepper:
 class LimitStepper:
     """Leapfrog (kick-drift-kick) wave part, backward-Euler heat part with
     the constitutive factor lagged; optional manufactured-solution forcing
-    (S_v added to the velocity equation, S_theta to the heat equation)."""
+    (S_v added to the velocity equation, S_theta to the heat equation).
+
+    Consecutive half-kicks share one force evaluation: ``advance`` returns
+    read-only u and Theta and keeps its closing force and f(Theta) for them,
+    and the next call reuses both if it gets the same u and Theta arrays
+    back (and, with forcing, the same t).  :meth:`f_theta` gives the kept
+    f(Theta)."""
 
     label = "limit"
 
@@ -202,27 +220,41 @@ class LimitStepper:
         self.forcing = forcing
         self.f = _cached_factors(grid, cfg.dt, 0.0, "limit")
         self.nodes = grid.nodes
+        # (u, Theta, t, force, f(Theta)) of the last closing half-kick
+        self._carry = None
 
     def _force(self, which, t):
         if self.forcing is None:
             return 0.0
         return self.forcing[which](self.nodes, t)
 
+    def _kick_force(self, u, th, t):
+        """Half-kick force u_xx - (f(Theta))_x + S_v(t), and f(Theta)."""
+        fth = _f_of(self.material, th)
+        return _wave_force(u, fth, self.grid.h) + self._force(0, t), fth
+
+    def f_theta(self, th: np.ndarray) -> Optional[np.ndarray]:
+        """f(max(Theta, 0)) kept from the last step if ``th`` is its Theta."""
+        carry = self._carry
+        return carry[4] if carry is not None and carry[1] is th else None
+
     def advance(self, v, u, th, t):
         dt = self.cfg.dt
-        h = self.grid.h
-        m = self.material
-        fth = _f_of(m, th)
-        v_half = _pin(v + 0.5 * dt * (_wave_force(u, fth, h) + self._force(0, t)))
+        carry = self._carry
+        if (carry is not None and carry[0] is u and carry[1] is th
+                and (self.forcing is None or carry[2] == t)):
+            force, fth = carry[3:]
+        else:
+            force, fth = self._kick_force(u, th, t)
+        v_half = _pin(v + 0.5 * dt * force)
         u1 = _pin(u + dt * v_half)
-        g = dx_values(v_half, h, BC_HINGED)
+        g = dx_values(v_half, self.grid.h, BC_HINGED)
         rhs_th = th + dt * (-fth * g + self._force(1, t + dt))
         th1 = self.f["lu_th"].solve(rhs_th)
-        v1 = _pin(
-            v_half
-            + 0.5 * dt * (_wave_force(u1, _f_of(m, th1), h) + self._force(0, t + dt))
-        )
-        return v1, u1, th1
+        u1.flags.writeable = th1.flags.writeable = False
+        force1, fth1 = self._kick_force(u1, th1, t + dt)
+        self._carry = (u1, th1, t + dt, force1, fth1)
+        return _pin(v_half + 0.5 * dt * force1), u1, th1
 
 
 def make_eps_stepper(grid: Grid, material: Material, cfg: SolverConfig):
@@ -235,7 +267,9 @@ def check_step(v: np.ndarray, u: np.ndarray, th: np.ndarray, step: int, t: float
                cfg: SolverConfig, grid: Grid) -> None:
     """Post-step checks of every stepping entry point: finite v, u, Theta,
     then Theta >= -positivity_tol.  A failure names the step (k of t_k = k dt),
-    t, the fields and the node (first non-finite, or argmin Theta) with its x."""
+    t, the fields and the node (first non-finite, or argmin Theta) with its x.
+    :func:`run_simulation` tests the step's block first and calls this only
+    when that test fails."""
     bad = [(n, a) for n, a in (("v", v), ("u", u), ("theta", th))
            if not np.isfinite(a).all()]
     if bad:
@@ -264,7 +298,9 @@ def run_simulation(
     """March ``init`` to t_end, streaming per-step diagnostics.
 
     Deterministic: identical inputs produce bit-identical trajectories.
-    Step failures propagate with the failing time attached.
+    Step failures propagate with the failing time attached, and a
+    :class:`SchemeError` or :class:`PositivityError` carries the last good
+    row as ``last_record``.
     """
     if init.t != 0.0:
         raise ContractError(f"runs start at t = 0, got init.t = {init.t}")
@@ -282,18 +318,30 @@ def run_simulation(
     if recorder is not None:
         recorder(init, rec)
 
+    kept_f = getattr(stepper, "f_theta", None)
     v = init.v.values.copy()
     u = init.u.values.copy()
     th = init.theta.values.copy()
-    for k in range(1, n_steps + 1):
-        t_new = k * cfg.dt
-        v, u, th = stepper.advance(v, u, th, (k - 1) * cfg.dt)
-        check_step(v, u, th, k, t_new, cfg, grid)
-        state = make_state(t_new, v, u, th)
-        rec = compute_record(state, material, grid, cfg.epsilon, rec)
-        traj.records.append(rec)
-        if k % record_every == 0 or k == n_steps:
-            traj.states.append(state)
-        if recorder is not None:
-            recorder(state, rec)
+    try:
+        for k in range(1, n_steps + 1):
+            t_new = k * cfg.dt
+            v, u, th = stepper.advance(v, u, th, (k - 1) * cfg.dt)
+            state = make_state(t_new, v, u, th)
+            block = state_block(state)
+            th_min = float(block[2].min())
+            # the block's pinned ends are 0, so nonzero (or non-finite) ends
+            # of the stepper's v and u go to the full check as well
+            if (not np.isfinite(block).all() or th_min < -cfg.positivity_tol
+                    or v[0] or v[-1] or u[0] or u[-1]):
+                check_step(v, u, th, k, t_new, cfg, grid)
+            rec = compute_record(state, material, grid, cfg.epsilon, rec, theta_min=th_min,
+                                 f_theta=kept_f(th) if kept_f is not None else None)
+            traj.records.append(rec)
+            if k % record_every == 0 or k == n_steps:
+                traj.states.append(state)
+            if recorder is not None:
+                recorder(state, rec)
+    except (SchemeError, PositivityError) as exc:
+        exc.last_record = rec
+        raise
     return traj

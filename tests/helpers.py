@@ -7,6 +7,8 @@ rigorously for such interpolants, which makes slack >= 0 a mathematical
 fact rather than a quadrature accident.
 """
 
+import dataclasses
+
 import numpy as np
 
 from thermoelast1d.diagnostics import (
@@ -19,6 +21,12 @@ from thermoelast1d.errors import StructuralError
 from thermoelast1d.grid import dx, integrate, l2_norm_sq
 from thermoelast1d.materials import eval_f, eval_fp
 from thermoelast1d.output import _record_row
+
+
+def record_bits(rec) -> bytes:
+    """Every field of a DiagnosticsRecord as float64 bytes (None as nan), so
+    that equality is bit for bit, signs of zero included."""
+    return np.array([np.nan if x is None else x for x in dataclasses.astuple(rec)]).tobytes()
 
 
 def pl_l2_sq(vals: np.ndarray, h: float) -> float:
@@ -237,11 +245,19 @@ def svg_series_loop(series, t, width=900, height=600) -> str:
     if tmax - tmin < 1e-300:
         tmax = tmin + 1.0
 
+    # a range that overflows a double is plotted from halved values, and a
+    # range still empty after the widening (|value| >= 2**53) as width 1
+    ts = 1.0 if np.isfinite(tmax - tmin) else 0.5
+    ys = 1.0 if np.isfinite(ymax - ymin) else 0.5
+    t_span = tmax * ts - tmin * ts
+    y_span = ymax * ys - ymin * ys
+
     def sx(tv):
-        return margin + (tv - tmin) / (tmax - tmin) * (width - 2 * margin)
+        return margin + (tv * ts - tmin * ts) / (t_span if t_span else 1.0) * (width - 2 * margin)
 
     def sy(yv):
-        return height - margin - (yv - ymin) / (ymax - ymin) * (height - 2 * margin)
+        return height - margin - ((yv * ys - ymin * ys) / (y_span if y_span else 1.0)
+                                  * (height - 2 * margin))
 
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
     parts = [

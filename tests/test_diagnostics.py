@@ -365,30 +365,48 @@ def test_compute_record_rejects_grid_mismatch():
 @pytest.mark.parametrize("epsilon", [0.0, 1e-2])
 def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
     """Each step builds only the state's 3 Fields; the trapezoid weights are
-    looked up through the grid a fixed number of times, not once per step."""
+    looked up through the grid a fixed number of times, not once per step.
+    The limit run evaluates f once per step: the closing half-kick's f(Theta)
+    serves the next opening half-kick and the row's rho."""
+    import thermoelast1d.diagnostics as diagnostics_mod
+    import thermoelast1d.materials as materials_mod
+    import thermoelast1d.stepping as stepping_mod
+
     counts = Counter()
     post_init, quad_weights = Field.__post_init__, Grid.quad_weights
+    eval_f = materials_mod.eval_f
 
-    def counted_post_init(self):
+    def counted_post_init(self, *args):
         counts["fields"] += 1
-        post_init(self)
+        post_init(self, *args)
 
     def counted_quad_weights(self):
         counts["weights"] += 1
         return quad_weights(self)
 
+    def counted_eval_f(*args):
+        counts["eval_f"] += 1
+        return eval_f(*args)
+
     monkeypatch.setattr(Field, "__post_init__", counted_post_init)
     monkeypatch.setattr(Grid, "quad_weights", counted_quad_weights)
+    for module in (materials_mod, stepping_mod, diagnostics_mod):
+        monkeypatch.setattr(module, "eval_f", counted_eval_f)
     g = Grid(0.0, 1.0, 64)
     init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
-    seen = {}
+    seen, f_calls = {}, {}
     for k in (4, 8):
         cfg = SolverConfig(dt=g.h / 2, t_end=k * g.h / 2, epsilon=epsilon)
         counts.clear()
-        (run_eps if epsilon > 0 else run_limit)(init, MAT, cfg, g)
+        traj = (run_eps if epsilon > 0 else run_limit)(init, MAT, cfg, g)
         assert counts["fields"] == 3 * k
+        assert all(r.hfunc_valid for r in traj.records)  # every row uses rho
         seen[k] = counts["weights"]
+        f_calls[k] = counts["eval_f"]
     assert seen[4] == seen[8]
+    if epsilon == 0.0:
+        assert f_calls[8] - f_calls[4] == 4  # one f evaluation per step
+        assert f_calls[4] == 4 + 2  # and the first opening and the t = 0 row
 
 
 # --- blocked trajectory diagnostics == the per-state loop references --------

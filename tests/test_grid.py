@@ -312,3 +312,25 @@ def test_gn_inequalities_on_random_pl_functions(seed, n, length):
     slack2 = gn.c2 * h1**2 + gn.c2 * l1**2 - sup**2
     assert slack1 >= -tol
     assert slack2 >= -tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    a=st.floats(-1e3, 1e3),
+    length=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_summation_by_parts_pairing_cancels(n, a, length, seed):
+    """sum w (dx(F, neumann) v + F dx(v, hinged)) = 0 for v pinned at both
+    ends: the cancellation behind the discrete energy and mass identities,
+    which pairs (f(Theta))_x with v and f(Theta) with v_x."""
+    g = Grid(a, a + length, n)
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=g.n_nodes) * 10.0 ** rng.uniform(-3, 3)
+    v = rng.normal(size=g.n_nodes) * 10.0 ** rng.uniform(-3, 3)
+    v[0] = v[-1] = 0.0
+    terms = dx_values(f, g.h, BC_NEUMANN) * v, f * dx_values(v, g.h, BC_HINGED)
+    w = g.quad_weights()
+    total = float(w @ (terms[0] + terms[1]))
+    assert abs(total) <= 1e-12 * float(w @ (np.abs(terms[0]) + np.abs(terms[1])))

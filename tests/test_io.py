@@ -1,5 +1,6 @@
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -351,9 +352,12 @@ def test_block_writers_equal_per_value_references(n_nodes, n_states, n_records, 
         write_report(rep, d)
         svg = ({"a": table["vals"], "b": table["vals"][: n_records // 3]},
                times if n_records else np.zeros(1))
-        with np.errstate(invalid="ignore"):  # a range of 2e300 overflows to inf
+        # a range of 2e308 overflows a double: its points must still plot
+        wide = ({"a": svg[0]["a"], "w": np.array([1e308, -1e308, 1.0])}, svg[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             write_svg_series(*svg, os.path.join(d, "s.svg"))
-            svg_ref = svg_series_loop(*svg)
+            write_svg_series(*wide, os.path.join(d, "wide.svg"))
 
         def text(name):
             with open(os.path.join(d, name), encoding="utf-8", newline="") as fh:
@@ -368,7 +372,8 @@ def test_block_writers_equal_per_value_references(n_nodes, n_states, n_records, 
             assert text(f"snapshot_{k:06d}.csv") == snapshot_csv_loop(s, g.nodes)
         assert text("series_tab.csv") == series_csv_loop(table)
         assert text("series_none.csv") == "\n"
-        assert text("s.svg") == svg_ref
+        assert text("s.svg") == svg_series_loop(*svg)
+        assert text("wide.svg") == svg_series_loop(*wide) and "nan" not in text("wide.svg")
 
 
 # --- output paths that cannot be written --------------------------------------

@@ -1,9 +1,11 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import record_bits
 from thermoelast1d.diagnostics import energy, energy_identity_residual
 from thermoelast1d.errors import ConfigError, ContractError, PositivityError, SchemeError
 from thermoelast1d.grid import Grid, dxx, l2_norm_sq
@@ -12,7 +14,7 @@ from thermoelast1d.materials import identity_material, log1p_material
 from thermoelast1d.solver_eps import run_eps, step_eps
 from thermoelast1d.solver_limit import step_limit
 from thermoelast1d.state import SolverConfig, make_state
-from thermoelast1d.stepping import biharmonic_system_hinged, run_simulation
+from thermoelast1d.stepping import LimitStepper, biharmonic_system_hinged, run_simulation
 
 
 @pytest.fixture
@@ -293,3 +295,38 @@ def test_single_step_nonfinite_raises_scheme_error(step_fn, epsilon, scheme, fie
     assert exc.value.t == cfg.dt
     named = str(exc.value).split(" at step")[0].removeprefix("non-finite ").split(", ")
     assert field in named
+
+
+class _ThetaSetAt:
+    """The limit stepper, with one node of Theta set to ``value`` at step ``k``."""
+
+    label = "stub"
+
+    def __init__(self, grid, cfg, k, value):
+        self.stepper, self.k, self.value, self.calls = LimitStepper(grid, MAT, cfg), k, value, 0
+
+    def advance(self, v, u, th, t):
+        self.calls += 1
+        v, u, th = self.stepper.advance(v, u, th, t)
+        if self.calls == self.k:
+            th = th.copy()
+            th[3] = self.value
+        return v, u, th
+
+
+@pytest.mark.parametrize("value,error", [(-1.0, PositivityError), (np.nan, SchemeError)])
+def test_run_failure_carries_last_good_record(value, error):
+    """A failure at step k carries the row of step k - 1: the last row of
+    the same run stopped one step earlier."""
+    g = Grid(0.0, 1.0, 16)
+    init = standing_wave(g, amplitude=0.2, theta_amplitude=0.2)
+    cfg = SolverConfig(dt=g.h / 2, t_end=8 * g.h / 2)
+    k = 3
+    with pytest.raises(error, match=f"at step {k}, ") as exc:
+        run_simulation(_ThetaSetAt(g, cfg, k, value), init, MAT, cfg, g)
+    assert exc.value.t == k * cfg.dt
+    last = exc.value.last_record
+    assert last.t == (k - 1) * cfg.dt
+    before = run_simulation(_ThetaSetAt(g, cfg, k, value), init, MAT,
+                            dataclasses.replace(cfg, t_end=(k - 1) * cfg.dt), g)
+    assert record_bits(last) == record_bits(before.records[-1])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thermoelast1d.diagnostics import energy_identity_residual
+from helpers import record_bits
+from thermoelast1d.diagnostics import compute_record, energy_identity_residual
 from thermoelast1d.errors import ConfigError, ContractError
 from thermoelast1d.grid import Grid, dx, l2_norm_sq
 from thermoelast1d.initial_data import (
@@ -13,9 +14,16 @@ from thermoelast1d.initial_data import (
     standing_wave,
     step_strain,
 )
-from thermoelast1d.materials import identity_material
+from thermoelast1d.materials import (
+    identity_material,
+    log1p_material,
+    rational_saturating_material,
+    tabulated_material,
+)
+from thermoelast1d.solver_eps import run_eps, step_eps
 from thermoelast1d.solver_limit import run_limit, step_limit
 from thermoelast1d.state import SolverConfig, make_state
+from thermoelast1d.stepping import LimitStepper
 
 MAT = identity_material()
 
@@ -180,3 +188,94 @@ def test_uniqueness_probe_schemes_agree():
         dists.append(d)
     assert dists[1] < dists[0]
     assert dists[1] < 1e-3
+
+
+# --- the fused run loop == a chain of fresh single steps ----------------------
+
+
+def _state_bits(s):
+    return (s.t, s.v.values.tobytes(), s.u.values.tobytes(), s.theta.values.tobytes())
+
+
+def _assert_run_equals_chain(traj, chain, record_every):
+    """Records of every step and the stored states equal bit for bit."""
+    states, records = chain
+    n = len(records) - 1
+    assert [record_bits(r) for r in traj.records] == [record_bits(r) for r in records]
+    kept = [0] + [k for k in range(1, n + 1) if k % record_every == 0 or k == n]
+    assert [_state_bits(s) for s in traj.states] == [_state_bits(states[k]) for k in kept]
+
+
+def _chain(init, material, cfg, g, step):
+    """Fresh single steps; state k is stamped t = k dt, as the run loop does."""
+    states = [init]
+    records = [compute_record(init, material, g, cfg.epsilon, None)]
+    for k in range(1, cfg.n_steps() + 1):
+        s = step(states[-1], k)
+        states.append(make_state(k * cfg.dt, s.v.values, s.u.values, s.theta.values))
+        records.append(compute_record(states[-1], material, g, cfg.epsilon, records[-1]))
+    return states, records
+
+
+def _materials():
+    xi = np.linspace(0.0, 4.0, 9)
+    return [identity_material(), log1p_material(), rational_saturating_material(),
+            tabulated_material(xi, np.log1p(xi) + 0.25 * xi)]
+
+
+@pytest.mark.parametrize("material", _materials(), ids=lambda m: m.kind)
+@pytest.mark.parametrize("scheme", ["limit", "imex1", "imex2"])
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("theta_low", [0.5, "floor", 0.0, -5e-13])
+def test_run_loop_equals_chain_of_single_steps(material, scheme, record_every, theta_low):
+    """run_limit/run_eps (carried force, one block per step, stacked row) equal
+    step_limit/step_eps plus compute_record bit for bit, with Theta above,
+    at and below the rho floor (rows without hfunc, undershoots within the
+    positivity tolerance)."""
+    g = Grid(-0.5, 1.2, 13)
+    x = (g.nodes - g.a) / g.length
+    floor = material.rho_floor if theta_low == "floor" else theta_low
+    theta = floor + 0.4 * (1.0 + np.cos(np.pi * x)) ** 2
+    init = make_state(0.0, 0.3 * np.sin(2 * np.pi * x), 0.2 * np.sin(np.pi * x), theta)
+    if scheme == "limit":
+        cfg = SolverConfig(dt=0.37 * g.h, t_end=7 * 0.37 * g.h)
+        traj = run_limit(init, material, cfg, g, record_every=record_every)
+        chain = _chain(init, material, cfg, g, lambda s, k: step_limit(s, material, cfg, g))
+    else:
+        cfg = SolverConfig(dt=0.37 * g.h, t_end=7 * 0.37 * g.h, epsilon=1e-2, scheme=scheme)
+        traj = run_eps(init, material, cfg, g, record_every=record_every)
+        chain = _chain(init, material, cfg, g, lambda s, k: step_eps(s, material, cfg, g))
+    assert traj.records[0].hfunc_valid == (theta_low in (0.5, "floor"))
+    _assert_run_equals_chain(traj, chain, record_every)
+
+
+@pytest.mark.parametrize("material", _materials(), ids=lambda m: m.kind)
+@pytest.mark.parametrize("source", ["mms", "linear"])
+def test_forced_run_equals_fresh_stepper_per_step(material, source):
+    """With forcing the opening half-kick reuses the closing force only at an
+    equal t: (k - 1) dt + dt differs from k dt at some steps of this run.  A
+    source linear in t, started from rest, changes the force with the last
+    bit of t, so a carry that ignored t would fail here."""
+    from thermoelast1d.experiments import Manufactured
+
+    g = Grid(0.0, 1.0, 20)
+    ref = Manufactured(g.a, g.b)
+    x = g.nodes
+    if source == "mms":
+        forcing = ref.forcing(material)
+        init = make_state(0.0, ref.v(x, 0.0), ref.u(x, 0.0), ref.theta(x, 0.0))
+    else:
+        # from rest, the source dominates the half-kick force
+        forcing = (lambda x, t: t * np.sin(np.pi * x), lambda x, t: 0.5 * t * np.cos(np.pi * x))
+        init = equilibrium(g, 0.8)
+    cfg = SolverConfig(dt=0.1 * g.h, t_end=12 * 0.1 * g.h)
+    n = cfg.n_steps()
+    assert any((k - 1) * cfg.dt + cfg.dt != k * cfg.dt for k in range(2, n + 1))
+    traj = run_limit(init, material, cfg, g, forcing=forcing)
+
+    def step(s, k):
+        stepper = LimitStepper(g, material, cfg, forcing=forcing)
+        v, u, th = stepper.advance(s.v.values, s.u.values, s.theta.values, (k - 1) * cfg.dt)
+        return make_state(k * cfg.dt, v, u, th)
+
+    _assert_run_equals_chain(traj, _chain(init, material, cfg, g, step), 1)
