@@ -549,34 +549,34 @@ class Manufactured:
         return 1.0 + self.th_amp * np.cos(self._xi(x)) * math.exp(-self.decay * t)
 
     def forcing(self, material: Material):
-        k = self._k
-        trig = {}
+        """(S_v, S_theta) as a :data:`~thermoelast1d.stepping.Forcing`: the
+        spatial factors are kept per read-only node array, the time factors
+        are ``math`` functions of each time of the column."""
+        amp, w, th_amp, decay, k = self.u_amp, self.omega, self.th_amp, self.decay, self._k
+        kept = {}
 
-        def sin_cos(x):
-            # the stepper passes the same read-only node array every step
-            if trig.get("x") is not x or np.asarray(x).flags.writeable:
-                trig.update(x=x, s=np.sin(self._xi(x)), c=np.cos(self._xi(x)))
-            return trig["s"], trig["c"]
+        def space(x):
+            # the stepper passes the same read-only node array every chunk
+            if kept.get("x") is not x or x.flags.writeable:
+                s, c = np.sin(self._xi(x)), np.cos(self._xi(x))
+                kept.update(x=x, u_tt=-amp * w ** 2 * s, u_xx=-amp * k ** 2 * s,
+                            th=th_amp * c, th_x=-th_amp * k * s, th_t=-decay * th_amp * c,
+                            th_xx=-th_amp * k ** 2 * c, u_xt=-amp * w * k * c)
+            return kept
+
+        def at(fn, scale, t):
+            """fn(scale * t) for each time of the column ``t``, as a column."""
+            return np.array([fn(scale * ti) for ti in t.ravel().tolist()])[:, None]
 
         def s_v(x, t):
-            # the end of one step and the start of the next read the same t
-            if trig.get("v_x") is x and trig["v_t"] == t and not x.flags.writeable:
-                return trig["s_v"]
-            s, c = sin_cos(x)
-            u_tt = -self.u_amp * self.omega ** 2 * s * math.cos(self.omega * t)
-            u_xx = -self.u_amp * k ** 2 * s * math.cos(self.omega * t)
-            th = 1.0 + self.th_amp * c * math.exp(-self.decay * t)
-            th_x = -self.th_amp * k * s * math.exp(-self.decay * t)
-            trig.update(v_x=x, v_t=t, s_v=u_tt - u_xx + eval_fp(material, th) * th_x)
-            return trig["s_v"]
+            f, cos_wt, e = space(x), at(math.cos, w, t), at(math.exp, -decay, t)
+            return (f["u_tt"] * cos_wt - f["u_xx"] * cos_wt
+                    + eval_fp(material, 1.0 + f["th"] * e) * (f["th_x"] * e))
 
         def s_th(x, t):
-            s, c = sin_cos(x)
-            th_t = -self.decay * self.th_amp * c * math.exp(-self.decay * t)
-            th_xx = -self.th_amp * k ** 2 * c * math.exp(-self.decay * t)
-            th = 1.0 + self.th_amp * c * math.exp(-self.decay * t)
-            u_xt = -self.u_amp * self.omega * k * c * math.sin(self.omega * t)
-            return th_t - th_xx + eval_f(material, th) * u_xt
+            f, e = space(x), at(math.exp, -decay, t)
+            return (f["th_t"] * e - f["th_xx"] * e
+                    + eval_f(material, 1.0 + f["th"] * e) * (f["u_xt"] * at(math.sin, w, t)))
 
         return (s_v, s_th)
 

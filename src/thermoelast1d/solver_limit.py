@@ -52,8 +52,12 @@ def run_limit(
 ) -> Trajectory:
     """Integrate the limit system from t = 0 to cfg.t_end.
 
-    ``forcing`` is a pair of callables (S_v(x, t), S_theta(x, t)) used by
-    the manufactured-solution study; production runs leave it None.
+    ``forcing`` is a pair of callables (S_v, S_theta) used by the
+    manufactured-solution study; production runs leave it None.  Each maps
+    the nodes and a ``(C, 1)`` column of times to ``(C, N)``, and is called
+    once per chunk of C steps; where a step's closing time and the next
+    opening time differ by an ulp, the carried wave part u_xx - (f(Theta))_x
+    serves the opening.
     """
     if cfg.epsilon != 0.0:
         raise ContractError(f"run_limit requires epsilon = 0, got {cfg.epsilon}")

@@ -156,9 +156,15 @@ class DiagnosticsRecord:
 
 
 #: most states, and most values per stacked field, in one block of the
-#: trajectory diagnostics: their working memory is bounded for any run
+#: trajectory diagnostics (and most rows of the limit stepper's forcing
+#: tables): their working memory is bounded for any run
 STATE_BLOCK = 256
 BLOCK_VALUES = 1 << 14
+
+
+def block_rows(n_nodes: int) -> int:
+    """Rows of N nodes per block: within :data:`STATE_BLOCK` and :data:`BLOCK_VALUES`."""
+    return max(1, min(STATE_BLOCK, BLOCK_VALUES // n_nodes))
 
 
 class Trajectory:
@@ -191,7 +197,7 @@ class Trajectory:
     @property
     def block_size(self) -> int:
         """States per block: within :data:`STATE_BLOCK` and :data:`BLOCK_VALUES`."""
-        return max(1, min(STATE_BLOCK, BLOCK_VALUES // self.grid.n_nodes))
+        return block_rows(self.grid.n_nodes)
 
     def blocks(self, start: int, stop: int) -> Iterator[Tuple[int, int]]:
         """``(lo, hi)`` bounds splitting ``range(start, stop)`` of the stored

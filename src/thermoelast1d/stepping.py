@@ -13,9 +13,11 @@ exactly.
 Each step of :func:`run_simulation` is one pass, with every value as in a
 chain of fresh single steps:
 
-* the leapfrog's closing half-kick force (and its f(Theta)) is carried into
-  the next step's opening half-kick (:class:`LimitStepper`), and the carried
-  f(Theta) also gives the row's rho = f'/f;
+* the leapfrog's closing half-kick force, wave part u_xx - (f(Theta))_x and
+  f(Theta) are carried into the next step's opening half-kick
+  (:class:`LimitStepper`, which evaluates a :data:`Forcing` once per chunk
+  of steps on a ``(C, 1)`` column of times), and the carried f(Theta) also
+  gives the row's rho = f'/f;
 * the new (v, u, Theta) are copied once into the State's read-only
   ``(3, N)`` block (:func:`~thermoelast1d.state.make_state`), which is checked
   with one finite test and one min Theta (:func:`check_step` builds the
@@ -36,10 +38,12 @@ from .diagnostics import compute_record
 from .errors import ContractError, PositivityError, SchemeError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
 from .materials import Material, eval_f
-from .state import SolverConfig, State, Trajectory, make_state, state_block
+from .state import SolverConfig, State, Trajectory, block_rows, make_state, state_block
 
-Forcing = Tuple[Callable[[np.ndarray, float], np.ndarray],
-                Callable[[np.ndarray, float], np.ndarray]]
+#: (S_v, S_theta): each maps the node array and a ``(C, 1)`` column of times
+#: to a ``(C, N)`` array, one row per time
+Forcing = Tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
+                Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +204,17 @@ class LimitStepper:
     the constitutive factor lagged; optional manufactured-solution forcing
     (S_v added to the velocity equation, S_theta to the heat equation).
 
-    Consecutive half-kicks share one force evaluation: ``advance`` returns
-    read-only u and Theta and keeps its closing force and f(Theta) for them,
-    and the next call reuses both if it gets the same u and Theta arrays
-    back (and, with forcing, the same t).  :meth:`f_theta` gives the kept
-    f(Theta)."""
+    Consecutive half-kicks share one evaluation of the wave part
+    u_xx - (f(Theta))_x: ``advance`` returns read-only u and Theta and keeps
+    the closing wave part, force and f(Theta) for them, and the next call
+    reuses them if it gets the same u and Theta arrays back; with forcing at
+    another t (an ulp off), the opening force is the kept wave part + S_v(t).
+    :meth:`f_theta` gives the kept f(Theta).
+
+    A forcing is evaluated once per chunk of at most
+    :func:`~thermoelast1d.state.block_rows` steps: S_v at the opening times
+    (k - 1) dt, S_v and S_theta at the closing times (k - 1) dt + dt, formed
+    as :func:`run_simulation` forms them.  A t off that grid is one row."""
 
     label = "limit"
 
@@ -220,40 +230,62 @@ class LimitStepper:
         self.forcing = forcing
         self.f = _cached_factors(grid, cfg.dt, 0.0, "limit")
         self.nodes = grid.nodes
-        # (u, Theta, t, force, f(Theta)) of the last closing half-kick
+        # (u, Theta, t, wave part, force, f(Theta)) of the last closing half-kick
         self._carry = None
+        # opening times of the chunk, its S_v, S_v(+dt), S_theta(+dt) tables, last row
+        self._times, self._tables, self._row = [], None, -1
 
-    def _force(self, which, t):
+    def _sources(self, t):
+        """S_v(t), S_v(t + dt) and S_theta(t + dt); 0.0 without forcing."""
         if self.forcing is None:
-            return 0.0
-        return self.forcing[which](self.nodes, t)
+            return 0.0, 0.0, 0.0
+        i = self._row + 1
+        if i >= len(self._times) or self._times[i] != t:
+            dt = self.cfg.dt
+            k = round(t / dt)
+            if k * dt == t:  # t_k = k dt: tabulate the steps left, up to a block
+                rows = max(1, min(block_rows(self.grid.n_nodes), round(self.cfg.t_end / dt) - k))
+                t_open = np.arange(k, k + rows, dtype=float)[:, None] * dt
+            else:
+                t_open = np.array([[t]])
+            (s_v, s_th), x = self.forcing, self.nodes
+            self._times = t_open.ravel().tolist()
+            self._tables = s_v(x, t_open), s_v(x, t_open + dt), s_th(x, t_open + dt)
+            i = 0
+        self._row = i
+        s_v, s_v1, s_th1 = self._tables
+        return s_v[i], s_v1[i], s_th1[i]
 
-    def _kick_force(self, u, th, t):
-        """Half-kick force u_xx - (f(Theta))_x + S_v(t), and f(Theta)."""
+    def _wave(self, u, th):
+        """u_xx - (f(Theta))_x, and f(Theta)."""
         fth = _f_of(self.material, th)
-        return _wave_force(u, fth, self.grid.h) + self._force(0, t), fth
+        return _wave_force(u, fth, self.grid.h), fth
 
     def f_theta(self, th: np.ndarray) -> Optional[np.ndarray]:
         """f(max(Theta, 0)) kept from the last step if ``th`` is its Theta."""
         carry = self._carry
-        return carry[4] if carry is not None and carry[1] is th else None
+        return carry[5] if carry is not None and carry[1] is th else None
 
     def advance(self, v, u, th, t):
         dt = self.cfg.dt
+        s_v, s_v1, s_th1 = self._sources(t)
         carry = self._carry
-        if (carry is not None and carry[0] is u and carry[1] is th
-                and (self.forcing is None or carry[2] == t)):
-            force, fth = carry[3:]
+        if carry is not None and carry[0] is u and carry[1] is th:
+            wave, force, fth = carry[3:]
+            if self.forcing is not None and carry[2] != t:
+                force = wave + s_v
         else:
-            force, fth = self._kick_force(u, th, t)
+            wave, fth = self._wave(u, th)
+            force = wave + s_v
         v_half = _pin(v + 0.5 * dt * force)
         u1 = _pin(u + dt * v_half)
         g = dx_values(v_half, self.grid.h, BC_HINGED)
-        rhs_th = th + dt * (-fth * g + self._force(1, t + dt))
+        rhs_th = th + dt * (-fth * g + s_th1)
         th1 = self.f["lu_th"].solve(rhs_th)
         u1.flags.writeable = th1.flags.writeable = False
-        force1, fth1 = self._kick_force(u1, th1, t + dt)
-        self._carry = (u1, th1, t + dt, force1, fth1)
+        wave1, fth1 = self._wave(u1, th1)
+        force1 = wave1 + s_v1
+        self._carry = (u1, th1, t + dt, wave1, force1, fth1)
         return _pin(v_half + 0.5 * dt * force1), u1, th1
 
 

@@ -8,6 +8,7 @@ fact rather than a quadrature accident.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -287,3 +288,30 @@ def svg_series_loop(series, t, width=900, height=600) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Scalar-t references of the manufactured forcing: one time per call, every
+# factor formed in one left-to-right product.  Each row of
+# ``Manufactured.forcing`` on a column of times must equal them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def mms_s_v_scalar(ref, material, x, t):
+    k = ref._k
+    s, c = np.sin(ref._xi(x)), np.cos(ref._xi(x))
+    u_tt = -ref.u_amp * ref.omega ** 2 * s * math.cos(ref.omega * t)
+    u_xx = -ref.u_amp * k ** 2 * s * math.cos(ref.omega * t)
+    th = 1.0 + ref.th_amp * c * math.exp(-ref.decay * t)
+    th_x = -ref.th_amp * k * s * math.exp(-ref.decay * t)
+    return u_tt - u_xx + eval_fp(material, th) * th_x
+
+
+def mms_s_th_scalar(ref, material, x, t):
+    k = ref._k
+    c = np.cos(ref._xi(x))
+    th_t = -ref.decay * ref.th_amp * c * math.exp(-ref.decay * t)
+    th_xx = -ref.th_amp * k ** 2 * c * math.exp(-ref.decay * t)
+    th = 1.0 + ref.th_amp * c * math.exp(-ref.decay * t)
+    u_xt = -ref.u_amp * ref.omega * k * c * math.sin(ref.omega * t)
+    return th_t - th_xx + eval_f(material, th) * u_xt

@@ -24,6 +24,7 @@ from thermoelast1d.diagnostics import (
     weak_form_residual,
 )
 from thermoelast1d.errors import ContractError, StructuralError
+from thermoelast1d.experiments import Manufactured
 from thermoelast1d.grid import Field, Grid, dx, dxx, integrate, l2_norm_sq
 from thermoelast1d.initial_data import equilibrium, standing_wave
 from thermoelast1d.materials import (
@@ -367,8 +368,10 @@ def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
     """Each step builds only the state's 3 Fields; the trapezoid weights are
     looked up through the grid a fixed number of times, not once per step.
     The limit run evaluates f once per step: the closing half-kick's f(Theta)
-    serves the next opening half-kick and the row's rho."""
+    serves the next opening half-kick and the row's rho.  A forced limit run
+    adds one evaluation of each forcing table per run of one chunk."""
     import thermoelast1d.diagnostics as diagnostics_mod
+    import thermoelast1d.experiments as experiments_mod
     import thermoelast1d.materials as materials_mod
     import thermoelast1d.stepping as stepping_mod
 
@@ -390,7 +393,7 @@ def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
 
     monkeypatch.setattr(Field, "__post_init__", counted_post_init)
     monkeypatch.setattr(Grid, "quad_weights", counted_quad_weights)
-    for module in (materials_mod, stepping_mod, diagnostics_mod):
+    for module in (materials_mod, stepping_mod, diagnostics_mod, experiments_mod):
         monkeypatch.setattr(module, "eval_f", counted_eval_f)
     g = Grid(0.0, 1.0, 64)
     init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
@@ -404,9 +407,38 @@ def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
         seen[k] = counts["weights"]
         f_calls[k] = counts["eval_f"]
     assert seen[4] == seen[8]
-    if epsilon == 0.0:
-        assert f_calls[8] - f_calls[4] == 4  # one f evaluation per step
-        assert f_calls[4] == 4 + 2  # and the first opening and the t = 0 row
+    if epsilon > 0.0:
+        return
+    assert f_calls[8] - f_calls[4] == 4  # one f evaluation per step
+    assert f_calls[4] == 4 + 2  # and the first opening and the t = 0 row
+
+    # forced: the tables of S_v and S_theta are one chunk per run, and where
+    # (k - 1) dt + dt != k dt (steps 6 and 7) the carried wave part serves
+    # the opening half-kick
+    ref = Manufactured(g.a, g.b)
+    x = g.nodes
+    init = make_state(0.0, ref.v(x, 0.0), ref.u(x, 0.0), ref.theta(x, 0.0))
+    dt = 0.3 * g.h
+    assert [k for k in range(2, 9) if (k - 1) * dt + dt != k * dt] == [6, 7]
+
+    def counted(name, source):
+        def call(x, t):
+            counts[name] += 1
+            return source(x, t)
+        return call
+
+    s_v, s_th = ref.forcing(MAT)
+    forcing = (counted("s_v", s_v), counted("s_th", s_th))
+    calls = {}
+    for k in (4, 8):
+        cfg = SolverConfig(dt=dt, t_end=k * dt, epsilon=0.0)
+        counts.clear()
+        run_limit(init, MAT, cfg, g, forcing=forcing)
+        assert counts["fields"] == 3 * k
+        calls[k] = counts["eval_f"], counts["s_v"], counts["s_th"]
+    # one f per step, the first opening, the t = 0 row and one S_theta table
+    assert calls[4][0] == 4 + 3 and calls[8][0] == 8 + 3
+    assert calls[4][1:] == calls[8][1:] == (2, 1)
 
 
 # --- blocked trajectory diagnostics == the per-state loop references --------

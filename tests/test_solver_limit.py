@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import record_bits
 from thermoelast1d.diagnostics import compute_record, energy_identity_residual
@@ -22,7 +24,7 @@ from thermoelast1d.materials import (
 )
 from thermoelast1d.solver_eps import run_eps, step_eps
 from thermoelast1d.solver_limit import run_limit, step_limit
-from thermoelast1d.state import SolverConfig, make_state
+from thermoelast1d.state import SolverConfig, block_rows, make_state
 from thermoelast1d.stepping import LimitStepper
 
 MAT = identity_material()
@@ -40,6 +42,33 @@ def test_cfl_violation_is_config_error():
     cfg = SolverConfig(dt=g.h, t_end=g.h, epsilon=0.0)
     with pytest.raises(ConfigError, match="CFL"):
         run_limit(equilibrium(g), MAT, cfg, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(-3.0, 3.0),
+    length=st.floats(0.05, 8.0),
+    n_cells=st.integers(4, 96),
+    cfl_safety=st.floats(0.01, 2.0),
+    scheme=st.sampled_from(["imex1", "imex2"]),
+)
+def test_cfl_edge_passes_at_the_limit_and_fails_just_above(a, length, n_cells, cfl_safety,
+                                                         scheme):
+    """dt = cfl_safety h runs in all four entry points; dt one part in 1e9
+    above it is refused by each with a ConfigError naming the CFL bound."""
+    g = Grid(a, a + length, n_cells)
+    init = equilibrium(g)
+    for dt, ok in ((cfl_safety * g.h, True), (cfl_safety * g.h * (1 + 1e-9), False)):
+        lim = SolverConfig(dt=dt, t_end=dt, epsilon=0.0, cfl_safety=cfl_safety)
+        eps = SolverConfig(dt=dt, t_end=dt, epsilon=1e-2, scheme=scheme, cfl_safety=cfl_safety)
+        calls = (lambda: run_limit(init, MAT, lim, g), lambda: step_limit(init, MAT, lim, g),
+                 lambda: run_eps(init, MAT, eps, g), lambda: step_eps(init, MAT, eps, g))
+        for call in calls:
+            if ok:
+                call()
+            else:
+                with pytest.raises(ConfigError, match="CFL"):
+                    call()
 
 
 def test_equilibrium_unchanged():
@@ -250,15 +279,19 @@ def test_run_loop_equals_chain_of_single_steps(material, scheme, record_every, t
 
 
 @pytest.mark.parametrize("material", _materials(), ids=lambda m: m.kind)
-@pytest.mark.parametrize("source", ["mms", "linear"])
-def test_forced_run_equals_fresh_stepper_per_step(material, source):
+@pytest.mark.parametrize("source, n_cells, record_every",
+                         [("mms", 20, 1), ("linear", 20, 1),
+                          ("mms", 4096, 3), ("linear", 4096, 3)],
+                         ids=["mms", "linear", "mms-chunks", "linear-chunks"])
+def test_forced_run_equals_fresh_stepper_per_step(material, source, n_cells, record_every):
     """With forcing the opening half-kick reuses the closing force only at an
     equal t: (k - 1) dt + dt differs from k dt at some steps of this run.  A
     source linear in t, started from rest, changes the force with the last
-    bit of t, so a carry that ignored t would fail here."""
+    bit of t, so a carry that ignored t would fail here.  At N = 4096 the
+    forcing tables hold 3 steps, so the run crosses three chunk boundaries."""
     from thermoelast1d.experiments import Manufactured
 
-    g = Grid(0.0, 1.0, 20)
+    g = Grid(0.0, 1.0, n_cells)
     ref = Manufactured(g.a, g.b)
     x = g.nodes
     if source == "mms":
@@ -271,11 +304,12 @@ def test_forced_run_equals_fresh_stepper_per_step(material, source):
     cfg = SolverConfig(dt=0.1 * g.h, t_end=12 * 0.1 * g.h)
     n = cfg.n_steps()
     assert any((k - 1) * cfg.dt + cfg.dt != k * cfg.dt for k in range(2, n + 1))
-    traj = run_limit(init, material, cfg, g, forcing=forcing)
+    assert n_cells == 20 or block_rows(g.n_nodes) == 3  # chunks open at steps 1, 4, 7, 10
+    traj = run_limit(init, material, cfg, g, forcing=forcing, record_every=record_every)
 
     def step(s, k):
         stepper = LimitStepper(g, material, cfg, forcing=forcing)
         v, u, th = stepper.advance(s.v.values, s.u.values, s.theta.values, (k - 1) * cfg.dt)
         return make_state(k * cfg.dt, v, u, th)
 
-    _assert_run_equals_chain(traj, _chain(init, material, cfg, g, step), 1)
+    _assert_run_equals_chain(traj, _chain(init, material, cfg, g, step), record_every)
