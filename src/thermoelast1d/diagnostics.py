@@ -25,7 +25,7 @@ from .errors import ContractError, StructuralError
 from .grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx, dx_rows, dxx,
                    dxx_rows, integrate, l2_norm_sq, trapezoid_weights)
 from .materials import Material, eval_f, eval_fp, rho
-from .state import DiagnosticsRecord, State, Trajectory, state_block
+from .state import DiagnosticsRecord, State, Trajectory
 
 #: bc kinds of the rows (v, u, Theta) of a state block
 _STATE_BCS = (BC_HINGED, BC_DIRICHLET, BC_NEUMANN)
@@ -76,16 +76,17 @@ def compute_record(
     if state.n_nodes != grid.n_nodes:
         raise StructuralError(f"state has {state.n_nodes} nodes, grid {grid.n_nodes}")
     w = trapezoid_weights(grid)
-    block = state_block(state)
-    v, th = block[0], block[2]
+    block = state.block
+    th = block[2]
     th_min = float(th.min()) if theta_min is None else theta_min
     valid = not th_min < material.rho_floor
     # integrands, one row each: v_x^2, u_x^2, Theta_x^2, v_xx^2, u_xx^2,
     # Theta_xx^2, v^2, Theta, and rho(Theta) Theta_x^2 while rho is defined
     rows = np.empty((9 if valid else 8, state.n_nodes))
-    np.square(dx_rows(block, grid.h, _STATE_BCS), out=rows[0:3])
-    np.square(dxx_rows(block, grid.h, _STATE_BCS), out=rows[3:6])
-    np.square(v, out=rows[6])
+    dx_rows(block, grid.h, _STATE_BCS, out=rows[0:3])
+    dxx_rows(block, grid.h, _STATE_BCS, out=rows[3:6])
+    rows[6] = block[0]
+    np.square(rows[:7], out=rows[:7])
     rows[7] = th
     if valid:
         # Theta >= rho_floor > 0 here, so f(max(Theta, 0)) is f(Theta)
@@ -104,21 +105,8 @@ def compute_record(
         )
 
     return DiagnosticsRecord(
-        t=state.t,
-        energy=0.5 * v_sq + 0.5 * ux_sq + mass,
-        theta_mass=mass,
-        theta_min=th_min,
-        theta_max=float(th.max()),
-        hfunc=y,
-        hfunc_valid=valid,
-        thetax_l2sq=thx_sq,
-        thetaxx_l2sq=thxx_sq,
-        vx_l2sq=vx_sq,
-        vxx_l2sq=vxx_sq,
-        uxx_l2sq=uxx_sq,
-        dissipation_accum=diss,
-        eps_dissipation_accum=eps_diss,
-    )
+        state.t, 0.5 * v_sq + 0.5 * ux_sq + mass, mass, th_min, float(th.max()), y, valid,
+        thx_sq, thxx_sq, vx_sq, vxx_sq, uxx_sq, diss, eps_diss)
 
 
 def energy_identity_residual(traj: Trajectory) -> np.ndarray:

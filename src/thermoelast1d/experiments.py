@@ -418,16 +418,8 @@ def _restrict(traj: Trajectory, coarse: Grid, space_stride: int,
     """Sample a fine trajectory onto a coarser grid/timeline (node subset)."""
     out = Trajectory(coarse, traj.epsilon, traj.scheme)
     out.records = traj.records
-    for j in range(0, len(traj.states), time_stride):
-        s = traj.states[j]
-        out.states.append(
-            make_state(
-                s.t,
-                s.v.values[::space_stride],
-                s.u.values[::space_stride],
-                s.theta.values[::space_stride],
-            )
-        )
+    for s in traj.states[::time_stride]:
+        out.states.append(make_state(s.t, *s.block[:, ::space_stride]))
     return out
 
 

@@ -23,7 +23,7 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -98,16 +98,13 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
 class Field:
     """Nodal values plus the boundary-condition kind they respect.
 
-    The values are copied into a read-only array, except for the rows of a
-    State's read-only block (``_row_of_block``, set by
-    :func:`~thermoelast1d.state.make_state` only), which are validated and
-    kept as they are."""
+    A read-only float array (such as a row of a State's block) is kept as
+    it is; any other input is copied into a read-only array."""
 
     values: np.ndarray
     bc_kind: str
-    _row_of_block: InitVar[bool] = False
 
-    def __post_init__(self, _row_of_block=False):
+    def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
             raise StructuralError(f"field values must be 1D, got shape {vals.shape}")
@@ -118,7 +115,7 @@ class Field:
                 f"{self.bc_kind} field must have exactly zero boundary values, "
                 f"got ({vals[0]!r}, {vals[-1]!r})"
             )
-        if not (_row_of_block and vals is self.values and not vals.flags.writeable):
+        if vals.flags.writeable:
             vals = vals.copy()
             vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -226,12 +223,15 @@ def _dxx_ends(out: np.ndarray, f: np.ndarray, h2: float, bc_kind: str) -> None:
         out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
 
 
-def _rows_kernel(interior, ends, f: np.ndarray, scale: float, bc) -> np.ndarray:
+def _rows_kernel(interior, ends, f: np.ndarray, scale: float, bc, out) -> np.ndarray:
     """Apply a kernel to each row of a ``(k, N)`` stack.  The interior
     stencil runs once over the flattened rows; where it straddles two rows
     it lands on a row end, which the closures then overwrite: for every
     row at once if ``bc`` is one kind, row by row if it is a kind per row."""
-    out = np.empty(f.shape)
+    if out is None:
+        out = np.empty(f.shape)
+    elif out.shape != f.shape or not out.flags.c_contiguous:
+        raise ContractError(f"out must be a C-contiguous {f.shape} array")
     interior(out.reshape(-1), f.reshape(-1), scale)
     if isinstance(bc, str):
         ends(out.T, f.T, scale, bc)
@@ -241,15 +241,16 @@ def _rows_kernel(interior, ends, f: np.ndarray, scale: float, bc) -> np.ndarray:
     return out
 
 
-def dx_rows(f: np.ndarray, h: float, bc) -> np.ndarray:
+def dx_rows(f: np.ndarray, h: float, bc, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`dx_values` of each row of a ``(k, N)`` stack, as a C-contiguous
-    array; ``bc`` is one kind for every row or a sequence of k kinds."""
-    return _rows_kernel(_dx_interior, _dx_ends, f, h, bc)
+    array (``out`` if given); ``bc`` is one kind for every row or a sequence
+    of k kinds."""
+    return _rows_kernel(_dx_interior, _dx_ends, f, h, bc, out)
 
 
-def dxx_rows(f: np.ndarray, h: float, bc) -> np.ndarray:
+def dxx_rows(f: np.ndarray, h: float, bc, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`dxx_values` of each row of a ``(k, N)`` stack (see :func:`dx_rows`)."""
-    return _rows_kernel(_dxx_interior, _dxx_ends, f, h * h, bc)
+    return _rows_kernel(_dxx_interior, _dxx_ends, f, h * h, bc, out)
 
 
 def dx(field: Field, grid: Grid) -> Field:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -15,63 +15,84 @@ SCHEME_IMEX2 = "imex2"
 SCHEMES = (SCHEME_IMEX1, SCHEME_IMEX2)
 
 
-@dataclass(frozen=True)
 class State:
-    """Time-stamped nodal triple (v ~ u_t, u, Theta)."""
+    """Time-stamped nodal triple (v ~ u_t, u, Theta).
 
-    t: float
-    v: Field
-    u: Field
-    theta: Field
+    A thin, immutable view of one read-only ``(3, N)`` block with rows v, u
+    and Theta (:attr:`block`).  ``v``, ``u`` and ``theta`` are Fields built
+    when read, views of the block's rows.  ``State(t, v, u, theta)`` checks
+    the three Fields and copies their values into a fresh block;
+    :func:`make_state` builds one from raw arrays."""
 
-    def __post_init__(self):
-        if self.v.bc_kind != BC_HINGED:
-            raise ContractError(f"v must be hinged, got {self.v.bc_kind}")
-        if self.u.bc_kind != BC_DIRICHLET:
-            raise ContractError(f"u must be dirichlet_zero, got {self.u.bc_kind}")
-        if self.theta.bc_kind != BC_NEUMANN:
-            raise ContractError(f"theta must be neumann_zero, got {self.theta.bc_kind}")
-        n = len(self.v)
-        if len(self.u) != n or len(self.theta) != n:
+    __slots__ = ("t", "block")
+
+    def __init__(self, t: float, v: Field, u: Field, theta: Field):
+        if v.bc_kind != BC_HINGED:
+            raise ContractError(f"v must be hinged, got {v.bc_kind}")
+        if u.bc_kind != BC_DIRICHLET:
+            raise ContractError(f"u must be dirichlet_zero, got {u.bc_kind}")
+        if theta.bc_kind != BC_NEUMANN:
+            raise ContractError(f"theta must be neumann_zero, got {theta.bc_kind}")
+        n = len(v)
+        if len(u) != n or len(theta) != n:
             raise StructuralError("state fields live on different grids")
+        block = np.array((v.values, u.values, theta.values))
+        block.flags.writeable = False
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "block", block)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"State(t={self.t!r}, n_nodes={self.n_nodes})"
+
+    def __reduce__(self):
+        return make_state, (self.t, *self.block)
+
+    @property
+    def v(self) -> Field:
+        return Field(self.block[0], BC_HINGED)
+
+    @property
+    def u(self) -> Field:
+        return Field(self.block[1], BC_DIRICHLET)
+
+    @property
+    def theta(self) -> Field:
+        return Field(self.block[2], BC_NEUMANN)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.v)
+        return self.block.shape[1]
 
 
-def make_state(t, v, u, theta) -> State:
+def make_state(t, v, u, theta, *, out: Optional[np.ndarray] = None) -> State:
     """State from raw arrays, pinning the zero-value boundary entries.
 
-    The arrays are copied once into a fresh read-only ``(3, N)`` block
-    (rows v, u, Theta; see :func:`state_block`) whose rows are the State's
-    Fields."""
+    The arrays are copied once into a ``(3, N)`` block (rows v, u, Theta),
+    a fresh one or ``out`` (a slot of a run's state store), which is set
+    read-only and becomes the State's :attr:`~State.block`."""
     n = len(v)
     if len(u) != n or len(theta) != n:
         raise StructuralError("state fields live on different grids")
-    block = np.array((v, u, theta), dtype=float)
-    if block.ndim != 2:
-        raise StructuralError(f"field values must be 1D, got shape {block.shape[1:]}")
+    if out is None:
+        block = np.array((v, u, theta), dtype=float)
+        if block.ndim != 2:
+            raise StructuralError(f"field values must be 1D, got shape {block.shape[1:]}")
+    else:
+        block = out
+        block[0], block[1], block[2] = v, u, theta
     block[:2, 0] = 0.0
     block[:2, -1] = 0.0
     block.flags.writeable = False
-    return State(
-        t=float(t),
-        v=Field(block[0], BC_HINGED, _row_of_block=True),
-        u=Field(block[1], BC_DIRICHLET, _row_of_block=True),
-        theta=Field(block[2], BC_NEUMANN, _row_of_block=True),
-    )
-
-
-def state_block(state: State) -> np.ndarray:
-    """``(v, u, Theta)`` of ``state`` as one C-contiguous ``(3, N)`` array:
-    the block behind a State from :func:`make_state`, a stacked copy
-    otherwise."""
-    block = state.v.values.base
-    if (block is not None and block.shape == (3, state.n_nodes)
-            and state.u.values.base is block and state.theta.values.base is block):
-        return block
-    return np.stack((state.v.values, state.u.values, state.theta.values))
+    state = object.__new__(State)
+    object.__setattr__(state, "t", float(t))
+    object.__setattr__(state, "block", block)
+    return state
 
 
 @dataclass(frozen=True)
@@ -126,7 +147,7 @@ class SolverConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagnosticsRecord:
     """Per-step scalars tracked along every run.
 
@@ -165,6 +186,10 @@ BLOCK_VALUES = 1 << 14
 def block_rows(n_nodes: int) -> int:
     """Rows of N nodes per block: within :data:`STATE_BLOCK` and :data:`BLOCK_VALUES`."""
     return max(1, min(STATE_BLOCK, BLOCK_VALUES // n_nodes))
+
+
+#: row of each field in a state's block
+_STATE_ROWS = {"v": 0, "u": 1, "theta": 2}
 
 
 class Trajectory:
@@ -208,7 +233,8 @@ class Trajectory:
     def stacked(self, field: str, start: int, stop: int) -> np.ndarray:
         """Values of ``field`` (``"v"``, ``"u"`` or ``"theta"``) of
         ``states[start:stop]`` as one C-contiguous ``(stop - start, N)`` array."""
-        return np.stack([getattr(s, field).values for s in self.states[start:stop]])
+        row = _STATE_ROWS[field]
+        return np.stack([s.block[row] for s in self.states[start:stop]])
 
     def record_series(self, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.records]

@@ -19,10 +19,11 @@ chain of fresh single steps:
   of steps on a ``(C, 1)`` column of times), and the carried f(Theta) also
   gives the row's rho = f'/f;
 * the new (v, u, Theta) are copied once into the State's read-only
-  ``(3, N)`` block (:func:`~thermoelast1d.state.make_state`), which is checked
-  with one finite test and one min Theta (:func:`check_step` builds the
-  message only on failure), and from which
-  :func:`~thermoelast1d.diagnostics.compute_record` takes its row.
+  ``(3, N)`` block (:func:`~thermoelast1d.state.make_state`): a slot of the
+  run's one ``(n_kept, 3, N)`` store for a state the trajectory keeps, a
+  fresh block otherwise.  The block is checked with one finite test and one
+  min Theta (:func:`check_step` builds the message only on failure), and
+  :func:`~thermoelast1d.diagnostics.compute_record` takes its row from it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .diagnostics import compute_record
 from .errors import ContractError, PositivityError, SchemeError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
 from .materials import Material, eval_f
-from .state import SolverConfig, State, Trajectory, block_rows, make_state, state_block
+from .state import SolverConfig, State, Trajectory, block_rows, make_state
 
 #: (S_v, S_theta): each maps the node array and a ``(C, 1)`` column of times
 #: to a ``(C, N)`` array, one row per time
@@ -212,9 +213,11 @@ class LimitStepper:
     :meth:`f_theta` gives the kept f(Theta).
 
     A forcing is evaluated once per chunk of at most
-    :func:`~thermoelast1d.state.block_rows` steps: S_v at the opening times
-    (k - 1) dt, S_v and S_theta at the closing times (k - 1) dt + dt, formed
-    as :func:`run_simulation` forms them.  A t off that grid is one row."""
+    :func:`~thermoelast1d.state.block_rows` steps: S_v and S_theta at the
+    closing times (k - 1) dt + dt, formed as :func:`run_simulation` forms
+    them, and S_v at the opening times (k - 1) dt only where one differs
+    from the previous closing time (and at the chunk's first).  A t off
+    that grid is one row."""
 
     label = "limit"
 
@@ -249,8 +252,15 @@ class LimitStepper:
             else:
                 t_open = np.array([[t]])
             (s_v, s_th), x = self.forcing, self.nodes
+            t_close = t_open + dt
+            # an opening time equal to the previous closing time reuses that S_v row
+            fresh = np.append(True, t_open[1:, 0] != t_close[:-1, 0])
+            s_v_close = s_v(x, t_close)
+            s_v_open = np.empty_like(s_v_close)
+            s_v_open[1:] = s_v_close[:-1]
+            s_v_open[fresh] = s_v(x, t_open[fresh])
             self._times = t_open.ravel().tolist()
-            self._tables = s_v(x, t_open), s_v(x, t_open + dt), s_th(x, t_open + dt)
+            self._tables = s_v_open, s_v_close, s_th(x, t_close)
             i = 0
         self._row = i
         s_v, s_v1, s_th1 = self._tables
@@ -351,15 +361,17 @@ def run_simulation(
         recorder(init, rec)
 
     kept_f = getattr(stepper, "f_theta", None)
-    v = init.v.values.copy()
-    u = init.u.values.copy()
-    th = init.theta.values.copy()
+    # one slot per kept state; a recorder may keep any state, so no block is reused
+    n_kept = n_steps // record_every + (n_steps % record_every != 0)
+    store = np.empty((n_kept, 3, grid.n_nodes))
+    v, u, th = init.block.copy()
     try:
         for k in range(1, n_steps + 1):
             t_new = k * cfg.dt
             v, u, th = stepper.advance(v, u, th, (k - 1) * cfg.dt)
-            state = make_state(t_new, v, u, th)
-            block = state_block(state)
+            kept = k % record_every == 0 or k == n_steps
+            state = make_state(t_new, v, u, th, out=store[len(traj.states) - 1] if kept else None)
+            block = state.block
             th_min = float(block[2].min())
             # the block's pinned ends are 0, so nonzero (or non-finite) ends
             # of the stepper's v and u go to the full check as well
@@ -369,7 +381,7 @@ def run_simulation(
             rec = compute_record(state, material, grid, cfg.epsilon, rec, theta_min=th_min,
                                  f_theta=kept_f(th) if kept_f is not None else None)
             traj.records.append(rec)
-            if k % record_every == 0 or k == n_steps:
+            if kept:
                 traj.states.append(state)
             if recorder is not None:
                 recorder(state, rec)

@@ -365,8 +365,8 @@ def test_compute_record_rejects_grid_mismatch():
 
 @pytest.mark.parametrize("epsilon", [0.0, 1e-2])
 def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
-    """Each step builds only the state's 3 Fields; the trapezoid weights are
-    looked up through the grid a fixed number of times, not once per step.
+    """No step builds a Field, and the trapezoid weights are looked up
+    through the grid a fixed number of times, not once per step.
     The limit run evaluates f once per step: the closing half-kick's f(Theta)
     serves the next opening half-kick and the row's rho.  A forced limit run
     adds one evaluation of each forcing table per run of one chunk."""
@@ -397,16 +397,17 @@ def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
         monkeypatch.setattr(module, "eval_f", counted_eval_f)
     g = Grid(0.0, 1.0, 64)
     init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
-    seen, f_calls = {}, {}
+    seen, fields, f_calls = {}, {}, {}
     for k in (4, 8):
         cfg = SolverConfig(dt=g.h / 2, t_end=k * g.h / 2, epsilon=epsilon)
         counts.clear()
         traj = (run_eps if epsilon > 0 else run_limit)(init, MAT, cfg, g)
-        assert counts["fields"] == 3 * k
         assert all(r.hfunc_valid for r in traj.records)  # every row uses rho
         seen[k] = counts["weights"]
+        fields[k] = counts["fields"]
         f_calls[k] = counts["eval_f"]
     assert seen[4] == seen[8]
+    assert fields[4] == fields[8]
     if epsilon > 0.0:
         return
     assert f_calls[8] - f_calls[4] == 4  # one f evaluation per step
@@ -434,11 +435,11 @@ def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
         cfg = SolverConfig(dt=dt, t_end=k * dt, epsilon=0.0)
         counts.clear()
         run_limit(init, MAT, cfg, g, forcing=forcing)
-        assert counts["fields"] == 3 * k
-        calls[k] = counts["eval_f"], counts["s_v"], counts["s_th"]
+        calls[k] = counts["fields"], counts["eval_f"], counts["s_v"], counts["s_th"]
+    assert calls[4][0] == calls[8][0]
     # one f per step, the first opening, the t = 0 row and one S_theta table
-    assert calls[4][0] == 4 + 3 and calls[8][0] == 8 + 3
-    assert calls[4][1:] == calls[8][1:] == (2, 1)
+    assert calls[4][1] == 4 + 3 and calls[8][1] == 8 + 3
+    assert calls[4][2:] == calls[8][2:] == (2, 1)
 
 
 # --- blocked trajectory diagnostics == the per-state loop references --------

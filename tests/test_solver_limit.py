@@ -313,3 +313,78 @@ def test_forced_run_equals_fresh_stepper_per_step(material, source, n_cells, rec
         return make_state(k * cfg.dt, v, u, th)
 
     _assert_run_equals_chain(traj, _chain(init, material, cfg, g, step), record_every)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_cells=st.integers(4, 80),
+    n_steps=st.integers(1, 9),
+    record_every=st.integers(1, 5),
+    scheme=st.sampled_from(["limit", "imex1", "imex2"]),
+    material=st.sampled_from(_materials()),
+)
+def test_recorder_keeps_states_of_one_read_only_store(n_cells, n_steps, record_every,
+                                                      scheme, material):
+    """Every (state, record) a recorder keeps still equals the chain of fresh
+    single steps after the run.  The stored states are read-only views of
+    one store; the states not stored share no memory with it."""
+    g = Grid(0.0, 1.0, n_cells)
+    init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
+    kept = []
+    recorder = lambda s, r: kept.append((s, r))  # noqa: E731
+    dt = 0.37 * g.h
+    if scheme == "limit":
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt)
+        traj = run_limit(init, material, cfg, g, record_every=record_every, recorder=recorder)
+        step = lambda s, k: step_limit(s, material, cfg, g)  # noqa: E731
+    else:
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, epsilon=1e-2, scheme=scheme)
+        traj = run_eps(init, material, cfg, g, record_every=record_every, recorder=recorder)
+        step = lambda s, k: step_eps(s, material, cfg, g)  # noqa: E731
+    states, records = _chain(init, material, cfg, g, step)
+    assert [_state_bits(s) for s, _ in kept] == [_state_bits(s) for s in states]
+    assert [record_bits(r) for _, r in kept] == [record_bits(r) for r in records]
+    _assert_run_equals_chain(traj, (states, records), record_every)
+
+    assert traj.states[0] is init and kept[0][0] is init
+    stored = traj.states[1:]
+    assert len(stored) == -(-n_steps // record_every)
+    store = stored[0].block.base
+    assert store.shape == (len(stored), 3, g.n_nodes)
+    assert all(s.block.base is store and np.shares_memory(s.block, store) for s in stored)
+    stored_ids = {id(s) for s in stored}
+    for s, _ in kept[1:]:
+        assert (id(s) in stored_ids) == np.shares_memory(s.block, store)
+        with pytest.raises(ValueError, match="read-only"):
+            s.block[2, 0] = 1.0
+
+
+@pytest.mark.parametrize("n_cells, dt_factor, n_steps",
+                         [(64, 0.3, 8), (64, 0.1, 40), (37, 0.37, 25), (4096, 0.1, 12)])
+def test_forcing_evaluates_only_the_opening_rows_it_reads(n_cells, dt_factor, n_steps):
+    """S_v is evaluated at every closing time, and at an opening time only
+    where it differs from the previous closing time, or opens a chunk."""
+    from thermoelast1d.experiments import Manufactured
+
+    g = Grid(0.0, 1.0, n_cells)
+    ref = Manufactured(g.a, g.b)
+    x = g.nodes
+    s_v, s_th = ref.forcing(MAT)
+    rows = []
+
+    def counted_s_v(x, t):
+        rows.append(t.shape[0])
+        return s_v(x, t)
+
+    init = make_state(0.0, ref.v(x, 0.0), ref.u(x, 0.0), ref.theta(x, 0.0))
+    dt = dt_factor * g.h
+    cfg = SolverConfig(dt=dt, t_end=n_steps * dt)
+    run_limit(init, MAT, cfg, g, forcing=(counted_s_v, s_th))
+    chunk = block_rows(g.n_nodes)
+    opens = range(1, n_steps + 1, chunk)
+    # step k opens at (k - 1) dt; step k - 1 closed at (k - 2) dt + dt
+    mismatched = [k for k in range(2, n_steps + 1)
+                  if k not in opens and (k - 2) * dt + dt != (k - 1) * dt]
+    assert n_steps <= chunk or n_cells == 4096  # one chunk, except at N = 4096
+    assert mismatched or n_cells == 4096
+    assert sum(rows) == n_steps + len(mismatched) + len(opens)

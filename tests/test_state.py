@@ -1,0 +1,91 @@
+"""The thin State (a read-only view of one (3, N) block) and the slotted
+DiagnosticsRecord."""
+
+import dataclasses
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermoelast1d.diagnostics import compute_record
+from thermoelast1d.grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Field, Grid
+from thermoelast1d.materials import identity_material
+from thermoelast1d.output import DIAG_COLUMNS, _record_row
+from thermoelast1d.state import DiagnosticsRecord, State, make_state
+
+FIELDS = (("v", 0, BC_HINGED), ("u", 1, BC_DIRICHLET), ("theta", 2, BC_NEUMANN))
+
+
+def _arrays(seed, n):
+    return np.random.default_rng(seed).normal(size=(3, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 200))
+def test_fields_are_views_of_the_block(seed, n):
+    v, u, th = _arrays(seed, n)
+    built = State(0.5, Field.clamped(v, BC_HINGED), Field.clamped(u, BC_DIRICHLET),
+                  Field(th, BC_NEUMANN))
+    for s in (make_state(0.5, v, u, th), built):
+        assert s.block.shape == (3, n) and not s.block.flags.writeable
+        assert s.n_nodes == n
+        for name, row, bc in FIELDS:
+            field = getattr(s, name)
+            assert field.bc_kind == bc
+            assert field.values.base is s.block and np.shares_memory(field.values, s.block)
+            assert field.values.tobytes() == s.block[row].tobytes()
+    assert built.block.tobytes() == make_state(0.5, v, u, th).block.tobytes()
+    copied = pickle.loads(pickle.dumps(built))
+    assert (copied.t, copied.block.tobytes()) == (0.5, built.block.tobytes())
+    assert not copied.block.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 200))
+def test_make_state_copies_its_inputs(seed, n):
+    arrays = _arrays(seed, n)
+    s = make_state(0.25, *arrays)
+    before = s.block.tobytes()
+    assert s.block[:2, [0, -1]].tolist() == [[0.0, 0.0], [0.0, 0.0]]  # ends pinned
+    assert not any(np.shares_memory(s.block, a) for a in arrays)
+    arrays += 1.0
+    assert s.block.tobytes() == before
+
+
+def test_state_and_record_are_immutable():
+    n = 9
+    s = make_state(0.0, np.zeros(n), np.zeros(n), np.ones(n))
+    for name, value in (("t", 1.0), ("block", np.zeros((3, n))), ("v", None), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(s, name, value)
+    with pytest.raises(AttributeError):
+        del s.t
+    with pytest.raises(ValueError, match="read-only"):
+        s.block[2, 3] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.theta.values[3] = 2.0
+
+    rec = compute_record(s, identity_material(), Grid(0.0, 1.0, n - 1), 0.0)
+    for name in ("t", "energy", "hfunc"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, 1.0)
+    assert not hasattr(rec, "__dict__")  # slotted: no attribute outside the fields
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.0], ids=["valid", "below-floor"])
+def test_record_fields_follow_the_diagnostics_columns(theta):
+    """astuple(record) is the diagnostics.csv row, column for column."""
+    g = Grid(0.0, 1.0, 16)
+    x = g.nodes
+    s = make_state(0.1, np.sin(np.pi * x), 0.1 * np.sin(2 * np.pi * x),
+                   theta + 0.5 * theta * np.cos(np.pi * x))
+    rec = compute_record(s, identity_material(), g, 1e-2, compute_record(
+        make_state(0.0, 0 * x, 0 * x, 1.0 + 0 * x), identity_material(), g, 1e-2))
+    values = dataclasses.astuple(rec)
+    assert len(dataclasses.fields(DiagnosticsRecord)) == len(DIAG_COLUMNS)
+    assert rec.hfunc_valid == (theta > 0.0)
+    expected = [float("nan") if v is None else (1 if v is True else 0 if v is False else v)
+                for v in values]
+    assert np.array(expected).tobytes() == np.array(_record_row(rec), dtype=float).tobytes()
