@@ -39,8 +39,8 @@ from .materials import (
     tabulated_material,
 )
 from .state import DiagnosticsRecord, SolverConfig, State, Trajectory, make_state
-from .solver_eps import run_eps, step_eps
-from .solver_limit import prepare_rough_data, run_limit, step_limit
-from . import bounds, diagnostics, experiments, initial_data
+from .initial_data import prepare_rough_data
+from .stepping import run_eps, run_limit, step_eps, step_limit
+from . import bounds, diagnostics, experiments, initial_data, solver_eps, solver_limit
 
 __version__ = "0.1.0"

@@ -21,8 +21,7 @@ from .grid import Grid, gn_constants
 from .materials import make_material
 from .output import (export_trajectory, make_output_dir, write_gnuplot, write_report,
                      write_svg_series)
-from .solver_eps import run_eps
-from .solver_limit import run_limit
+from .stepping import run_eps, run_limit
 
 OUTPUT_ROOT_ENV = "THERMOELAST1D_OUTPUT_ROOT"
 

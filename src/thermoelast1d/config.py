@@ -36,7 +36,7 @@ from .initial_data import (
     step_strain,
 )
 from .materials import Material, make_material
-from .state import SCHEMES, SolverConfig, State
+from .state import SCHEMES, SolverConfig, State, cfl_dt
 
 _FORMATS = ("csv", "json_lines")
 
@@ -120,11 +120,7 @@ class RunConfig:
     def resolve_dt(self, grid: Grid) -> float:
         if self.solver.dt is not None:
             return self.solver.dt
-        target = self.solver.cfl_safety * grid.h
-        n = max(1, int(-(-self.solver.t_end // target)))  # ceil
-        while self.solver.t_end / n > target * (1 + 1e-12):
-            n += 1
-        return self.solver.t_end / n
+        return cfl_dt(grid, self.solver.t_end, self.solver.cfl_safety)
 
     def build_solver_config(self, grid: Grid) -> SolverConfig:
         return SolverConfig(

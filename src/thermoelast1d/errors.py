@@ -34,12 +34,10 @@ class HypothesisError(Thermoelast1dError):
     """A material violates the constitutive hypotheses (names the clause)."""
 
 
-class SchemeError(Thermoelast1dError):
-    """A linear solve failed or the time integrator lost stability.
-
-    ``t`` is the failing time; ``last_record`` is the diagnostics row of the
-    last good step when ``run_simulation`` raised it, else None.
-    """
+class _StepFailure(Thermoelast1dError):
+    """A failed step.  ``t`` is the failing time; ``last_record`` is the
+    diagnostics row of the last good step when ``run_simulation`` raised
+    it, else None."""
 
     def __init__(self, message, t=None):
         super().__init__(message)
@@ -47,17 +45,12 @@ class SchemeError(Thermoelast1dError):
         self.last_record = None
 
 
-class PositivityError(Thermoelast1dError):
-    """Temperature undershot below -positivity_tol during a run.
+class SchemeError(_StepFailure):
+    """A linear solve failed or the time integrator lost stability."""
 
-    ``t`` is the failing time; ``last_record`` is the diagnostics row of the
-    last good step when ``run_simulation`` raised it, else None.
-    """
 
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-        self.last_record = None
+class PositivityError(_StepFailure):
+    """Temperature undershot below -positivity_tol during a run."""
 
 
 class ConfigError(Thermoelast1dError):

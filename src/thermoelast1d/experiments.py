@@ -22,9 +22,8 @@ from .errors import ContractError
 from .grid import Grid, gn_constants, l2_norm_sq, trapezoid_weights
 from .initial_data import prepare_rough_data, standing_wave
 from .materials import Material, eval_f, eval_fp, identity_material
-from .solver_eps import run_eps
-from .solver_limit import run_limit
-from .state import SolverConfig, Trajectory, make_state
+from .state import SolverConfig, Trajectory, cfl_dt, make_state
+from .stepping import run_eps, run_limit
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,7 @@ def _check_ge(name, value, threshold, detail="") -> CheckResult:
 
 def _half_cfl_config(grid: Grid, t_end: float, epsilon: float = 0.0,
                      scheme: str = "imex1") -> SolverConfig:
-    target = 0.5 * grid.h
-    n = max(1, math.ceil(t_end / target - 1e-12))
-    while t_end / n > target * (1 + 1e-12):
-        n += 1
-    return SolverConfig(dt=t_end / n, t_end=t_end, epsilon=epsilon, scheme=scheme)
+    return SolverConfig(dt=cfl_dt(grid, t_end), t_end=t_end, epsilon=epsilon, scheme=scheme)
 
 
 def _triple_distance(d) -> float:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractError, StructuralError
+from .errors import ConfigError, ContractError, StructuralError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Field, Grid
 
 SCHEME_IMEX1 = "imex1"
 SCHEME_IMEX2 = "imex2"
 SCHEMES = (SCHEME_IMEX1, SCHEME_IMEX2)
+#: relative slack of the CFL check dt <= cfl_safety * h
+_CFL_SLACK = 1 + 1e-12
 
 
 class State:
@@ -136,15 +139,21 @@ class SolverConfig:
 
     def check_cfl(self, grid: Grid) -> None:
         limit = self.cfl_safety * grid.h
-        if self.dt > limit * (1 + 1e-12):
-            from .errors import ConfigError
+        if self.dt > limit * _CFL_SLACK:
+            raise ConfigError(f"dt={self.dt:g} violates the wave CFL restriction "
+                              f"dt <= cfl_safety*h = {limit:g}")
 
-            raise ConfigError(
-                [
-                    f"dt={self.dt:g} violates the wave CFL restriction "
-                    f"dt <= cfl_safety*h = {limit:g}"
-                ]
-            )
+
+def cfl_dt(grid: Grid, t_end: float, cfl_safety: float = 0.5) -> float:
+    """The largest CFL-safe divisor of t_end: t_end / n for the fewest
+    steps n whose dt passes :meth:`SolverConfig.check_cfl`."""
+    bound = cfl_safety * grid.h * _CFL_SLACK
+    n = max(1, math.ceil(t_end / bound))
+    while n > 1 and t_end / (n - 1) <= bound:  # the float quotient may put n one off
+        n -= 1
+    while t_end / n > bound:
+        n += 1
+    return t_end / n
 
 
 @dataclass(frozen=True, slots=True)

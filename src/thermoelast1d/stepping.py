@@ -1,4 +1,7 @@
-"""Shared time-stepping machinery.
+"""Time stepping: the paper's two integrators, their single steps and one
+run loop.  eps > 0: :func:`step_eps`/:func:`run_eps` with the stepper of
+``cfg.scheme`` (:class:`ImexStepper`, :class:`Imex2Stepper`); eps = 0:
+:func:`step_limit`/:func:`run_limit` with :class:`LimitStepper`.
 
 The stiff linear parts (the fourth-order velocity regularization and every
 second-order diffusion) are treated implicitly through sparse LU
@@ -13,11 +16,8 @@ exactly.
 Each step of :func:`run_simulation` is one pass, with every value as in a
 chain of fresh single steps:
 
-* the leapfrog's closing half-kick force, wave part u_xx - (f(Theta))_x and
-  f(Theta) are carried into the next step's opening half-kick
-  (:class:`LimitStepper`, which evaluates a :data:`Forcing` once per chunk
-  of steps on a ``(C, 1)`` column of times), and the carried f(Theta) also
-  gives the row's rho = f'/f;
+* :class:`LimitStepper` carries its closing half-kick into the next step's
+  opening one, and its carried f(Theta) also gives the row's rho = f'/f;
 * the new (v, u, Theta) are copied once into the State's read-only
   ``(3, N)`` block (:func:`~thermoelast1d.state.make_state`): a slot of the
   run's one ``(n_kept, 3, N)`` store for a state the trajectory keeps, a
@@ -92,31 +92,24 @@ def biharmonic_system_hinged(grid: Grid, c: float) -> sp.csc_matrix:
 
 @lru_cache(maxsize=64)
 def _cached_factors(grid: Grid, dt: float, epsilon: float, scheme: str):
-    """LU factorizations reused across every step of a run."""
+    """LU factorizations reused across every step of a run: c = dt for backward
+    Euler (imex1, limit), c = dt/4 and the ``mul_*`` matrices (-c) for imex2's
+    Crank-Nicolson halves; v and u have systems only for eps > 0."""
+    c = 0.25 * dt if scheme == "imex2" else dt
+    f = dict.fromkeys(("lu_v", "mul_v", "lu_u", "mul_u", "mul_th"))
     try:
-        if scheme == "imex1":
-            lu_th = splu(heat_system(grid, dt, BC_NEUMANN))
-            lu_v = lu_u = None
-            if epsilon > 0.0:
-                lu_v = splu(biharmonic_system_hinged(grid, epsilon * dt))
-                lu_u = splu(heat_system(grid, epsilon * dt, BC_DIRICHLET))
-            return {"lu_v": lu_v, "lu_u": lu_u, "lu_th": lu_th}
-        if scheme == "imex2":
-            c = 0.25 * dt
-            out = dict.fromkeys(("lu_v", "mul_v", "lu_u", "mul_u"))
-            out["lu_th"] = splu(heat_system(grid, c, BC_NEUMANN))
-            out["mul_th"] = heat_system(grid, -c, BC_NEUMANN).tocsr()
-            if epsilon > 0.0:
-                out["lu_v"] = splu(biharmonic_system_hinged(grid, epsilon * c))
-                out["mul_v"] = biharmonic_system_hinged(grid, -epsilon * c).tocsr()
-                out["lu_u"] = splu(heat_system(grid, epsilon * c, BC_DIRICHLET))
-                out["mul_u"] = heat_system(grid, -epsilon * c, BC_DIRICHLET).tocsr()
-            return out
-        if scheme == "limit":
-            return {"lu_th": splu(heat_system(grid, dt, BC_NEUMANN))}
+        f["lu_th"] = splu(heat_system(grid, c, BC_NEUMANN))
+        if epsilon > 0.0:
+            f["lu_v"] = splu(biharmonic_system_hinged(grid, epsilon * c))
+            f["lu_u"] = splu(heat_system(grid, epsilon * c, BC_DIRICHLET))
     except RuntimeError as exc:  # SuperLU failures (singular factor)
         raise SchemeError(f"linear solve factorization failed: {exc}") from exc
-    raise ContractError(f"unknown scheme {scheme!r}")
+    if scheme == "imex2":
+        f["mul_th"] = heat_system(grid, -c, BC_NEUMANN).tocsr()
+        if epsilon > 0.0:
+            f["mul_v"] = biharmonic_system_hinged(grid, -epsilon * c).tocsr()
+            f["mul_u"] = heat_system(grid, -epsilon * c, BC_DIRICHLET).tocsr()
+    return f
 
 
 def _pin(arr: np.ndarray) -> np.ndarray:
@@ -130,28 +123,45 @@ def _f_of(material: Material, th: np.ndarray) -> np.ndarray:
     return eval_f(material, np.maximum(th, 0.0))
 
 
-def _wave_force(u: np.ndarray, fth: np.ndarray, h: float) -> np.ndarray:
-    """u_xx - (f(Theta))_x on the pinned/zero-flux closures."""
-    return dxx_values(u, h, BC_DIRICHLET) - dx_values(fth, h, BC_NEUMANN)
+def _wave(material: Material, u: np.ndarray, th: np.ndarray, h: float):
+    """u_xx - (f(Theta))_x on the pinned/zero-flux closures, and f(Theta)."""
+    fth = _f_of(material, th)
+    return dxx_values(u, h, BC_DIRICHLET) - dx_values(fth, h, BC_NEUMANN), fth
 
 
-class ImexStepper:
-    """First-order splitting: explicit coupling at the old level, then
-    backward-Euler solves for the stiff linear parts."""
+class _Stepper:
+    """Grid, material, config and the factors of scheme ``label``; a subclass adds ``advance``."""
 
-    label = "imex1"
+    label: str
 
     def __init__(self, grid: Grid, material: Material, cfg: SolverConfig):
         self.grid = grid
         self.material = material
         self.cfg = cfg
-        self.f = _cached_factors(grid, cfg.dt, cfg.epsilon, "imex1")
+        self.f = _cached_factors(grid, cfg.dt, cfg.epsilon, self.label)
+
+
+class ImexStepper(_Stepper):
+    """First-order splitting for the regularized system
+
+        v_t     = -eps v_xxxx + u_xx - (f(Theta))_x
+        u_t     =  eps u_xx + v
+        Theta_t =  Theta_xx - f(Theta) v_x
+
+    with v = v_xx = 0, u = 0, Theta_x = 0 on the boundary: explicit coupling
+    at the old level, then backward-Euler solves for the stiff linear parts.
+    The constitutive flux (f(Theta))_x is discretized conservatively (central
+    difference of nodal f values), and f(Theta) v_x pairs with it in the
+    discrete summation-by-parts sense, so the energy and mass bookkeeping
+    cancel at the grid level."""
+
+    label = "imex1"
 
     def advance(self, v, u, th, t):
         dt = self.cfg.dt
         h = self.grid.h
-        fth = _f_of(self.material, th)
-        rhs_v = _pin(v + dt * _wave_force(u, fth, h))
+        wave, fth = _wave(self.material, u, th, h)
+        rhs_v = _pin(v + dt * wave)
         rhs_u = _pin(u + dt * v)
         rhs_th = th - dt * fth * dx_values(v, h, BC_HINGED)
         v1 = self.f["lu_v"].solve(rhs_v) if self.f["lu_v"] is not None else rhs_v
@@ -160,18 +170,13 @@ class ImexStepper:
         return _pin(v1), _pin(u1), th1
 
 
-class Imex2Stepper:
-    """Strang arrangement: half Crank-Nicolson diffusion, full explicit
+class Imex2Stepper(_Stepper):
+    """Second-order Strang arrangement for the regularized system of
+    :class:`ImexStepper`: half Crank-Nicolson diffusion, full explicit
     coupling step with the constitutive terms at the half level, half
     Crank-Nicolson diffusion."""
 
     label = "imex2"
-
-    def __init__(self, grid: Grid, material: Material, cfg: SolverConfig):
-        self.grid = grid
-        self.material = material
-        self.cfg = cfg
-        self.f = _cached_factors(grid, cfg.dt, cfg.epsilon, "imex2")
 
     def _diffuse_half(self, v, u, th):
         f = self.f
@@ -185,13 +190,13 @@ class Imex2Stepper:
         dt = self.cfg.dt
         h = self.grid.h
         m = self.material
-        fth = _f_of(m, th)
-        v_half = _pin(v + 0.5 * dt * _wave_force(u, fth, h))
+        wave, fth = _wave(m, u, th, h)
+        v_half = _pin(v + 0.5 * dt * wave)
         u1 = _pin(u + dt * v_half)
         g = dx_values(v_half, h, BC_HINGED)
         th_mid = th - 0.5 * dt * fth * g
         th1 = th - dt * _f_of(m, th_mid) * g
-        v1 = _pin(v_half + 0.5 * dt * _wave_force(u1, _f_of(m, th1), h))
+        v1 = _pin(v_half + 0.5 * dt * _wave(m, u1, th1, h)[0])
         return v1, u1, th1
 
     def advance(self, v, u, th, t):
@@ -200,10 +205,19 @@ class Imex2Stepper:
         return self._diffuse_half(v, u, th)
 
 
-class LimitStepper:
-    """Leapfrog (kick-drift-kick) wave part, backward-Euler heat part with
-    the constitutive factor lagged; optional manufactured-solution forcing
-    (S_v added to the velocity equation, S_theta to the heat equation).
+class LimitStepper(_Stepper):
+    """Direct integrator for the limit system (eps = 0)
+
+        u_tt    = u_xx - (f(Theta))_x
+        Theta_t = Theta_xx - f(Theta) u_xt
+
+    written as a first-order system in (v, u, Theta) with v = u_t.  The wave
+    part is advanced by a kick-drift-kick leapfrog (explicit,
+    CFL-restricted), the heat part by an unconditionally stable backward-Euler
+    step with the constitutive factor lagged.  Supports rough initial data:
+    H1 displacement with strain jumps, bounded discontinuous velocity, L2
+    temperature.  An optional :data:`Forcing` (manufactured solutions) adds
+    S_v to the velocity equation and S_theta to the heat equation.
 
     Consecutive half-kicks share one evaluation of the wave part
     u_xx - (f(Theta))_x: ``advance`` returns read-only u and Theta and keeps
@@ -224,14 +238,9 @@ class LimitStepper:
     def __init__(self, grid: Grid, material: Material, cfg: SolverConfig,
                  forcing: Optional[Forcing] = None):
         if cfg.epsilon != 0.0:
-            raise ContractError(
-                f"limit integrator requires epsilon = 0, got {cfg.epsilon}"
-            )
-        self.grid = grid
-        self.material = material
-        self.cfg = cfg
+            raise ContractError(f"limit integrator requires epsilon = 0, got {cfg.epsilon}")
+        super().__init__(grid, material, cfg)
         self.forcing = forcing
-        self.f = _cached_factors(grid, cfg.dt, 0.0, "limit")
         self.nodes = grid.nodes
         # (u, Theta, t, wave part, force, f(Theta)) of the last closing half-kick
         self._carry = None
@@ -266,11 +275,6 @@ class LimitStepper:
         s_v, s_v1, s_th1 = self._tables
         return s_v[i], s_v1[i], s_th1[i]
 
-    def _wave(self, u, th):
-        """u_xx - (f(Theta))_x, and f(Theta)."""
-        fth = _f_of(self.material, th)
-        return _wave_force(u, fth, self.grid.h), fth
-
     def f_theta(self, th: np.ndarray) -> Optional[np.ndarray]:
         """f(max(Theta, 0)) kept from the last step if ``th`` is its Theta."""
         carry = self._carry
@@ -285,7 +289,7 @@ class LimitStepper:
             if self.forcing is not None and carry[2] != t:
                 force = wave + s_v
         else:
-            wave, fth = self._wave(u, th)
+            wave, fth = _wave(self.material, u, th, self.grid.h)
             force = wave + s_v
         v_half = _pin(v + 0.5 * dt * force)
         u1 = _pin(u + dt * v_half)
@@ -293,16 +297,10 @@ class LimitStepper:
         rhs_th = th + dt * (-fth * g + s_th1)
         th1 = self.f["lu_th"].solve(rhs_th)
         u1.flags.writeable = th1.flags.writeable = False
-        wave1, fth1 = self._wave(u1, th1)
+        wave1, fth1 = _wave(self.material, u1, th1, self.grid.h)
         force1 = wave1 + s_v1
         self._carry = (u1, th1, t + dt, wave1, force1, fth1)
         return _pin(v_half + 0.5 * dt * force1), u1, th1
-
-
-def make_eps_stepper(grid: Grid, material: Material, cfg: SolverConfig):
-    if cfg.scheme == "imex2":
-        return Imex2Stepper(grid, material, cfg)
-    return ImexStepper(grid, material, cfg)
 
 
 def check_step(v: np.ndarray, u: np.ndarray, th: np.ndarray, step: int, t: float,
@@ -337,7 +335,8 @@ def run_simulation(
     record_every: int = 1,
     recorder=None,
 ) -> Trajectory:
-    """March ``init`` to t_end, streaming per-step diagnostics.
+    """March ``init`` to t_end with ``stepper`` (``advance`` and ``label``),
+    streaming per-step diagnostics.
 
     Deterministic: identical inputs produce bit-identical trajectories.
     Step failures propagate with the failing time attached, and a
@@ -353,7 +352,7 @@ def run_simulation(
     cfg.check_cfl(grid)
     n_steps = cfg.n_steps()
 
-    traj = Trajectory(grid, cfg.epsilon, getattr(stepper, "label", cfg.scheme))
+    traj = Trajectory(grid, cfg.epsilon, stepper.label)
     rec = compute_record(init, material, grid, cfg.epsilon, None)
     traj.records.append(rec)
     traj.states.append(init)
@@ -389,3 +388,45 @@ def run_simulation(
         exc.last_record = rec
         raise
     return traj
+
+
+#: the eps > 0 stepper of each ``cfg.scheme``
+_EPS_STEPPERS = {"imex1": ImexStepper, "imex2": Imex2Stepper}
+
+
+def _step(stepper_class, state: State, material: Material, cfg: SolverConfig,
+          grid: Grid) -> State:
+    """One step of size cfg.dt from ``state`` with a fresh stepper."""
+    cfg.check_cfl(grid)
+    v, u, th = stepper_class(grid, material, cfg).advance(*state.block.copy(), state.t)
+    t_new = state.t + cfg.dt
+    check_step(v, u, th, round(t_new / cfg.dt), t_new, cfg, grid)
+    return make_state(t_new, v, u, th)
+
+
+def step_eps(state: State, material: Material, cfg: SolverConfig, grid: Grid) -> State:
+    """Advance the regularized system one step of size cfg.dt."""
+    return _step(_EPS_STEPPERS[cfg.scheme], state, material, cfg, grid)
+
+
+def step_limit(state: State, material: Material, cfg: SolverConfig, grid: Grid) -> State:
+    """One leapfrog/implicit-heat step of the limit system; requires cfg.epsilon = 0."""
+    return _step(LimitStepper, state, material, cfg, grid)
+
+
+def run_eps(init: State, material: Material, cfg: SolverConfig, grid: Grid,
+            recorder=None, record_every: int = 1) -> Trajectory:
+    """Integrate the regularized system from t = 0 to cfg.t_end."""
+    stepper = _EPS_STEPPERS[cfg.scheme](grid, material, cfg)
+    return run_simulation(stepper, init, material, cfg, grid, record_every, recorder)
+
+
+def run_limit(init: State, material: Material, cfg: SolverConfig, grid: Grid,
+              recorder=None, record_every: int = 1,
+              forcing: Optional[Forcing] = None) -> Trajectory:
+    """Integrate the limit system from t = 0 to cfg.t_end; requires
+    cfg.epsilon = 0.  ``forcing`` (S_v, S_theta) is for the
+    manufactured-solution study (production runs leave it None); it is
+    evaluated per chunk of steps as :class:`LimitStepper` says."""
+    stepper = LimitStepper(grid, material, cfg, forcing=forcing)
+    return run_simulation(stepper, init, material, cfg, grid, record_every, recorder)

@@ -23,6 +23,7 @@ from thermoelast1d.config import (
     parse_config,
     serialize_config,
 )
+from thermoelast1d import experiments
 from thermoelast1d.errors import ConfigError, Thermoelast1dError
 from thermoelast1d.grid import Grid
 from thermoelast1d.initial_data import equilibrium, standing_wave
@@ -56,6 +57,33 @@ def test_minimal_config_gets_defaults():
     dt = cfg.resolve_dt(grid)
     assert dt <= 0.5 * grid.h * (1 + 1e-12)
     assert abs(round(0.5 / dt) * dt - 0.5) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(-3.0, 3.0),
+    length=st.floats(0.05, 8.0),
+    n_cells=st.integers(2, 512),
+    t_end=st.floats(1e-3, 10.0),
+    cfl_safety=st.floats(0.01, 2.0),
+)
+def test_auto_dt_is_the_largest_cfl_safe_divisor(a, length, n_cells, t_end, cfl_safety):
+    """dt = auto is t_end / n for the fewest steps n that pass the CFL check:
+    t_end / (n - 1) fails it.  The experiments' half-CFL dt follows the same rule."""
+    def auto_dt(safety):
+        cfg = RunConfig(grid=GridSpec(a, a + length, n_cells),
+                        solver=SolverSpec(t_end=t_end, cfl_safety=safety))
+        return cfg.resolve_dt(cfg.build_grid())
+
+    grid = Grid(a, a + length, n_cells)
+    dt = auto_dt(cfl_safety)
+    n = round(t_end / dt)
+    assert dt == t_end / n
+    SolverConfig(dt=dt, t_end=t_end, cfl_safety=cfl_safety).check_cfl(grid)
+    if n > 1:
+        with pytest.raises(ConfigError, match="CFL"):
+            SolverConfig(dt=t_end / (n - 1), t_end=t_end, cfl_safety=cfl_safety).check_cfl(grid)
+    assert experiments._half_cfl_config(grid, t_end).dt == auto_dt(0.5)
 
 
 def test_negative_epsilon_message():

@@ -1,0 +1,134 @@
+"""The stepping module: the single-step mass identity of every scheme, and
+the package's public surface, whose solver modules re-export stepping."""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import thermoelast1d
+from thermoelast1d import initial_data, solver_eps, solver_limit, state, stepping
+from thermoelast1d.grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
+from thermoelast1d.materials import (eval_f, identity_material, log1p_material,
+                                     rational_saturating_material, tabulated_material)
+from thermoelast1d.state import SolverConfig, make_state
+from thermoelast1d.stepping import Imex2Stepper, step_eps, step_limit
+
+_XI = np.linspace(0.0, 4.0, 9)
+MATERIALS = [identity_material(), log1p_material(), rational_saturating_material(),
+             tabulated_material(_XI, np.log1p(_XI) + 0.25 * _XI)]
+
+
+def _flux(scheme, material, cfg, grid, init):
+    """f(Theta*) v*_x of one step: the nodal heat source -f(Theta) v_x at the
+    levels the scheme evaluates it.  imex1: the old level.  limit: Theta^n
+    and the half-kick velocity.  imex2: after the first Crank-Nicolson half
+    step, the half-kick velocity and the midpoint Theta of the coupling."""
+    v, u, th = init.block
+    dt, h = cfg.dt, grid.h
+    if scheme == "imex2":
+        v, u, th = Imex2Stepper(grid, material, cfg)._diffuse_half(v, u, th)
+    f0 = eval_f(material, np.maximum(th, 0.0))
+    if scheme == "imex1":
+        return f0 * dx_values(v, h, BC_HINGED)
+    v_half = v + 0.5 * dt * (dxx_values(u, h, BC_DIRICHLET) - dx_values(f0, h, BC_NEUMANN))
+    v_half[0] = v_half[-1] = 0.0
+    g = dx_values(v_half, h, BC_HINGED)
+    if scheme == "limit":
+        return f0 * g
+    return eval_f(material, np.maximum(th - 0.5 * dt * f0 * g, 0.0)) * g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(-2.0, 2.0),
+    length=st.floats(0.1, 5.0),
+    n_cells=st.integers(4, 160),
+    scheme=st.sampled_from(["limit", "imex1", "imex2"]),
+    epsilon=st.sampled_from([0.0, 1e-3, 1e-1]),
+    material=st.sampled_from(MATERIALS),
+    dt_frac=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_single_step_mass_identity(a, length, n_cells, scheme, epsilon, material, dt_frac,
+                                   seed):
+    """w.Theta_1 - w.Theta_0 = -dt w.(f(Theta*) v*_x) for one step of every
+    scheme (w the trapezoid weights): the Neumann heat matrices keep the
+    trapezoid sum, w^T (I - c D2) = w^T, so only the coupling changes the mass.
+
+    Round-off bound: 8 u (N + 4 dt/h^2) (w.|Theta_0| + w.|Theta_1| +
+    dt w.|f v_x|), u the unit round-off.  N covers the sums, and 1 + 4 dt/h^2
+    the column sums of |I - c D2| that bound w.(A x - b) for a backward-stable
+    solve (and a Crank-Nicolson product) of size c <= dt."""
+    g = Grid(a, a + length, n_cells)
+    rng = np.random.default_rng(seed)
+    x = (g.nodes - g.a) / g.length
+    modes = np.sin(np.pi * np.outer(np.arange(1, 5), x))
+    v = rng.uniform(-0.5, 0.5, 4) @ modes
+    u = rng.uniform(-0.5, 0.5, 4) @ modes * g.length
+    theta = rng.uniform(0.2, 2.0) + rng.uniform(0.0, 1.0) * rng.uniform(0.0, 1.0, g.n_nodes)
+    init = make_state(0.0, v, u, theta)
+    dt = dt_frac * 0.5 * g.h
+    if scheme == "limit":
+        cfg = SolverConfig(dt=dt, t_end=dt)
+        new = step_limit(init, material, cfg, g)
+    else:
+        cfg = SolverConfig(dt=dt, t_end=dt, epsilon=epsilon, scheme=scheme)
+        new = step_eps(init, material, cfg, g)
+    w = g.quad_weights()
+    flux = _flux(scheme, material, cfg, g, init)
+    th0, th1 = init.block[2], new.block[2]
+    residual = (w @ th1 - w @ th0) + dt * (w @ flux)
+    scale = w @ np.abs(th0) + w @ np.abs(th1) + dt * (w @ np.abs(flux))
+    bound = 8 * np.finfo(float).eps * (g.n_nodes + 4 * dt / g.h**2) * scale
+    assert abs(residual) <= bound
+
+
+#: the names ``import thermoelast1d`` gives, apart from submodules and dunders
+PUBLIC_NAMES = {
+    "BC_DIRICHLET", "BC_FREE", "BC_HINGED", "BC_NEUMANN", "DiagnosticsRecord", "Field",
+    "Grid", "Material", "SolverConfig", "State", "Trajectory", "dx", "dxx", "dxxxx",
+    "eval_f", "eval_fp", "eval_fpp", "gn_constants", "hypothesis_report",
+    "identity_material", "log1p_material", "make_material", "make_state",
+    "material_from_file", "norms", "prepare_rough_data", "rational_saturating_material",
+    "rho", "run_eps", "run_limit", "step_eps", "step_limit", "tabulated_material",
+}
+PUBLIC_MODULES = {"bounds", "diagnostics", "errors", "experiments", "grid", "initial_data",
+                  "materials", "solver_eps", "solver_limit", "state", "stepping"}
+
+
+def test_package_exports():
+    """A fresh ``import thermoelast1d`` (in a child process: importing any
+    submodule adds it to the package) gives exactly these names."""
+    code = ("import json, types, thermoelast1d as t; "
+            "print(json.dumps({k: isinstance(v, types.ModuleType) "
+            "for k, v in vars(t).items() if not k.startswith('_')}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    is_module = json.loads(out)
+    assert {k for k, m in is_module.items() if not m} == PUBLIC_NAMES
+    assert {k for k, m in is_module.items() if m} == PUBLIC_MODULES
+
+
+def test_solver_modules_re_export_stepping():
+    """solver_eps/solver_limit define nothing: each name is the stepping,
+    state or initial_data object."""
+    for module, names in ((solver_eps, ("run_eps", "step_eps", "run_simulation")),
+                          (solver_limit, ("run_limit", "step_limit", "run_simulation"))):
+        for name in names:
+            assert getattr(module, name) is getattr(stepping, name)
+        assert module.make_state is state.make_state
+    for name in ("run_eps", "step_eps", "run_limit", "step_limit"):
+        assert getattr(thermoelast1d, name) is getattr(stepping, name)
+    assert solver_limit.prepare_rough_data is initial_data.prepare_rough_data
+    assert solver_limit.ROUGH_KINDS is initial_data.ROUGH_KINDS
+    assert thermoelast1d.prepare_rough_data is initial_data.prepare_rough_data
+    for module in (solver_eps, solver_limit):
+        defined = [k for k, v in vars(module).items()
+                   if getattr(v, "__module__", None) == module.__name__]
+        assert not defined
