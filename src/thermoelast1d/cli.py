@@ -147,8 +147,18 @@ def _maybe_plot(args, traj, outdir):
         )
 
 
+def _float_list(flag: str, text: str) -> tuple:
+    try:
+        return tuple(float(item) for item in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} {text!r}: {exc}") from None
+
+
 def _kwargs_common(args):
     kw = {}
+    for flag, key in (("--eps-ladder", "eps_ladder"), ("--shifts", "shifts")):
+        if getattr(args, key, None):
+            kw[key] = _float_list(flag, getattr(args, key))
     if getattr(args, "n_cells", None) is not None:
         kw["n_cells"] = args.n_cells
     if getattr(args, "t_end", None) is not None:
@@ -161,21 +171,17 @@ def _kwargs_common(args):
 def _cmd_experiment(args) -> int:
     name = args.command
     outdir = args.output_dir or os.path.join(_output_root(), f"report-{name}")
+    kw = _kwargs_common(args)  # a bad list fails before the directory is made
     make_output_dir(outdir)
-    kw = _kwargs_common(args)
     if name == "energy-audit":
         report = experiments.exp_energy_audit(**kw)
     elif name == "stability":
         report = experiments.exp_stability(**kw)
     elif name == "eps-cauchy":
-        if getattr(args, "eps_ladder", None):
-            kw["eps_ladder"] = tuple(float(s) for s in args.eps_ladder.split(","))
         report = experiments.exp_eps_cauchy(**kw)
     elif name == "time-shift":
         if args.dt is not None:
             kw["dt"] = args.dt
-        if args.shifts:
-            kw["shifts"] = tuple(float(s) for s in args.shifts.split(","))
         kw["epsilon"] = args.epsilon
         report = experiments.exp_time_shift(**kw)
     elif name == "rough-data":

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ContractError, StructuralError
 from .grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx, dx_rows, dxx,
                    dxx_rows, integrate, l2_norm_sq, trapezoid_weights)
-from .materials import Material, eval_f, eval_fp, rho
+# eval_f and eval_fp are unused here; bench/probes.py patches them by name
+from .materials import Material, eval_f, eval_fp, f_kernel, fp_kernel, rho  # noqa: F401
 from .state import DiagnosticsRecord, State, Trajectory
 
 #: bc kinds of the rows (v, u, Theta) of a state block
@@ -89,9 +90,10 @@ def compute_record(
     np.square(rows[:7], out=rows[:7])
     rows[7] = th
     if valid:
-        # Theta >= rho_floor > 0 here, so f(max(Theta, 0)) is f(Theta)
-        fth = eval_f(material, th) if f_theta is None else f_theta
-        np.multiply(eval_fp(material, th) / fth, rows[2], out=rows[8])
+        # Theta >= rho_floor > 0 here, so f(max(Theta, 0)) is f(Theta) and
+        # the unchecked kernels apply
+        fth = f_kernel(material, th) if f_theta is None else f_theta
+        np.multiply(fp_kernel(material, th) / fth, rows[2], out=rows[8])
     ints = np.vecdot(rows, w).tolist()
     vx_sq, ux_sq, thx_sq, vxx_sq, uxx_sq, thxx_sq, v_sq, mass = ints[:8]
     y = 1.0 + 0.5 * vx_sq + 0.5 * uxx_sq + 0.5 * ints[8] if valid else None
@@ -133,7 +135,7 @@ def mass_identity_residual(traj: Trajectory, material: Material) -> np.ndarray:
         th = traj.stacked("theta", lo, hi)
         mass[lo:hi] = np.vecdot(th, w)
         integrand = (
-            eval_fp(material, np.maximum(th, 0.0))
+            fp_kernel(material, np.maximum(th, 0.0))
             * dx_rows(th, grid.h, BC_NEUMANN)
             * traj.stacked("v", lo, hi)
         )
@@ -339,9 +341,9 @@ def weak_form_residual(
         thx = dx_rows(th, grid.h, BC_NEUMANN)
         ux = dx_rows(u, grid.h, BC_DIRICHLET)
         th_pos = np.maximum(th, 0.0)
-        fp_thx = eval_fp(material, th_pos) * thx
+        fp_thx = fp_kernel(material, th_pos) * thx
         fp_thx_v = fp_thx * v
-        fv_v = eval_f(material, th_pos) * v
+        fv_v = f_kernel(material, th_pos) * v
         for i, (tf, (X, Xp)) in enumerate(zip(test_bank, space)):
             if tf.target == "wu":
                 pairs = ((u, X), (ux, Xp), (fp_thx, X))

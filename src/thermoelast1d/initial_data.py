@@ -107,6 +107,8 @@ def sawtooth_strain(
     the strain magnitude is amplitude * 2 * teeth / width on every segment."""
     if teeth < 1:
         raise ContractError(f"teeth must be >= 1, got {teeth}")
+    if theta_bar < 0.0:
+        raise ContractError(f"theta must be >= 0, got {theta_bar}")
     x = grid.nodes
     xh = (x - grid.a) / grid.length
     # tents of height `amplitude` anchored at zero between teeth

@@ -10,7 +10,8 @@ Admissible materials satisfy f(0) = 0, f' > 0 and bounded f', f'' on
 
 ``c3`` bounds f' from above, ``c4`` bounds |f''|; both enter the stability
 constants module.  Materials are immutable; every evaluation is pure and
-thread-safe.
+thread-safe.  ``eval_f``, ``eval_fp``, ``eval_fpp`` and ``rho`` check their
+argument; the ``*_kernel`` functions take a float array >= 0 unchecked.
 """
 
 from __future__ import annotations
@@ -140,77 +141,73 @@ def make_material(kind: str, rho_floor: float = DEFAULT_RHO_FLOOR, table_path=No
     raise ContractError(f"unknown material kind {kind!r}")
 
 
-def _as_nonneg(xi):
-    arr = np.asarray(xi, dtype=float)
-    if (arr < 0.0).any():
-        raise DomainError(f"material evaluated at negative argument (min {arr.min()})")
-    return arr
+def f_kernel(m: Material, x: np.ndarray) -> np.ndarray:
+    """f; the identity returns x itself, not a copy."""
+    if m.kind == KIND_IDENTITY:
+        return x
+    if m.kind == KIND_LOG1P:
+        return np.log1p(x)
+    if m.kind == KIND_RATIONAL:
+        return x / (1.0 + x)
+    t = m.table
+    return np.where(x <= t.xi_max, t.f(np.minimum(x, t.xi_max)),
+                    t.end_value + t.end_slope * (x - t.xi_max))
 
 
-def _ret(arr, scalar_in):
-    return float(arr) if scalar_in else arr
+def fp_kernel(m: Material, x: np.ndarray) -> np.ndarray:
+    if m.kind == KIND_IDENTITY:
+        return np.ones_like(x)
+    if m.kind == KIND_LOG1P:
+        return 1.0 / (1.0 + x)
+    if m.kind == KIND_RATIONAL:
+        return 1.0 / (1.0 + x) ** 2
+    t = m.table
+    return np.where(x <= t.xi_max, t.fp(np.minimum(x, t.xi_max)), t.end_slope)
+
+
+def fpp_kernel(m: Material, x: np.ndarray) -> np.ndarray:
+    if m.kind == KIND_IDENTITY:
+        return np.zeros_like(x)
+    if m.kind == KIND_LOG1P:
+        return -1.0 / (1.0 + x) ** 2
+    if m.kind == KIND_RATIONAL:
+        return -2.0 / (1.0 + x) ** 3
+    t = m.table
+    return np.where(x <= t.xi_max, t.fpp(np.minimum(x, t.xi_max)), 0.0)
+
+
+def _evaluate(kernel, m: Material, xi):
+    """The public preamble: refuse xi < 0, run the kernel, and return a float
+    for scalar input and never xi itself."""
+    scalar = np.isscalar(xi)
+    x = np.asarray(xi, dtype=float)
+    if (x < 0.0).any():
+        raise DomainError(f"material evaluated at negative argument (min {np.nanmin(x)})")
+    out = kernel(m, x)
+    if scalar:
+        return float(out)
+    return out.copy() if out is x else out
 
 
 def eval_f(m: Material, xi):
-    scalar = np.isscalar(xi)
-    x = _as_nonneg(xi)
-    if m.kind == KIND_IDENTITY:
-        out = x.copy() if not scalar else x
-    elif m.kind == KIND_LOG1P:
-        out = np.log1p(x)
-    elif m.kind == KIND_RATIONAL:
-        out = x / (1.0 + x)
-    else:
-        t = m.table
-        out = np.where(
-            x <= t.xi_max,
-            t.f(np.minimum(x, t.xi_max)),
-            t.end_value + t.end_slope * (x - t.xi_max),
-        )
-    return _ret(out, scalar)
+    return _evaluate(f_kernel, m, xi)
 
 
 def eval_fp(m: Material, xi):
-    scalar = np.isscalar(xi)
-    x = _as_nonneg(xi)
-    if m.kind == KIND_IDENTITY:
-        out = np.ones_like(x)
-    elif m.kind == KIND_LOG1P:
-        out = 1.0 / (1.0 + x)
-    elif m.kind == KIND_RATIONAL:
-        out = 1.0 / (1.0 + x) ** 2
-    else:
-        t = m.table
-        out = np.where(x <= t.xi_max, t.fp(np.minimum(x, t.xi_max)), t.end_slope)
-    return _ret(out, scalar)
+    return _evaluate(fp_kernel, m, xi)
 
 
 def eval_fpp(m: Material, xi):
-    scalar = np.isscalar(xi)
-    x = _as_nonneg(xi)
-    if m.kind == KIND_IDENTITY:
-        out = np.zeros_like(x)
-    elif m.kind == KIND_LOG1P:
-        out = -1.0 / (1.0 + x) ** 2
-    elif m.kind == KIND_RATIONAL:
-        out = -2.0 / (1.0 + x) ** 3
-    else:
-        t = m.table
-        out = np.where(x <= t.xi_max, t.fpp(np.minimum(x, t.xi_max)), 0.0)
-    return _ret(out, scalar)
+    return _evaluate(fpp_kernel, m, xi)
 
 
 def rho(m: Material, xi):
     """Weight rho(xi) = f'(xi) / f(xi), refused below the positivity floor."""
-    scalar = np.isscalar(xi)
     x = np.asarray(xi, dtype=float)
     low = float(np.min(x)) if x.size else np.inf
     if low < m.rho_floor:
-        raise PositivityFloorError(
-            f"rho requested at xi={low:.3e} below floor {m.rho_floor:.3e}"
-        )
-    out = eval_fp(m, x) / eval_f(m, x)
-    return _ret(out, scalar)
+        raise PositivityFloorError(f"rho requested at xi={low:.3e} below floor {m.rho_floor:.3e}")
+    return _evaluate(lambda m, x: fp_kernel(m, x) / f_kernel(m, x), m, xi)
 
 
 @dataclass(frozen=True)

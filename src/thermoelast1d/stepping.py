@@ -38,7 +38,8 @@ from scipy.sparse.linalg import splu
 from .diagnostics import compute_record
 from .errors import ContractError, PositivityError, SchemeError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
-from .materials import Material, eval_f
+# eval_f is unused here; bench/probes.py patches it by name
+from .materials import Material, eval_f, f_kernel  # noqa: F401
 from .state import SolverConfig, State, Trajectory, block_rows, make_state
 
 #: (S_v, S_theta): each maps the node array and a ``(C, 1)`` column of times
@@ -119,8 +120,9 @@ def _pin(arr: np.ndarray) -> np.ndarray:
 
 
 def _f_of(material: Material, th: np.ndarray) -> np.ndarray:
-    # undershoots within the positivity tolerance are evaluated as f(0) = 0
-    return eval_f(material, np.maximum(th, 0.0))
+    # undershoots within the positivity tolerance are evaluated as f(0) = 0,
+    # so the kernel's argument is >= 0 by construction
+    return f_kernel(material, np.maximum(th, 0.0))
 
 
 def _wave(material: Material, u: np.ndarray, th: np.ndarray, h: float):

@@ -100,6 +100,19 @@ def test_experiment_hard_fail_exit_1(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("argv, flag, item", [
+    (["eps-cauchy", "--eps-ladder", "0.1,abc"], "--eps-ladder", "abc"),
+    (["time-shift", "--shifts", "0.1,x"], "--shifts", "'x'"),
+    (["time-shift", "--shifts", "0.1,,0.2"], "--shifts", "''"),
+])
+def test_bad_float_list_is_a_config_error(tmp_path, capsys, argv, flag, item):
+    outdir = tmp_path / "rep"
+    assert main(argv + ["--output-dir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err and item in err
+    assert not outdir.exists()  # refused before the report directory is made
+
+
 def test_output_root_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("THERMOELAST1D_OUTPUT_ROOT", str(tmp_path))
     cfg = tmp_path / "run.cfg"

@@ -369,15 +369,16 @@ def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
     through the grid a fixed number of times, not once per step.
     The limit run evaluates f once per step: the closing half-kick's f(Theta)
     serves the next opening half-kick and the row's rho.  A forced limit run
-    adds one evaluation of each forcing table per run of one chunk."""
+    adds one evaluation of each forcing table per run of one chunk.
+    f is counted at ``f_kernel``, which every evaluation reaches once, through
+    the checked ``eval_f`` or directly."""
     import thermoelast1d.diagnostics as diagnostics_mod
-    import thermoelast1d.experiments as experiments_mod
     import thermoelast1d.materials as materials_mod
     import thermoelast1d.stepping as stepping_mod
 
     counts = Counter()
     post_init, quad_weights = Field.__post_init__, Grid.quad_weights
-    eval_f = materials_mod.eval_f
+    f_kernel = materials_mod.f_kernel
 
     def counted_post_init(self, *args):
         counts["fields"] += 1
@@ -387,14 +388,14 @@ def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
         counts["weights"] += 1
         return quad_weights(self)
 
-    def counted_eval_f(*args):
+    def counted_f_kernel(*args):
         counts["eval_f"] += 1
-        return eval_f(*args)
+        return f_kernel(*args)
 
     monkeypatch.setattr(Field, "__post_init__", counted_post_init)
     monkeypatch.setattr(Grid, "quad_weights", counted_quad_weights)
-    for module in (materials_mod, stepping_mod, diagnostics_mod, experiments_mod):
-        monkeypatch.setattr(module, "eval_f", counted_eval_f)
+    for module in (materials_mod, stepping_mod, diagnostics_mod):
+        monkeypatch.setattr(module, "f_kernel", counted_f_kernel)
     g = Grid(0.0, 1.0, 64)
     init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
     seen, fields, f_calls = {}, {}, {}

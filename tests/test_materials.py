@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoelast1d.errors import (
     ContractError,
@@ -11,6 +13,9 @@ from thermoelast1d.materials import (
     eval_f,
     eval_fp,
     eval_fpp,
+    f_kernel,
+    fp_kernel,
+    fpp_kernel,
     hypothesis_report,
     identity_material,
     log1p_material,
@@ -21,6 +26,10 @@ from thermoelast1d.materials import (
 )
 
 ALL_BUILTINS = [identity_material(), log1p_material(), rational_saturating_material()]
+_XI = np.linspace(0.0, 3.0, 7)
+TABULATED = tabulated_material(_XI, np.log1p(_XI) + 0.25 * _XI)
+ALL_KINDS = ALL_BUILTINS + [TABULATED]
+PAIRS = ((f_kernel, eval_f), (fp_kernel, eval_fp), (fpp_kernel, eval_fpp))
 
 
 def test_identity_point_values():
@@ -143,3 +152,53 @@ def test_material_from_file(tmp_path):
     m = material_from_file(path)
     assert m.kind == "user_tabulated"
     assert eval_f(m, 1.0) == pytest.approx(0.5, abs=1e-3)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+_XI_MAX = float(_XI[-1])
+_SPECIAL = st.sampled_from([0.0, TABULATED.rho_floor, _XI_MAX, np.nextafter(_XI_MAX, 0.0),
+                            np.nextafter(_XI_MAX, np.inf), 2.0 * _XI_MAX, 1e6, np.nan])
+_POINTS = st.lists(st.one_of(_SPECIAL, st.floats(0.0, 4.0 * _XI_MAX)), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.sampled_from(ALL_KINDS), xs=_POINTS)
+def test_kernels_equal_public_functions_bit_for_bit(m, xs):
+    """Tabulated points run below, at and beyond xi_max; NaN passes both."""
+    x = np.array(xs)
+    for kernel, public in PAIRS:
+        assert _bits(kernel(m, x.copy())) == _bits(public(m, x))
+        for xi in xs:
+            assert _bits(kernel(m, np.asarray(xi))) == _bits(public(m, xi))
+    high = np.maximum(x, m.rho_floor)
+    assert _bits(fp_kernel(m, high) / f_kernel(m, high)) == _bits(rho(m, high))
+
+
+@pytest.mark.parametrize("m", ALL_KINDS, ids=lambda m: m.kind)
+def test_public_functions_check_and_return_floats_and_copies(m):
+    for _, public in PAIRS:
+        with pytest.raises(DomainError):
+            public(m, -1e-300)
+        with pytest.raises(DomainError):
+            public(m, np.array([1.0, -0.5, 2.0]))
+        for xi in (0, 0.5, np.float64(2.0), _XI_MAX):
+            assert type(public(m, xi)) is float
+    x = np.array([0.0, 0.5, 2.0])
+    out = eval_f(m, x)
+    assert out is not x and not np.shares_memory(out, x)
+    assert type(rho(m, 0.5)) is float
+
+
+def test_identity_kernel_returns_its_argument():
+    x = np.array([0.0, 0.5, 2.0])
+    assert f_kernel(identity_material(), x) is x
+
+
+def test_negative_argument_reported_past_nan():
+    m = log1p_material()
+    with pytest.raises(DomainError, match=r"\(min -0\.1\)"):
+        eval_f(m, np.array([0.5, np.nan, -0.1]))
+    assert np.isnan(eval_f(m, np.array([0.5, np.nan]))[1])  # NaN alone is not refused

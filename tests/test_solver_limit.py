@@ -165,6 +165,15 @@ def test_sawtooth_strain_sup_slope():
     assert s.u.values[0] == 0.0 and s.u.values[-1] == 0.0
 
 
+def test_sawtooth_strain_rejects_negative_temperature():
+    g = Grid(0.0, 1.0, 64)
+    with pytest.raises(ContractError, match="theta must be >= 0"):
+        sawtooth_strain(g, theta_bar=-1.0)
+    with pytest.raises(ContractError, match="theta must be >= 0"):
+        prepare_rough_data("sawtooth_strain", g, theta_bar=-1e-12)
+    assert np.all(sawtooth_strain(g, theta_bar=0.0).theta.values == 0.0)
+
+
 def test_random_theta_zero_amplitude():
     g = Grid(0.0, 1.0, 64)
     s = random_l2_theta(g, seed=3, amplitude=0.0)
