@@ -9,6 +9,7 @@ errors.  THERMOELAST1D_OUTPUT_ROOT sets the default output root.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -67,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("identity", "log1p", "rational_saturating"))
         _add_plot_flag(ep)
         if name in ("energy-audit", "stability", "eps-cauchy", "rough-data"):
-            ep.add_argument("--n-cells", type=int)
+            ep.add_argument("--n-cells", type=int, help=(
+                "coarsest level N of the doubling ladder N, 2N, 4N (default 256)"
+                if name == "rough-data" else None))
             ep.add_argument("--t-end", type=float)
         if name == "eps-cauchy":
             ep.add_argument("--eps-ladder", type=str,
@@ -106,10 +109,10 @@ def _cmd_run(args) -> int:
     material = cfg.build_material()
     solver_cfg = cfg.build_solver_config(grid)
     init = cfg.build_initial_state(grid)
+    solver_cfg.check_cfl(grid)  # a ConfigError, reported by main like a parse error
     outdir = args.output_dir or os.path.join(_output_root(), cfg.output.directory)
     make_output_dir(outdir)  # an unusable path fails before any step is taken
 
-    # a ConfigError (CFL) is reported by main like a parse error
     if solver_cfg.epsilon > 0.0:
         traj = run_eps(init, material, solver_cfg, grid,
                        record_every=cfg.output.record_every)
@@ -147,14 +150,38 @@ def _maybe_plot(args, traj, outdir):
         )
 
 
+#: float flags whose value must be finite and > 0
+_POSITIVE_FLAGS = ("t_end", "dt", "epsilon", "eta", "K", "T")
+
+
 def _float_list(flag: str, text: str) -> tuple:
     try:
-        return tuple(float(item) for item in text.split(","))
+        values = tuple(float(item) for item in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad {flag} {text!r}: {exc}") from None
+    bad = [f"bad {flag} {text!r}: item {v!r} must be finite and > 0"
+           for v in values if not 0.0 < v < math.inf]
+    if bad:
+        raise ConfigError(bad)
+    return values
+
+
+def _check_ranges(args) -> None:
+    """Refuse every out-of-range numeric flag, naming the flag and its value."""
+    errors = []
+    n_cells = getattr(args, "n_cells", None)
+    if n_cells is not None and n_cells < 2:
+        errors.append(f"bad --n-cells {n_cells}: must be >= 2")
+    for key in _POSITIVE_FLAGS:
+        value = getattr(args, key, None)
+        if value is not None and not 0.0 < value < math.inf:
+            errors.append(f"bad --{key.replace('_', '-')} {value!r}: must be finite and > 0")
+    if errors:
+        raise ConfigError(errors)
 
 
 def _kwargs_common(args):
+    _check_ranges(args)
     kw = {}
     for flag, key in (("--eps-ladder", "eps_ladder"), ("--shifts", "shifts")):
         if getattr(args, key, None):
@@ -185,6 +212,9 @@ def _cmd_experiment(args) -> int:
         kw["epsilon"] = args.epsilon
         report = experiments.exp_time_shift(**kw)
     elif name == "rough-data":
+        if "n_cells" in kw:
+            n = kw.pop("n_cells")
+            kw["n_levels"] = (n, 2 * n, 4 * n)
         kw["kind"] = args.kind
         report = experiments.exp_rough_data(**kw)
     elif name == "mms":
@@ -208,6 +238,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    _check_ranges(args)
     try:
         a_str, b_str = args.omega.split(",")
         grid = Grid(float(a_str), float(b_str), 8)

@@ -21,6 +21,7 @@ Configs round-trip losslessly through :func:`serialize_config`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -36,7 +37,7 @@ from .initial_data import (
     step_strain,
 )
 from .materials import Material, make_material
-from .state import SCHEMES, SolverConfig, State, cfl_dt
+from .state import SCHEMES, SolverConfig, State, cfl_dt, whole_steps
 
 _FORMATS = ("csv", "json_lines")
 
@@ -304,10 +305,13 @@ def _semantic_errors(cfg: RunConfig):
         errs.append(f"solver.epsilon must be >= 0, got {s.epsilon}")
     if s.dt is not None and not s.dt > 0:
         errs.append(f"solver.dt must be > 0 (or auto), got {s.dt}")
-    if not s.t_end > 0:
-        errs.append(f"solver.t_end must be > 0, got {s.t_end}")
-    if s.dt is not None and s.t_end > 0 and s.dt > s.t_end:
-        errs.append(f"solver.dt={s.dt} exceeds solver.t_end={s.t_end}")
+    if not 0 < s.t_end < math.inf:
+        errs.append(f"solver.t_end must be finite and > 0, got {s.t_end}")
+    elif s.dt is not None and s.dt > 0:
+        if s.dt > s.t_end:
+            errs.append(f"solver.dt={s.dt} exceeds solver.t_end={s.t_end}")
+        elif whole_steps(s.t_end, s.dt) is None:
+            errs.append(f"solver.dt={s.dt} does not divide solver.t_end={s.t_end}")
     if s.scheme not in SCHEMES:
         errs.append(f"solver.scheme must be one of {SCHEMES}, got {s.scheme!r}")
     if not s.cfl_safety > 0:

@@ -16,13 +16,16 @@ argument; the ``*_kernel`` functions take a float array >= 0 unchecked.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .errors import ContractError, DomainError, HypothesisError, PositivityFloorError
+from .errors import ConfigError, ContractError, DomainError, HypothesisError, PositivityFloorError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 KIND_IDENTITY = "identity"
 KIND_LOG1P = "log1p"
@@ -102,6 +105,7 @@ def tabulated_material(
         problems.append("f samples must be strictly increasing (f' > 0)")
     if problems:
         raise HypothesisError("; ".join(problems))
+    from scipy.interpolate import PchipInterpolator  # loaded by the first table only
     f = PchipInterpolator(xi, fxi, extrapolate=False)
     fp = f.derivative()
     fpp = f.derivative(2)
@@ -120,10 +124,19 @@ def tabulated_material(
 
 
 def material_from_file(path, rho_floor: float = DEFAULT_RHO_FLOOR) -> Material:
-    """Load a tabulated material from two-column numeric text."""
-    data = np.loadtxt(path)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ContractError(f"{path}: expected two numeric columns")
+    """Load a tabulated material from two-column numeric text.
+
+    A file that cannot be read, holds a non-numeric entry or is not two
+    columns of >= 3 rows raises :class:`ConfigError` naming ``path``."""
+    try:
+        with warnings.catch_warnings():  # an empty file: the shape check names it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"material table {path}: {exc}") from None
+    if data.shape[1] != 2 or data.shape[0] < 3:
+        raise ConfigError(f"material table {path}: expected two numeric columns with "
+                          f">= 3 rows, got shape {data.shape}")
     return tabulated_material(data[:, 0], data[:, 1], rho_floor=rho_floor)
 
 

@@ -130,8 +130,8 @@ class SolverConfig:
 
     def n_steps(self) -> int:
         """Number of steps; t_end must be an integer multiple of dt."""
-        n = int(round(self.t_end / self.dt))
-        if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(self.t_end, 1.0):
+        n = whole_steps(self.t_end, self.dt)
+        if n is None:
             raise ContractError(
                 f"t_end={self.t_end} is not an integer multiple of dt={self.dt}"
             )
@@ -142,6 +142,15 @@ class SolverConfig:
         if self.dt > limit * _CFL_SLACK:
             raise ConfigError(f"dt={self.dt:g} violates the wave CFL restriction "
                               f"dt <= cfl_safety*h = {limit:g}")
+
+
+def whole_steps(t_end: float, dt: float) -> Optional[int]:
+    """The step count n >= 1 with n * dt = t_end to a relative 1e-9, or None
+    when dt does not divide t_end."""
+    n = int(round(t_end / dt))
+    if n < 1 or abs(n * dt - t_end) > 1e-9 * max(t_end, 1.0):
+        return None
+    return n
 
 
 def cfl_dt(grid: Grid, t_end: float, cfl_safety: float = 0.5) -> float:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from thermoelast1d.cli import main
+from thermoelast1d.config import parse_config
+from thermoelast1d.materials import tabulated_material
 from thermoelast1d.output import read_diagnostics_csv
+from thermoelast1d.stepping import run_limit
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -143,3 +146,90 @@ def test_output_dir_that_is_a_file_fails_before_compute(tmp_path, capsys, monkey
         assert rc == 1
         assert err.startswith("error: ") and str(afile) in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["step_strain", "sawtooth_strain", "random_L2_theta"])
+def test_rough_data_n_cells_is_the_coarsest_level(tmp_path, capsys, kind):
+    outdir = tmp_path / "rep"
+    rc = main(["rough-data", "--kind", kind, "--n-cells", "8", "--t-end", "0.0625",
+               "--output-dir", str(outdir)])
+    err = capsys.readouterr().err
+    assert rc in (0, 1) and "Traceback" not in err  # N = 8 is too coarse to pass
+    assert '"n_levels": [8, 16, 32]' in (outdir / "verdict.txt").read_text()
+
+
+_TABLE_CFG = ("[grid]\nn_cells = 16\n[material]\nkind = user_tabulated\ntable = {table}\n"
+              "[solver]\nt_end = 0.125\n[initial_data]\nkind = standing_wave\n"
+              "amplitude = 0.1\n")
+
+
+@pytest.mark.parametrize("content, complaint", [
+    (None, "not found"),
+    ("0 0\n1 0.5\n2 abc\n", "could not convert string 'abc'"),
+    ("0 0 0\n1 0.5 1\n2 0.7 2\n", "expected two numeric columns"),
+])
+def test_run_bad_table_is_a_config_error(tmp_path, capsys, content, complaint):
+    table = tmp_path / "table.txt"
+    if content is not None:
+        table.write_text(content)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_TABLE_CFG.format(table=table))
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output-dir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(table) in err and complaint in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_run_tabulated_material(tmp_path, capsys):
+    xs = np.linspace(0.0, 4.0, 17)
+    table = tmp_path / "table.txt"
+    np.savetxt(table, np.column_stack([xs, np.log1p(xs)]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_TABLE_CFG.format(table=table))
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output-dir", str(outdir)]) == 0
+    # the same run in process on the same samples gives the same energies
+    run_cfg = parse_config(cfg.read_text())
+    grid = run_cfg.build_grid()
+    traj = run_limit(run_cfg.build_initial_state(grid), tabulated_material(xs, np.log1p(xs)),
+                     run_cfg.build_solver_config(grid), grid)
+    diag = read_diagnostics_csv(outdir / "diagnostics.csv")
+    assert np.array_equal(diag["E"], traj.record_series("energy"))
+
+
+@pytest.mark.parametrize("solver, complaint", [
+    ("dt = 0.003\nt_end = 0.01\n", "solver.dt=0.003 does not divide solver.t_end=0.01"),
+    ("dt = 0.05\nt_end = 0.1\n", "violates the wave CFL restriction"),
+])
+def test_run_bad_dt_fails_before_the_output_dir(tmp_path, capsys, solver, complaint):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nn_cells = 16\n[solver]\n" + solver)
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output-dir", str(outdir)]) == 2
+    assert complaint in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["stability", "--n-cells", "1"], "--n-cells", "1"),
+    (["rough-data", "--n-cells", "0"], "--n-cells", "0"),
+    (["energy-audit", "--t-end", "-1"], "--t-end", "-1.0"),
+    (["eps-cauchy", "--t-end", "nan"], "--t-end", "nan"),
+    (["time-shift", "--dt", "0"], "--dt", "0.0"),
+    (["time-shift", "--epsilon", "0"], "--epsilon", "0.0"),
+    (["time-shift", "--shifts", "0.1,-0.05"], "--shifts", "-0.05"),
+    (["eps-cauchy", "--eps-ladder", "0.1,0"], "--eps-ladder", "0.0"),
+    (["constants", "--eta", "0"], "--eta", "0.0"),
+    (["constants", "--K", "-2"], "--K", "-2.0"),
+    (["constants", "--T", "inf"], "--T", "inf"),
+])
+def test_out_of_range_flag_is_a_config_error(tmp_path, capsys, argv, flag, value):
+    outdir = tmp_path / "rep"
+    extra = [] if argv[0] == "constants" else ["--output-dir", str(outdir)]
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad " + flag) and value in err
+    assert "Traceback" not in err
+    assert not outdir.exists()  # refused before the report directory is made

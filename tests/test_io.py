@@ -117,6 +117,28 @@ def test_all_errors_collected_not_just_first():
     assert len(exc.value.errors) >= 4
 
 
+@pytest.mark.parametrize("dt, t_end, error", [
+    (0.003, 0.01, "solver.dt=0.003 does not divide solver.t_end=0.01"),
+    (0.004, 0.01, "solver.dt=0.004 does not divide solver.t_end=0.01"),
+    (0.1, float("inf"), "solver.t_end must be finite and > 0, got inf"),
+    (0.002, 0.01, None), (1e-3, 0.123, None), (0.1, 0.3, None),
+])
+def test_explicit_dt_must_divide_t_end(dt, t_end, error):
+    """The parser applies SolverConfig.n_steps's rule: a dt that does not
+    divide t_end is a config error, not a failure at run time."""
+    text = f"[solver]\ndt = {dt!r}\nt_end = {t_end!r}\n"
+    if error is None:
+        assert parse_config(text).solver.dt == dt
+        assert SolverConfig(dt=dt, t_end=t_end).n_steps() == round(t_end / dt)
+        return
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [error]
+    if "divide" in error:
+        with pytest.raises(Thermoelast1dError, match="not an integer multiple"):
+            SolverConfig(dt=dt, t_end=t_end).n_steps()
+
+
 def test_initial_data_kind_schema():
     with pytest.raises(ConfigError) as exc:
         parse_config("[initial_data]\nkind = equilibrium\namplitude = 1\n")

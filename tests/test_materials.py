@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoelast1d.errors import (
+    ConfigError,
     ContractError,
     DomainError,
     HypothesisError,
@@ -202,3 +209,53 @@ def test_negative_argument_reported_past_nan():
     with pytest.raises(DomainError, match=r"\(min -0\.1\)"):
         eval_f(m, np.array([0.5, np.nan, -0.1]))
     assert np.isnan(eval_f(m, np.array([0.5, np.nan]))[1])  # NaN alone is not refused
+
+
+def test_pchip_loads_with_the_first_table_only():
+    """In a fresh interpreter (a child process), ``scipy.interpolate`` stays
+    unloaded through the package and CLI imports, a default limit run and an
+    experiment, and loads when a tabulated material is built; the sparse LU
+    modules load with the package."""
+    code = textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        import thermoelast1d, thermoelast1d.cli
+        from thermoelast1d import experiments, initial_data
+        from thermoelast1d.state import cfl_dt
+
+        mods = ("scipy.interpolate", "scipy.sparse", "scipy.sparse.linalg")
+        seen = {"import": [m for m in mods if m in sys.modules]}
+        grid = thermoelast1d.Grid(0.0, 1.0, 8)
+        cfg = thermoelast1d.SolverConfig(dt=cfl_dt(grid, 0.125), t_end=0.125)
+        init = initial_data.standing_wave(grid, amplitude=0.1)
+        thermoelast1d.run_limit(init, thermoelast1d.identity_material(), cfg, grid)
+        experiments.exp_stability(n_cells=8, t_end=0.125)
+        seen["runs"] = [m for m in mods if m in sys.modules]
+        xi = np.linspace(0.0, 2.0, 5)
+        thermoelast1d.tabulated_material(xi, np.log1p(xi))
+        seen["table"] = [m for m in mods if m in sys.modules]
+        print(json.dumps(seen))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    seen = json.loads(out)
+    sparse = ["scipy.sparse", "scipy.sparse.linalg"]
+    assert seen == {"import": sparse, "runs": sparse, "table": ["scipy.interpolate"] + sparse}
+
+
+@pytest.mark.parametrize("content, match", [
+    (None, "not found"),
+    ("0 0\n1 0.5\n2 x\n", "could not convert"),
+    ("0 0 0\n1 0.5 1\n2 0.7 2\n", r"two numeric columns .* shape \(3, 3\)"),
+    ("0\n1\n2\n", r"shape \(3, 1\)"),
+    ("0 0\n1 0.5\n", r"shape \(2, 2\)"),
+    ("", r"shape \(0, 1\)"),
+])
+def test_bad_table_file_is_a_config_error(tmp_path, content, match):
+    path = tmp_path / "table.txt"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ConfigError, match=match) as exc:
+        material_from_file(path)
+    assert str(path) in str(exc.value)
