@@ -9,6 +9,7 @@ errors.  THERMOELAST1D_OUTPUT_ROOT sets the default output root.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -17,14 +18,19 @@ import numpy as np
 
 from . import bounds, experiments
 from .config import parse_config
-from .errors import ConfigError, Thermoelast1dError
+from .errors import ConfigError, ContractError, Thermoelast1dError
 from .grid import Grid, gn_constants
-from .materials import make_material
+from .initial_data import ROUGH_KINDS
+from .materials import KIND_TABULATED, KINDS, make_material
 from .output import (export_trajectory, make_output_dir, write_gnuplot, write_report,
                      write_svg_series)
+from .state import SolverConfig, whole_steps
 from .stepping import run_eps, run_limit
 
 OUTPUT_ROOT_ENV = "THERMOELAST1D_OUTPUT_ROOT"
+
+#: the material kinds a flag can name (a tabulated one needs a config)
+_MATERIALS = tuple(k for k in KINDS if k != KIND_TABULATED)
 
 
 def _output_root() -> str:
@@ -37,6 +43,63 @@ def _add_plot_flag(p):
         choices=("gnuplot", "svg"),
         help="emit plot artifacts: gnuplot data+script, or a standalone SVG",
     )
+
+
+def _rough_levels(kw, params) -> None:
+    if "n_cells" in kw:
+        n = kw.pop("n_cells")
+        kw["n_levels"] = (n, 2 * n, 4 * n)
+
+
+def _check_eps_ladder(kw, params) -> None:
+    ladder = params["eps_ladder"]
+    if any(e2 >= e1 for e1, e2 in zip(ladder, ladder[1:])):
+        raise ConfigError(f"bad --eps-ladder {ladder}: must be strictly decreasing")
+
+
+def _check_time_shift(kw, params) -> None:
+    dt, t_end = params["dt"], params["t_end"]
+    n_steps = whole_steps(t_end, dt)
+    if n_steps is None:
+        raise ConfigError(f"bad --t-end {t_end!r}: not a multiple of --dt {dt!r}")
+    for shift in params["shifts"]:
+        k = whole_steps(shift, dt)
+        if k is None or k > n_steps:
+            raise ConfigError(f"bad --shifts item {shift!r}: not a multiple of --dt {dt!r} "
+                              f"up to --t-end {t_end!r}")
+    grid = Grid(params["a"], params["b"], params["n_cells"])
+    SolverConfig(dt=dt, t_end=t_end).check_cfl(grid)
+
+
+_N_CELLS = ("--n-cells", dict(type=int))
+_T_END = ("--t-end", dict(type=float))
+_LIST_FLAGS = ("--eps-ladder", "--shifts")
+
+#: experiment subcommand -> (help, flags beyond --output-dir/--material/--plot,
+#: hook(kwargs, parameters) that checks or adapts the call before the report
+#: directory is made); each runs ``experiments.exp_<name>``
+_EXPERIMENTS = {
+    "energy-audit": ("energy identity drift and refinement study", (_N_CELLS, _T_END), None),
+    "stability": ("continuous dependence under initial perturbations",
+                  (_N_CELLS, _T_END), None),
+    "eps-cauchy": ("regularization-parameter convergence ladder", (
+        _N_CELLS, _T_END,
+        ("--eps-ladder", dict(type=str, help="comma list, strictly decreasing")),
+    ), _check_eps_ladder),
+    "time-shift": ("time-shift stability against the explicit constant", (
+        ("--epsilon", dict(type=float, default=1e-2)),
+        ("--shifts", dict(type=str, help="comma list of time shifts")),
+        ("--dt", dict(type=float)),
+        _T_END, _N_CELLS,
+    ), _check_time_shift),
+    "rough-data": ("low-regularity data refinement study", (
+        ("--n-cells", dict(type=int, help=(
+            "coarsest level N of the doubling ladder N, 2N, 4N (default 256)"))),
+        _T_END,
+        ("--kind", dict(default="step_strain", choices=ROUGH_KINDS)),
+    ), _rough_levels),
+    "mms": ("manufactured-solution convergence orders", (), None),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,37 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--output-dir", help="override [output] directory")
     _add_plot_flag(runp)
 
-    for name, helptext in (
-        ("energy-audit", "energy identity drift and refinement study"),
-        ("stability", "continuous dependence under initial perturbations"),
-        ("eps-cauchy", "regularization-parameter convergence ladder"),
-        ("time-shift", "time-shift stability against the explicit constant"),
-        ("rough-data", "low-regularity data refinement study"),
-        ("mms", "manufactured-solution convergence orders"),
-    ):
+    for name, (helptext, flags, _) in _EXPERIMENTS.items():
         ep = sub.add_parser(name, help=helptext)
         ep.add_argument("--output-dir", help="directory for the report")
-        ep.add_argument("--material", default="identity",
-                        choices=("identity", "log1p", "rational_saturating"))
+        ep.add_argument("--material", default="identity", choices=_MATERIALS)
         _add_plot_flag(ep)
-        if name in ("energy-audit", "stability", "eps-cauchy", "rough-data"):
-            ep.add_argument("--n-cells", type=int, help=(
-                "coarsest level N of the doubling ladder N, 2N, 4N (default 256)"
-                if name == "rough-data" else None))
-            ep.add_argument("--t-end", type=float)
-        if name == "eps-cauchy":
-            ep.add_argument("--eps-ladder", type=str,
-                            help="comma list, strictly decreasing")
-        if name == "time-shift":
-            ep.add_argument("--epsilon", type=float, default=1e-2)
-            ep.add_argument("--shifts", type=str, help="comma list of time shifts")
-            ep.add_argument("--dt", type=float)
-            ep.add_argument("--t-end", type=float)
-            ep.add_argument("--n-cells", type=int)
-        if name == "rough-data":
-            ep.add_argument("--kind", default="step_strain",
-                            choices=("step_strain", "sawtooth_strain",
-                                     "random_L2_theta"))
+        for flag, kwargs in flags:
+            ep.add_argument(flag, **kwargs)
 
     cp = sub.add_parser("constants", help="print the stability-constants ledger")
     cp.add_argument("--eta", type=float, default=0.5)
@@ -92,8 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--T", type=float, default=1.0)
     cp.add_argument("--omega", type=str, default="0,1",
                     help="interval endpoints 'a,b'")
-    cp.add_argument("--material", default="identity",
-                    choices=("identity", "log1p", "rational_saturating"))
+    cp.add_argument("--material", default="identity", choices=_MATERIALS)
     return p
 
 
@@ -108,7 +146,10 @@ def _cmd_run(args) -> int:
     grid = cfg.build_grid()
     material = cfg.build_material()
     solver_cfg = cfg.build_solver_config(grid)
-    init = cfg.build_initial_state(grid)
+    try:
+        init = cfg.build_initial_state(grid)
+    except ContractError as exc:  # a value the builder refuses, as teeth = 0
+        raise ConfigError(f"initial_data: {exc}") from None
     solver_cfg.check_cfl(grid)  # a ConfigError, reported by main like a parse error
     outdir = args.output_dir or os.path.join(_output_root(), cfg.output.directory)
     make_output_dir(outdir)  # an unusable path fails before any step is taken
@@ -180,47 +221,24 @@ def _check_ranges(args) -> None:
         raise ConfigError(errors)
 
 
-def _kwargs_common(args):
-    _check_ranges(args)
-    kw = {}
-    for flag, key in (("--eps-ladder", "eps_ladder"), ("--shifts", "shifts")):
-        if getattr(args, key, None):
-            kw[key] = _float_list(flag, getattr(args, key))
-    if getattr(args, "n_cells", None) is not None:
-        kw["n_cells"] = args.n_cells
-    if getattr(args, "t_end", None) is not None:
-        kw["t_end"] = args.t_end
-    if getattr(args, "material", None):
-        kw["material"] = make_material(args.material)
-    return kw
-
-
 def _cmd_experiment(args) -> int:
     name = args.command
     outdir = args.output_dir or os.path.join(_output_root(), f"report-{name}")
-    kw = _kwargs_common(args)  # a bad list fails before the directory is made
+    _, flags, hook = _EXPERIMENTS[name]
+    run = getattr(experiments, "exp_" + name.replace("-", "_"))
+    # every flag is checked before the report directory is made
+    _check_ranges(args)
+    kw = {"material": make_material(args.material)}
+    for flag, _ in flags:
+        key = flag[2:].replace("-", "_")
+        value = getattr(args, key)
+        if value is not None and value != "":
+            kw[key] = _float_list(flag, value) if flag in _LIST_FLAGS else value
+    if hook is not None:
+        defaults = {k: p.default for k, p in inspect.signature(run).parameters.items()}
+        hook(kw, {**defaults, **kw})
     make_output_dir(outdir)
-    if name == "energy-audit":
-        report = experiments.exp_energy_audit(**kw)
-    elif name == "stability":
-        report = experiments.exp_stability(**kw)
-    elif name == "eps-cauchy":
-        report = experiments.exp_eps_cauchy(**kw)
-    elif name == "time-shift":
-        if args.dt is not None:
-            kw["dt"] = args.dt
-        kw["epsilon"] = args.epsilon
-        report = experiments.exp_time_shift(**kw)
-    elif name == "rough-data":
-        if "n_cells" in kw:
-            n = kw.pop("n_cells")
-            kw["n_levels"] = (n, 2 * n, 4 * n)
-        kw["kind"] = args.kind
-        report = experiments.exp_rough_data(**kw)
-    elif name == "mms":
-        report = experiments.exp_mms(**kw)
-    else:  # pragma: no cover
-        raise AssertionError(name)
+    report = run(**kw)
 
     print(report.summary())
     written = write_report(report, outdir)

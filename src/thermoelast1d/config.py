@@ -21,42 +21,25 @@ Configs round-trip losslessly through :func:`serialize_config`.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from .errors import ConfigError
 from .grid import Grid
-from .initial_data import (
-    equilibrium,
-    random_l2_theta,
-    random_smooth,
-    sawtooth_strain,
-    standing_wave,
-    step_strain,
-)
-from .materials import Material, make_material
+from .initial_data import KINDS as _INITIAL_KINDS
+from .materials import KIND_TABULATED, KINDS as _MATERIAL_KINDS, Material, make_material
+from .output import FORMATS
 from .state import SCHEMES, SolverConfig, State, cfl_dt, whole_steps
 
-_FORMATS = ("csv", "json_lines")
 
-_INITIAL_KINDS: Dict[str, Tuple[str, ...]] = {
-    "equilibrium": ("theta_bar",),
-    "standing_wave": (
-        "amplitude", "mode", "v_amplitude", "v_mode",
-        "theta_base", "theta_amplitude", "theta_mode",
-    ),
-    "random_smooth": (
-        "seed", "u_amplitude", "v_amplitude", "theta_floor",
-        "theta_amplitude", "n_modes",
-    ),
-    "step_strain": ("jump", "height", "v_amplitude", "theta_bar"),
-    "sawtooth_strain": ("teeth", "amplitude", "theta_bar"),
-    "random_L2_theta": ("seed", "amplitude", "theta_base"),
-}
-
-_INT_PARAMS = {"mode", "v_mode", "theta_mode", "seed", "n_modes", "teeth"}
+def _initial_keys(kind: str) -> Dict[str, bool]:
+    """The config keys of an initial-data kind, each with whether it takes an
+    int: the keyword parameters of the kind's builder."""
+    params = list(inspect.signature(_INITIAL_KINDS[kind]).parameters.values())[1:]
+    return {p.name: p.annotation in (int, "int") for p in params}
 
 
 @dataclass(frozen=True)
@@ -87,9 +70,6 @@ class SolverSpec:
 class InitialDataSpec:
     kind: str = "standing_wave"
     params: Tuple[Tuple[str, float], ...] = ()
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.params)
 
 
 @dataclass(frozen=True)
@@ -124,36 +104,24 @@ class RunConfig:
         return cfl_dt(grid, self.solver.t_end, self.solver.cfl_safety)
 
     def build_solver_config(self, grid: Grid) -> SolverConfig:
-        return SolverConfig(
-            dt=self.resolve_dt(grid),
-            t_end=self.solver.t_end,
-            epsilon=self.solver.epsilon,
-            scheme=self.solver.scheme,
-            cfl_safety=self.solver.cfl_safety,
-            positivity_tol=self.solver.positivity_tol,
-        )
+        # SolverSpec's fields are SolverConfig's, with dt resolved
+        return SolverConfig(**{**vars(self.solver), "dt": self.resolve_dt(grid)})
 
     def build_initial_state(self, grid: Grid) -> State:
-        kind = self.initial_data.kind
-        params = self.initial_data.as_dict()
-        builders = {
-            "equilibrium": equilibrium,
-            "standing_wave": standing_wave,
-            "random_smooth": random_smooth,
-            "step_strain": step_strain,
-            "sawtooth_strain": sawtooth_strain,
-            "random_L2_theta": random_l2_theta,
-        }
-        typed = {
-            k: (int(v) if k in _INT_PARAMS else v) for k, v in params.items()
-        }
-        return builders[kind](grid, **typed)
+        ints = _initial_keys(self.initial_data.kind)
+        params = {k: int(v) if ints[k] else v for k, v in self.initial_data.params}
+        return _INITIAL_KINDS[self.initial_data.kind](grid, **params)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
+def _name_list(text: str) -> Tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+#: section -> key -> converter of the value text; each key's default is its Spec field's
 _SCHEMA = {
     "grid": {"a": float, "b": float, "n_cells": int},
     "material": {"kind": str, "rho_floor": float, "table": str},
@@ -162,9 +130,10 @@ _SCHEMA = {
         "cfl_safety": float, "positivity_tol": float,
     },
     "initial_data": None,  # open schema, validated per kind
-    "output": {"record_every": int, "directory": str, "formats": str},
+    "output": {"record_every": int, "directory": str, "formats": _name_list},
 }
 
+_DEFAULTS = RunConfig()
 _DEPRECATED_KEYS = {("solver", "newton_tol"), ("solver", "newton_max_iters")}  # ignored
 
 
@@ -218,74 +187,56 @@ def parse_config(text: str) -> RunConfig:
             continue
         raw[section][key] = value
 
-    def take(section, key, conv, default, allow_auto=False):
-        if key not in raw[section]:
-            return default
-        sval = raw[section][key]
-        if allow_auto and sval == "auto":
-            return None
-        try:
-            return conv(sval)
-        except ValueError:
-            errors.append(
-                f"{section}.{key}: cannot parse {sval!r} as {conv.__name__}"
-            )
-            return default
+    specs = {}
+    for section, schema in _SCHEMA.items():
+        if schema is None:
+            specs[section] = _initial_data_spec(raw[section], errors)
+            continue
+        values = {}
+        for key, conv in schema.items():
+            sval = raw[section].get(key)
+            if sval is None:
+                continue
+            try:
+                values[key] = None if (key, sval) == ("dt", "auto") else conv(sval)
+            except ValueError:
+                errors.append(f"{section}.{key}: cannot parse {sval!r} as {conv.__name__}")
+        specs[section] = replace(getattr(_DEFAULTS, section), **values)
 
-    grid = GridSpec(
-        a=take("grid", "a", float, 0.0),
-        b=take("grid", "b", float, 1.0),
-        n_cells=take("grid", "n_cells", int, 128),
-    )
-    material = MaterialSpec(
-        kind=take("material", "kind", str, "identity"),
-        rho_floor=take("material", "rho_floor", float, 1e-8),
-        table=take("material", "table", str, None),
-    )
-    solver = SolverSpec(
-        epsilon=take("solver", "epsilon", float, 0.0),
-        dt=take("solver", "dt", float, None, allow_auto=True),
-        t_end=take("solver", "t_end", float, 1.0),
-        scheme=take("solver", "scheme", str, "imex1"),
-        cfl_safety=take("solver", "cfl_safety", float, 0.5),
-        positivity_tol=take("solver", "positivity_tol", float, 1e-12),
-    )
-    kind = raw["initial_data"].pop("kind", "standing_wave")
-    params = []
+    cfg = RunConfig(**specs)
+    errors.extend(_semantic_errors(cfg))
+    if errors:
+        raise ConfigError(errors)
+    return cfg
+
+
+def _initial_data_spec(raw: Dict[str, str], errors) -> InitialDataSpec:
+    kind = raw.pop("kind", _DEFAULTS.initial_data.kind)
     if kind not in _INITIAL_KINDS:
         errors.append(
             f"initial_data.kind: unknown kind {kind!r}; "
             f"choose from {sorted(_INITIAL_KINDS)}"
         )
-    else:
-        allowed = _INITIAL_KINDS[kind]
-        for key, sval in raw["initial_data"].items():
-            if key not in allowed:
-                errors.append(
-                    f"initial_data.{key}: not valid for kind {kind!r} "
-                    f"(allowed: {', '.join(allowed)})"
-                )
-                continue
-            try:
-                params.append((key, float(sval)))
-            except ValueError:
-                errors.append(f"initial_data.{key}: cannot parse {sval!r} as float")
-    initial = InitialDataSpec(kind=kind, params=tuple(sorted(params)))
-    formats = tuple(
-        s.strip() for s in take("output", "formats", str, "csv").split(",") if s.strip()
-    )
-    output = OutputSpec(
-        record_every=take("output", "record_every", int, 1),
-        directory=take("output", "directory", str, "out"),
-        formats=formats,
-    )
-
-    cfg = RunConfig(grid=grid, material=material, solver=solver,
-                    initial_data=initial, output=output)
-    errors.extend(_semantic_errors(cfg))
-    if errors:
-        raise ConfigError(errors)
-    return cfg
+        return InitialDataSpec(kind=kind)
+    allowed = _initial_keys(kind)
+    params = []
+    for key, sval in raw.items():
+        if key not in allowed:
+            errors.append(
+                f"initial_data.{key}: not valid for kind {kind!r} "
+                f"(allowed: {', '.join(allowed)})"
+            )
+            continue
+        try:
+            value = float(sval)
+        except ValueError:
+            errors.append(f"initial_data.{key}: cannot parse {sval!r} as float")
+            continue
+        if allowed[key] and not value.is_integer():
+            errors.append(f"initial_data.{key}: cannot parse {sval!r} as int")
+            continue
+        params.append((key, value))
+    return InitialDataSpec(kind=kind, params=tuple(sorted(params)))
 
 
 def _semantic_errors(cfg: RunConfig):
@@ -295,9 +246,9 @@ def _semantic_errors(cfg: RunConfig):
         errs.append(f"grid: requires b > a, got a={g.a}, b={g.b}")
     if g.n_cells < 2:
         errs.append(f"grid.n_cells must be >= 2, got {g.n_cells}")
-    if m.kind not in ("identity", "log1p", "rational_saturating", "user_tabulated"):
+    if m.kind not in _MATERIAL_KINDS:
         errs.append(f"material.kind: unknown kind {m.kind!r}")
-    if m.kind == "user_tabulated" and not m.table:
+    if m.kind == KIND_TABULATED and not m.table:
         errs.append("material.table is required for kind user_tabulated")
     if not m.rho_floor > 0:
         errs.append(f"material.rho_floor must be > 0, got {m.rho_floor}")
@@ -321,8 +272,8 @@ def _semantic_errors(cfg: RunConfig):
     if o.record_every < 1:
         errs.append(f"output.record_every must be >= 1, got {o.record_every}")
     for f in o.formats:
-        if f not in _FORMATS:
-            errs.append(f"output.formats: unknown format {f!r} (have {_FORMATS})")
+        if f not in FORMATS:
+            errs.append(f"output.formats: unknown format {f!r} (have {FORMATS})")
     if not o.formats:
         errs.append("output.formats must name at least one format")
     return errs
@@ -330,41 +281,23 @@ def _semantic_errors(cfg: RunConfig):
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
-
-    def num(x):
-        if isinstance(x, float):
-            return repr(x)
-        return str(x)
-
-    lines = ["[grid]"]
-    lines += [f"a = {num(cfg.grid.a)}", f"b = {num(cfg.grid.b)}",
-              f"n_cells = {cfg.grid.n_cells}", ""]
-    lines += ["[material]", f"kind = {cfg.material.kind}",
-              f"rho_floor = {num(cfg.material.rho_floor)}"]
-    if cfg.material.table:
-        lines.append(f"table = {cfg.material.table}")
-    lines.append("")
-    s = cfg.solver
-    lines += [
-        "[solver]",
-        f"epsilon = {num(s.epsilon)}",
-        f"dt = {'auto' if s.dt is None else num(s.dt)}",
-        f"t_end = {num(s.t_end)}",
-        f"scheme = {s.scheme}",
-        f"cfl_safety = {num(s.cfl_safety)}",
-        f"positivity_tol = {num(s.positivity_tol)}",
-        "",
-        "[initial_data]",
-        f"kind = {cfg.initial_data.kind}",
-    ]
-    for key, val in cfg.initial_data.params:
-        lines.append(f"{key} = {num(val)}")
-    lines += [
-        "",
-        "[output]",
-        f"record_every = {cfg.output.record_every}",
-        f"directory = {cfg.output.directory}",
-        f"formats = {','.join(cfg.output.formats)}",
-        "",
-    ]
+    lines = []
+    for section, schema in _SCHEMA.items():
+        spec = getattr(cfg, section)
+        if schema is None:
+            items = [("kind", spec.kind), *spec.params]
+        else:
+            items = [(key, getattr(spec, key)) for key in schema]
+        lines.append(f"[{section}]")
+        for key, value in items:
+            if key == "table" and not value:
+                continue  # written only when set
+            if value is None:  # dt
+                value = "auto"
+            elif isinstance(value, float):
+                value = repr(value)
+            elif isinstance(value, tuple):
+                value = ",".join(value)
+            lines.append(f"{key} = {value}")
+        lines.append("")
     return "\n".join(lines)

@@ -408,12 +408,11 @@ def exp_time_shift(
 # ---------------------------------------------------------------------------
 
 
-def _restrict(traj: Trajectory, coarse: Grid, space_stride: int,
-              time_stride: int) -> Trajectory:
-    """Sample a fine trajectory onto a coarser grid/timeline (node subset)."""
+def _restrict(traj: Trajectory, coarse: Grid, space_stride: int) -> Trajectory:
+    """Sample a fine trajectory onto a coarser grid (node subset)."""
     out = Trajectory(coarse, traj.epsilon, traj.scheme)
     out.records = traj.records
-    for s in traj.states[::time_stride]:
+    for s in traj.states:
         out.states.append(make_state(s.t, *s.block[:, ::space_stride]))
     return out
 
@@ -435,19 +434,22 @@ def exp_rough_data(
     material = material or identity_material()
     if any(n2 != 2 * n1 for n1, n2 in zip(n_levels, n_levels[1:])):
         raise ContractError("n_levels must double at each refinement")
-    runs = []
-    grids = []
+    runs, e_resid, diss, th_min = [], [], [], []
     series: Dict[str, Dict[str, np.ndarray]] = {}
-    base_n = n_levels[0]
+    # level l takes the coarse dt / 2**l (exact), so its step count doubles
+    # and its record_every = 2**l snapshots fall on the coarse times
+    dt = cfl_dt(Grid(a, b, n_levels[0]), t_end)
     for lvl, n in enumerate(n_levels):
         grid = Grid(a, b, n)
-        cfg = _half_cfl_config(grid, t_end)
+        cfg = SolverConfig(dt=dt / 2 ** lvl, t_end=t_end)
         init = prepare_rough_data(kind, grid, **data_params)
         traj = run_limit(init, material, cfg, grid, record_every=2 ** lvl)
         runs.append(traj)
-        grids.append(grid)
         r = energy_identity_residual(traj)
         series[f"N{n}"] = {"t": traj.record_times, "energy_residual": r}
+        e_resid.append(float(np.max(np.abs(r))) / traj.records[0].energy)
+        diss.append(traj.records[-1].dissipation_accum)
+        th_min.append(min(rec.theta_min for rec in traj.records))
 
     report = ExperimentReport(
         name="rough-data",
@@ -455,14 +457,6 @@ def exp_rough_data(
                     material=material.kind, **data_params),
         series=series,
     )
-    e_resid = []
-    diss = []
-    th_min = []
-    for traj in runs:
-        e0 = traj.records[0].energy
-        e_resid.append(float(np.max(np.abs(energy_identity_residual(traj)))) / e0)
-        diss.append(traj.records[-1].dissipation_accum)
-        th_min.append(min(r.theta_min for r in traj.records))
     report.series["by_level"] = {
         "n_cells": np.array(list(n_levels), dtype=float),
         "energy_residual": np.array(e_resid),
@@ -489,7 +483,7 @@ def exp_rough_data(
         # and each coarse node set is a subset of the finer one
         dists = []
         for i in range(len(runs) - 1):
-            fine_on_coarse = _restrict(runs[i + 1], grids[i], 2, 1)
+            fine_on_coarse = _restrict(runs[i + 1], runs[i].grid, 2)
             dists.append(
                 _triple_distance(difference_norms(runs[i], fine_on_coarse))
             )

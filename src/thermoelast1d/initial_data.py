@@ -53,6 +53,8 @@ def random_smooth(
 ) -> State:
     """Seeded smooth data: low sine modes for u and v, and a temperature
     theta_floor + (random trig)^2 >= theta_floor."""
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     xh = (grid.nodes - grid.a) / grid.length
     u0 = np.zeros_like(xh)
@@ -126,21 +128,28 @@ def random_l2_theta(
     """Nonnegative rough temperature: base + amplitude * uniform noise."""
     if amplitude < 0.0 or theta_base < 0.0:
         raise ContractError("negative temperature sample requested")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     x = grid.nodes
     th0 = theta_base + amplitude * rng.uniform(0.0, 1.0, size=x.shape)
     return make_state(0.0, np.zeros_like(x), np.zeros_like(x), th0)
 
 
+#: kind name -> builder; a kind's config keys are the builder's keyword parameters
+KINDS = {
+    "equilibrium": equilibrium,
+    "standing_wave": standing_wave,
+    "random_smooth": random_smooth,
+    "step_strain": step_strain,
+    "sawtooth_strain": sawtooth_strain,
+    "random_L2_theta": random_l2_theta,
+}
 ROUGH_KINDS = ("step_strain", "sawtooth_strain", "random_L2_theta")
 
 
 def prepare_rough_data(kind: str, grid: Grid, **params) -> State:
     """Rough initial data by family name (see ROUGH_KINDS)."""
-    if kind == "step_strain":
-        return step_strain(grid, **params)
-    if kind == "sawtooth_strain":
-        return sawtooth_strain(grid, **params)
-    if kind == "random_L2_theta":
-        return random_l2_theta(grid, **params)
-    raise ContractError(f"unknown rough-data kind {kind!r}; have {ROUGH_KINDS}")
+    if kind not in ROUGH_KINDS:
+        raise ContractError(f"unknown rough-data kind {kind!r}; have {ROUGH_KINDS}")
+    return KINDS[kind](grid, **params)

@@ -32,8 +32,6 @@ KIND_LOG1P = "log1p"
 KIND_RATIONAL = "rational_saturating"
 KIND_TABULATED = "user_tabulated"
 
-_KINDS = (KIND_IDENTITY, KIND_LOG1P, KIND_RATIONAL, KIND_TABULATED)
-
 DEFAULT_RHO_FLOOR = 1e-8
 
 
@@ -56,7 +54,7 @@ class Material:
     table: Optional[_Table] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ContractError(f"unknown material kind {self.kind!r}")
         if not self.rho_floor > 0.0:
             raise ContractError(f"rho_floor must be positive, got {self.rho_floor}")
@@ -140,18 +138,23 @@ def material_from_file(path, rho_floor: float = DEFAULT_RHO_FLOOR) -> Material:
     return tabulated_material(data[:, 0], data[:, 1], rho_floor=rho_floor)
 
 
+#: kind name -> constructor taking rho_floor; user_tabulated's takes the table path first
+KINDS = {
+    KIND_IDENTITY: identity_material,
+    KIND_LOG1P: log1p_material,
+    KIND_RATIONAL: rational_saturating_material,
+    KIND_TABULATED: material_from_file,
+}
+
+
 def make_material(kind: str, rho_floor: float = DEFAULT_RHO_FLOOR, table_path=None) -> Material:
-    if kind == KIND_IDENTITY:
-        return identity_material(rho_floor)
-    if kind == KIND_LOG1P:
-        return log1p_material(rho_floor)
-    if kind == KIND_RATIONAL:
-        return rational_saturating_material(rho_floor)
-    if kind == KIND_TABULATED:
-        if table_path is None:
-            raise ContractError("user_tabulated material needs a table path")
-        return material_from_file(table_path, rho_floor)
-    raise ContractError(f"unknown material kind {kind!r}")
+    if kind not in KINDS:
+        raise ContractError(f"unknown material kind {kind!r}")
+    if kind != KIND_TABULATED:
+        return KINDS[kind](rho_floor)
+    if table_path is None:
+        raise ContractError("user_tabulated material needs a table path")
+    return material_from_file(table_path, rho_floor)
 
 
 def f_kernel(m: Material, x: np.ndarray) -> np.ndarray:

@@ -35,6 +35,8 @@ _G = "%.17g"
 #: 64 or more rows per block stranded a finished run's freed states (13 MiB) in
 #: the C heap and raised the next run's peak RSS; 16 or 32 rows, as fast, did not.
 ROW_BLOCK = 32
+#: the formats of :func:`export_trajectory`
+FORMATS = ("csv", "json_lines")
 
 
 def make_output_dir(directory) -> None:
@@ -91,7 +93,7 @@ def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("cs
     Returns the list of written paths.
     """
     for f in formats:
-        if f not in ("csv", "json_lines"):
+        if f not in FORMATS:
             raise ContractError(f"unknown export format {f!r}")
     make_output_dir(directory)
     written = []

@@ -107,6 +107,11 @@ def test_experiment_hard_fail_exit_1(tmp_path, capsys):
     (["eps-cauchy", "--eps-ladder", "0.1,abc"], "--eps-ladder", "abc"),
     (["time-shift", "--shifts", "0.1,x"], "--shifts", "'x'"),
     (["time-shift", "--shifts", "0.1,,0.2"], "--shifts", "''"),
+    (["eps-cauchy", "--eps-ladder", "0.1,0.2"], "--eps-ladder", "strictly decreasing"),
+    (["time-shift", "--shifts", "0.0033"], "--shifts", "0.0033"),
+    (["time-shift", "--shifts", "0.05", "--dt", "0.01", "--t-end", "0.02"], "--shifts", "0.05"),
+    (["time-shift", "--t-end", "0.101"], "--t-end", "0.101"),
+    (["time-shift", "--dt", "0.05", "--shifts", "0.1"], "dt=0.05", "CFL restriction"),
 ])
 def test_bad_float_list_is_a_config_error(tmp_path, capsys, argv, flag, item):
     outdir = tmp_path / "rep"
@@ -233,3 +238,30 @@ def test_out_of_range_flag_is_a_config_error(tmp_path, capsys, argv, flag, value
     assert err.startswith("config error: bad " + flag) and value in err
     assert "Traceback" not in err
     assert not outdir.exists()  # refused before the report directory is made
+
+
+@pytest.mark.parametrize("initial, complaint", [
+    ("kind = random_smooth\nseed = 1.5\n", "initial_data.seed: cannot parse '1.5' as int"),
+    ("kind = standing_wave\nmode = 2.5\n", "initial_data.mode: cannot parse '2.5' as int"),
+    ("kind = random_smooth\nseed = -1\n", "initial_data: seed must be >= 0, got -1"),
+    ("kind = random_L2_theta\nseed = -2\n", "initial_data: seed must be >= 0, got -2"),
+    ("kind = sawtooth_strain\nteeth = 0\n", "initial_data: teeth must be >= 1, got 0"),
+    ("kind = step_strain\njump = 2.0\n", "initial_data: strain jump must lie inside"),
+    ("kind = equilibrium\ntheta_bar = -1\n", "initial_data: equilibrium temperature must be"),
+])
+def test_run_bad_initial_data_is_a_config_error(tmp_path, capsys, initial, complaint):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nn_cells = 16\n[solver]\nt_end = 0.125\n[initial_data]\n" + initial)
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output-dir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + complaint)
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_run_integral_int_key_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nn_cells = 16\n[solver]\nt_end = 0.125\n"
+                   "[initial_data]\nkind = random_smooth\nseed = 3.0\nn_modes = 2\n")
+    assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0

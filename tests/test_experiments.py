@@ -138,6 +138,15 @@ def test_rough_data_small():
     assert rep.series["refinement"]["distance"].size == 2
 
 
+def test_rough_data_levels_share_their_snapshot_times():
+    """At t_end = 0.1 the half-CFL step counts of N = 16, 32, 64 are 4, 7 and
+    13; each level takes the coarse dt / 2**l, so the snapshots line up."""
+    rep = exp_rough_data(n_levels=(16, 32, 64), t_end=0.1)
+    assert [c.name for c in rep.checks] == [
+        "energy identity at N=32", "dissipation stabilization (top pair)",
+        "min Theta over all runs", "refinement distances decreasing"]
+
+
 def test_rough_data_sawtooth_runs():
     rep = exp_rough_data(
         kind="sawtooth_strain", n_levels=(64, 128), t_end=0.25,

@@ -3,11 +3,13 @@ subcommand, and the config text that ``serialize_config`` writes and
 ``parse_config`` reads back."""
 
 import argparse
+import inspect
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoelast1d import cli
+from thermoelast1d import cli, initial_data
 from thermoelast1d.config import (
     GridSpec,
     InitialDataSpec,
@@ -143,3 +145,29 @@ def test_serialized_bytes_pinned():
         "[initial_data]\nkind = standing_wave\n\n"
         "[output]\nrecord_every = 1\ndirectory = out\nformats = csv\n"
     )
+
+
+def _formats_md_section(title):
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, os.pardir, "FORMATS.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_formats_md_config_example_parses():
+    section = _formats_md_section("Run configuration (input)")
+    example = section.split("```\n", 2)[1]
+    cfg = parse_config(example)
+    assert cfg.solver.dt is None and cfg.output.formats == ("csv",)
+    assert cfg.initial_data.params == (
+        ("amplitude", 0.3), ("theta_amplitude", 0.2), ("theta_base", 1.0))
+
+
+def test_formats_md_initial_data_table_matches_the_registry():
+    section = _formats_md_section("Run configuration (input)")
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    table = {kind.strip().strip("`"): [k.strip().strip("`") for k in keys.split(",")]
+             for kind, keys in rows}
+    expected = {kind: list(inspect.signature(build).parameters)[1:]
+                for kind, build in initial_data.KINDS.items()}
+    assert table == expected
