@@ -232,8 +232,9 @@ def _initial_data_spec(raw: Dict[str, str], errors) -> InitialDataSpec:
         except ValueError:
             errors.append(f"initial_data.{key}: cannot parse {sval!r} as float")
             continue
-        if allowed[key] and not value.is_integer():
-            errors.append(f"initial_data.{key}: cannot parse {sval!r} as int")
+        if not (value.is_integer() if allowed[key] else math.isfinite(value)):
+            want = "int" if allowed[key] else "finite float"
+            errors.append(f"initial_data.{key}: cannot parse {sval!r} as {want}")
             continue
         params.append((key, value))
     return InitialDataSpec(kind=kind, params=tuple(sorted(params)))
@@ -252,7 +253,7 @@ def _semantic_errors(cfg: RunConfig):
         errs.append("material.table is required for kind user_tabulated")
     if not m.rho_floor > 0:
         errs.append(f"material.rho_floor must be > 0, got {m.rho_floor}")
-    if s.epsilon < 0:
+    if not s.epsilon >= 0:
         errs.append(f"solver.epsilon must be >= 0, got {s.epsilon}")
     if s.dt is not None and not s.dt > 0:
         errs.append(f"solver.dt must be > 0 (or auto), got {s.dt}")
@@ -267,7 +268,7 @@ def _semantic_errors(cfg: RunConfig):
         errs.append(f"solver.scheme must be one of {SCHEMES}, got {s.scheme!r}")
     if not s.cfl_safety > 0:
         errs.append(f"solver.cfl_safety must be > 0, got {s.cfl_safety}")
-    if s.positivity_tol < 0:
+    if not s.positivity_tol >= 0:
         errs.append(f"solver.positivity_tol must be >= 0, got {s.positivity_tol}")
     if o.record_every < 1:
         errs.append(f"output.record_every must be >= 1, got {o.record_every}")

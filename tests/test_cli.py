@@ -243,6 +243,10 @@ def test_out_of_range_flag_is_a_config_error(tmp_path, capsys, argv, flag, value
 @pytest.mark.parametrize("initial, complaint", [
     ("kind = random_smooth\nseed = 1.5\n", "initial_data.seed: cannot parse '1.5' as int"),
     ("kind = standing_wave\nmode = 2.5\n", "initial_data.mode: cannot parse '2.5' as int"),
+    ("kind = standing_wave\namplitude = nan\n",
+     "initial_data.amplitude: cannot parse 'nan' as finite float"),
+    ("kind = step_strain\nheight = -inf\n",
+     "initial_data.height: cannot parse '-inf' as finite float"),
     ("kind = random_smooth\nseed = -1\n", "initial_data: seed must be >= 0, got -1"),
     ("kind = random_L2_theta\nseed = -2\n", "initial_data: seed must be >= 0, got -2"),
     ("kind = sawtooth_strain\nteeth = 0\n", "initial_data: teeth must be >= 1, got 0"),

@@ -92,6 +92,13 @@ def test_negative_epsilon_message():
     assert any("solver.epsilon must be >= 0" in e for e in exc.value.errors)
 
 
+@pytest.mark.parametrize("key", ["epsilon", "positivity_tol"])
+def test_nan_solver_value_is_refused(key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[solver]\n{key} = nan\n")
+    assert exc.value.errors == [f"solver.{key} must be >= 0, got nan"]
+
+
 def test_duplicate_key_names_both_lines():
     text = "[solver]\ndt = 0.1\nt_end = 1.0\ndt = 0.2\n"
     with pytest.raises(ConfigError) as exc:
