@@ -211,8 +211,11 @@ def _check_ranges(args) -> None:
     """Refuse every out-of-range numeric flag, naming the flag and its value."""
     errors = []
     n_cells = getattr(args, "n_cells", None)
-    if n_cells is not None and n_cells < 2:
-        errors.append(f"bad --n-cells {n_cells}: must be >= 2")
+    if n_cells is not None:
+        try:
+            Grid(0.0, 1.0, n_cells)  # the grid owns the n_cells rule
+        except ContractError as exc:
+            errors.append(f"bad --n-cells {n_cells}: {exc}")
     for key in _POSITIVE_FLAGS:
         value = getattr(args, key, None)
         if value is not None and not 0.0 < value < math.inf:

@@ -27,12 +27,12 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .grid import Grid
 from .initial_data import KINDS as _INITIAL_KINDS
 from .materials import KIND_TABULATED, KINDS as _MATERIAL_KINDS, Material, make_material
 from .output import FORMATS
-from .state import SCHEMES, SolverConfig, State, cfl_dt, whole_steps
+from .state import SolverConfig, State, cfl_dt, solver_problems, whole_steps
 
 
 def _initial_keys(kind: str) -> Dict[str, bool]:
@@ -242,34 +242,27 @@ def _initial_data_spec(raw: Dict[str, str], errors) -> InitialDataSpec:
 
 def _semantic_errors(cfg: RunConfig):
     errs = []
-    g, m, s, o = cfg.grid, cfg.material, cfg.solver, cfg.output
-    if not g.b > g.a:
-        errs.append(f"grid: requires b > a, got a={g.a}, b={g.b}")
-    if g.n_cells < 2:
-        errs.append(f"grid.n_cells must be >= 2, got {g.n_cells}")
+    m, s, o = cfg.material, cfg.solver, cfg.output
+    try:
+        grid = cfg.build_grid()
+    except ContractError as exc:
+        grid = None
+        errs.append(str(exc))
     if m.kind not in _MATERIAL_KINDS:
         errs.append(f"material.kind: unknown kind {m.kind!r}")
     if m.kind == KIND_TABULATED and not m.table:
         errs.append("material.table is required for kind user_tabulated")
     if not m.rho_floor > 0:
         errs.append(f"material.rho_floor must be > 0, got {m.rho_floor}")
-    if not s.epsilon >= 0:
-        errs.append(f"solver.epsilon must be >= 0, got {s.epsilon}")
-    if s.dt is not None and not s.dt > 0:
-        errs.append(f"solver.dt must be > 0 (or auto), got {s.dt}")
-    if not 0 < s.t_end < math.inf:
-        errs.append(f"solver.t_end must be finite and > 0, got {s.t_end}")
-    elif s.dt is not None and s.dt > 0:
-        if s.dt > s.t_end:
-            errs.append(f"solver.dt={s.dt} exceeds solver.t_end={s.t_end}")
-        elif whole_steps(s.t_end, s.dt) is None:
-            errs.append(f"solver.dt={s.dt} does not divide solver.t_end={s.t_end}")
-    if s.scheme not in SCHEMES:
-        errs.append(f"solver.scheme must be one of {SCHEMES}, got {s.scheme!r}")
-    if not s.cfl_safety > 0:
-        errs.append(f"solver.cfl_safety must be > 0, got {s.cfl_safety}")
-    if not s.positivity_tol >= 0:
-        errs.append(f"solver.positivity_tol must be >= 0, got {s.positivity_tol}")
+    solver = solver_problems(**vars(s))
+    errs.extend(solver)
+    if not solver and s.dt is not None and whole_steps(s.t_end, s.dt) is None:
+        errs.append(f"solver.dt={s.dt} does not divide solver.t_end={s.t_end}")
+    elif not solver and s.dt is None and grid is not None:
+        try:
+            cfg.resolve_dt(grid)  # auto dt: a step count that a float tells apart
+        except ConfigError as exc:
+            errs.extend(exc.errors)
     if o.record_every < 1:
         errs.append(f"output.record_every must be >= 1, got {o.record_every}")
     for f in o.formats:

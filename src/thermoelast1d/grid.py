@@ -23,6 +23,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,10 +51,13 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ContractError(f"grid requires b > a, got a={self.a}, b={self.b}")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 2:
-            raise ContractError(f"n_cells must be an integer >= 2, got {self.n_cells}")
+        problems = []
+        if not 0.0 < self.b - self.a < math.inf:  # a, b and b - a finite, a < b
+            problems.append(f"grid: requires finite a < b, got a={self.a}, b={self.b}")
+        if not (self.n_cells >= 2 and float(self.n_cells).is_integer()):
+            problems.append(f"grid.n_cells must be an integer >= 2, got {self.n_cells}")
+        if problems:
+            raise ContractError("; ".join(problems))
 
     @property
     def h(self) -> float:
@@ -327,8 +331,6 @@ def gn_constants(grid: Grid) -> GNConstants:
     Upper bounds only; sharpness is not needed by any downstream formula.
     """
     length = grid.length
-    if not length > 0.0:
-        raise ContractError("degenerate interval")
     c1 = max(np.sqrt(2.0), 1.0 / np.sqrt(length))
     c2 = max(2.0 * length, 2.0 / length ** 2)
     return GNConstants(c1=float(c1), c2=float(c2))

@@ -2,7 +2,7 @@
 the rough (low-regularity) families the well-posedness experiments target.
 
 All constructors return a :class:`~thermoelast1d.state.State` at t = 0 with
-boundary-compatible nodal samples.
+boundary-compatible nodal samples, checked by :func:`_initial_state`.
 """
 
 from __future__ import annotations
@@ -14,11 +14,21 @@ from .grid import Grid
 from .state import State, make_state
 
 
+def _initial_state(v, u, theta) -> State:
+    """The t = 0 State of the samples; a ContractError unless every sample
+    is finite and min Theta0 >= 0."""
+    s = make_state(0.0, v, u, theta)
+    bad = [name for name, row in zip(("v", "u", "theta"), s.block) if not np.isfinite(row).all()]
+    if bad:
+        raise ContractError(f"v, u and theta must be finite, got non-finite {', '.join(bad)}")
+    if s.block[2].min() < 0.0:
+        raise ContractError(f"theta must be >= 0, got min {float(s.block[2].min())!r}")
+    return s
+
+
 def equilibrium(grid: Grid, theta_bar: float = 1.0) -> State:
     n = grid.n_nodes
-    if theta_bar < 0.0:
-        raise ContractError(f"equilibrium temperature must be >= 0, got {theta_bar}")
-    return make_state(0.0, np.zeros(n), np.zeros(n), np.full(n, float(theta_bar)))
+    return _initial_state(np.zeros(n), np.zeros(n), np.full(n, float(theta_bar)))
 
 
 def standing_wave(
@@ -37,9 +47,7 @@ def standing_wave(
     u0 = amplitude * np.sin(mode * np.pi * xh)
     v0 = v_amplitude * np.sin(v_mode * np.pi * xh)
     th0 = theta_base + theta_amplitude * np.cos(theta_mode * np.pi * xh)
-    if th0.min() < 0.0:
-        raise ContractError("standing_wave produced a negative initial temperature")
-    return make_state(0.0, v0, u0, th0)
+    return _initial_state(v0, u0, th0)
 
 
 def random_smooth(
@@ -55,6 +63,9 @@ def random_smooth(
     theta_floor + (random trig)^2 >= theta_floor."""
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
+    if theta_floor < 0.0 or theta_amplitude < 0.0:  # Theta0 >= 0 for every draw
+        raise ContractError(f"theta_floor and theta_amplitude must be >= 0, "
+                            f"got {theta_floor}, {theta_amplitude}")
     rng = np.random.default_rng(seed)
     xh = (grid.nodes - grid.a) / grid.length
     u0 = np.zeros_like(xh)
@@ -67,7 +78,7 @@ def random_smooth(
     u0 *= u_amplitude
     v0 *= v_amplitude
     th0 = theta_floor + theta_amplitude * z ** 2
-    return make_state(0.0, v0, u0, th0)
+    return _initial_state(v0, u0, th0)
 
 
 def step_strain(
@@ -93,10 +104,7 @@ def step_strain(
     x = grid.nodes
     u0 = height * np.minimum((x - a) / (p - a), (b - x) / (b - p))
     v0 = v_amplitude * np.sign(x - p)
-    th0 = np.full_like(x, float(theta_bar))
-    if theta_bar < 0.0:
-        raise ContractError(f"theta must be >= 0, got {theta_bar}")
-    return make_state(0.0, v0, u0, th0)
+    return _initial_state(v0, u0, np.full_like(x, float(theta_bar)))
 
 
 def sawtooth_strain(
@@ -109,14 +117,11 @@ def sawtooth_strain(
     the strain magnitude is amplitude * 2 * teeth / width on every segment."""
     if teeth < 1:
         raise ContractError(f"teeth must be >= 1, got {teeth}")
-    if theta_bar < 0.0:
-        raise ContractError(f"theta must be >= 0, got {theta_bar}")
     x = grid.nodes
     xh = (x - grid.a) / grid.length
     # tents of height `amplitude` anchored at zero between teeth
     u0 = amplitude * (1.0 - 2.0 * np.abs(((xh * teeth) % 1.0) - 0.5))
-    th0 = np.full_like(x, float(theta_bar))
-    return make_state(0.0, np.zeros_like(x), u0, th0)
+    return _initial_state(np.zeros_like(x), u0, np.full_like(x, float(theta_bar)))
 
 
 def random_l2_theta(
@@ -133,7 +138,7 @@ def random_l2_theta(
     rng = np.random.default_rng(seed)
     x = grid.nodes
     th0 = theta_base + amplitude * rng.uniform(0.0, 1.0, size=x.shape)
-    return make_state(0.0, np.zeros_like(x), np.zeros_like(x), th0)
+    return _initial_state(np.zeros_like(x), np.zeros_like(x), th0)
 
 
 #: kind name -> builder; a kind's config keys are the builder's keyword parameters

@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from itertools import chain
+from dataclasses import fields
 from typing import Dict, Sequence
 
 import numpy as np
 
 from .errors import ContractError, Thermoelast1dError
-from .state import Trajectory
+from .state import DiagnosticsRecord, Trajectory
 
 #: diagnostics.csv header, as in FORMATS.md
 DIAG_COLUMNS = tuple(
@@ -69,20 +69,6 @@ def _write_columns(fh, columns, sep: str) -> None:
         fh.write(row * (hi - lo) % tuple(np.column_stack(present).ravel().tolist()))
 
 
-def _record_row(r) -> list:
-    y = float("nan") if r.hfunc is None else r.hfunc
-    return [r.t, r.energy, r.theta_mass, r.theta_min, r.theta_max, y,
-            1 if r.hfunc_valid else 0, r.thetax_l2sq, r.thetaxx_l2sq, r.vx_l2sq,
-            r.vxx_l2sq, r.uxx_l2sq, r.dissipation_accum, r.eps_dissipation_accum]
-
-
-def _write_records(fh, records, sep: str) -> None:
-    row = sep.join((_G,) * len(DIAG_COLUMNS)) + "\n"
-    for lo in range(0, len(records), ROW_BLOCK):
-        block = records[lo:lo + ROW_BLOCK]
-        fh.write(row * len(block) % tuple(chain.from_iterable(map(_record_row, block))))
-
-
 def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("csv",)):
     """Write per-step diagnostics plus field snapshots.
 
@@ -101,7 +87,7 @@ def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("cs
     diag_path = os.path.join(directory, "diagnostics.csv")
     with _writing(diag_path) as fh:
         fh.write(",".join(DIAG_COLUMNS) + "\n")
-        _write_records(fh, traj.records, ",")
+        _write_columns(fh, [traj.record_series(f.name) for f in fields(DiagnosticsRecord)], ",")
     written.append(diag_path)
 
     if "csv" in formats:
@@ -152,7 +138,7 @@ def write_gnuplot(traj: Trajectory, directory) -> list:
     dat = os.path.join(directory, "series.dat")
     with _writing(dat) as fh:
         fh.write("# " + " ".join(DIAG_COLUMNS) + "\n")
-        _write_records(fh, traj.records, " ")
+        _write_columns(fh, [traj.record_series(f.name) for f in fields(DiagnosticsRecord)], " ")
     gp = os.path.join(directory, "plot.gp")
     with _writing(gp) as fh:
         fh.write(

@@ -110,21 +110,7 @@ class SolverConfig:
     positivity_tol: float = 1e-12
 
     def __post_init__(self):
-        problems = []
-        if not self.dt > 0.0:
-            problems.append(f"dt must be > 0, got {self.dt}")
-        if not self.t_end > 0.0:
-            problems.append(f"t_end must be > 0, got {self.t_end}")
-        if self.dt > 0.0 and self.t_end > 0.0 and self.dt > self.t_end * (1 + 1e-12):
-            problems.append(f"dt={self.dt} exceeds t_end={self.t_end}")
-        if self.epsilon < 0.0:
-            problems.append(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.scheme not in SCHEMES:
-            problems.append(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not self.cfl_safety > 0.0:
-            problems.append(f"cfl_safety must be > 0, got {self.cfl_safety}")
-        if not self.positivity_tol >= 0.0:
-            problems.append(f"positivity_tol must be >= 0, got {self.positivity_tol}")
+        problems = solver_problems(**vars(self))
         if problems:
             raise ContractError("; ".join(problems))
 
@@ -132,22 +118,44 @@ class SolverConfig:
         """Number of steps; t_end must be an integer multiple of dt."""
         n = whole_steps(self.t_end, self.dt)
         if n is None:
-            raise ContractError(
-                f"t_end={self.t_end} is not an integer multiple of dt={self.dt}"
-            )
+            raise ContractError(f"solver.t_end={self.t_end} is not an integer multiple "
+                                f"of solver.dt={self.dt}")
         return n
 
     def check_cfl(self, grid: Grid) -> None:
         limit = self.cfl_safety * grid.h
         if self.dt > limit * _CFL_SLACK:
-            raise ConfigError(f"dt={self.dt:g} violates the wave CFL restriction "
+            raise ConfigError(f"solver.dt={self.dt:g} violates the wave CFL restriction "
                               f"dt <= cfl_safety*h = {limit:g}")
+
+
+def solver_problems(dt: Optional[float], t_end: float, epsilon: float, scheme: str,
+                    cfl_safety: float, positivity_tol: float) -> List[str]:
+    """One message, named by config key, per :class:`SolverConfig` rule the values
+    break (``dt=None``, auto, skips dt's); ``n_steps`` checks that dt divides t_end."""
+    problems = []
+    if dt is not None and not dt > 0.0:
+        problems.append(f"solver.dt must be > 0, got {dt}")
+    if not 0.0 < t_end < math.inf:
+        problems.append(f"solver.t_end must be finite and > 0, got {t_end}")
+    elif dt is not None and dt > t_end * (1 + 1e-12):
+        problems.append(f"solver.dt={dt} exceeds solver.t_end={t_end}")
+    if not epsilon >= 0.0:
+        problems.append(f"solver.epsilon must be >= 0, got {epsilon}")
+    if scheme not in SCHEMES:
+        problems.append(f"solver.scheme must be one of {SCHEMES}, got {scheme!r}")
+    if not cfl_safety > 0.0:
+        problems.append(f"solver.cfl_safety must be > 0, got {cfl_safety}")
+    if not positivity_tol >= 0.0:
+        problems.append(f"solver.positivity_tol must be >= 0, got {positivity_tol}")
+    return problems
 
 
 def whole_steps(t_end: float, dt: float) -> Optional[int]:
     """The step count n >= 1 with n * dt = t_end to a relative 1e-9, or None
     when dt does not divide t_end."""
-    n = int(round(t_end / dt))
+    q = t_end / dt
+    n = int(round(q)) if abs(q) < math.inf else 0  # no n for nan or an overflowed q
     if n < 1 or abs(n * dt - t_end) > 1e-9 * max(t_end, 1.0):
         return None
     return n
@@ -157,6 +165,9 @@ def cfl_dt(grid: Grid, t_end: float, cfl_safety: float = 0.5) -> float:
     """The largest CFL-safe divisor of t_end: t_end / n for the fewest
     steps n whose dt passes :meth:`SolverConfig.check_cfl`."""
     bound = cfl_safety * grid.h * _CFL_SLACK
+    if not t_end < 2 ** 53 * bound:  # from 2**53 on, n + 1 and n are one float
+        raise ConfigError(f"solver.t_end={t_end} needs 2**53 or more steps of "
+                          f"dt <= cfl_safety*h = {cfl_safety * grid.h:g}")
     n = max(1, math.ceil(t_end / bound))
     while n > 1 and t_end / (n - 1) <= bound:  # the float quotient may put n one off
         n -= 1

@@ -21,7 +21,6 @@ from thermoelast1d.diagnostics import (
 from thermoelast1d.errors import StructuralError
 from thermoelast1d.grid import dx, integrate, l2_norm_sq
 from thermoelast1d.materials import eval_f, eval_fp
-from thermoelast1d.output import _record_row
 
 
 def record_bits(rec) -> bytes:
@@ -197,11 +196,20 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+def record_row(r) -> list:
+    """The diagnostics.csv row of one record, column by column as FORMATS.md
+    names them: y is nan when undefined, y_valid is 1 or 0."""
+    y = float("nan") if r.hfunc is None else r.hfunc
+    return [r.t, r.energy, r.theta_mass, r.theta_min, r.theta_max, y,
+            1 if r.hfunc_valid else 0, r.thetax_l2sq, r.thetaxx_l2sq, r.vx_l2sq,
+            r.vxx_l2sq, r.uxx_l2sq, r.dissipation_accum, r.eps_dissipation_accum]
+
+
 def diagnostics_text_loop(traj, sep=",") -> str:
     """diagnostics.csv (``sep=","``) or the rows of series.dat (``" "``)."""
     out = []
     for r in traj.records:
-        out.append(sep.join(_fmt(x) for x in _record_row(r)) + "\n")
+        out.append(sep.join(_fmt(x) for x in record_row(r)) + "\n")
     return "".join(out)
 
 

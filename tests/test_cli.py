@@ -251,7 +251,7 @@ def test_out_of_range_flag_is_a_config_error(tmp_path, capsys, argv, flag, value
     ("kind = random_L2_theta\nseed = -2\n", "initial_data: seed must be >= 0, got -2"),
     ("kind = sawtooth_strain\nteeth = 0\n", "initial_data: teeth must be >= 1, got 0"),
     ("kind = step_strain\njump = 2.0\n", "initial_data: strain jump must lie inside"),
-    ("kind = equilibrium\ntheta_bar = -1\n", "initial_data: equilibrium temperature must be"),
+    ("kind = equilibrium\ntheta_bar = -1\n", "initial_data: theta must be >= 0"),
 ])
 def test_run_bad_initial_data_is_a_config_error(tmp_path, capsys, initial, complaint):
     cfg = tmp_path / "run.cfg"

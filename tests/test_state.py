@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from thermoelast1d.diagnostics import compute_record
 from thermoelast1d.grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Field, Grid
 from thermoelast1d.materials import identity_material
-from thermoelast1d.output import DIAG_COLUMNS, _record_row
-from thermoelast1d.state import DiagnosticsRecord, State, make_state
+from thermoelast1d.output import DIAG_COLUMNS, export_trajectory, read_diagnostics_csv
+from thermoelast1d.state import DiagnosticsRecord, State, Trajectory, make_state
 
 FIELDS = (("v", 0, BC_HINGED), ("u", 1, BC_DIRICHLET), ("theta", 2, BC_NEUMANN))
 
@@ -75,7 +75,7 @@ def test_state_and_record_are_immutable():
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.0], ids=["valid", "below-floor"])
-def test_record_fields_follow_the_diagnostics_columns(theta):
+def test_record_fields_follow_the_diagnostics_columns(theta, tmp_path):
     """astuple(record) is the diagnostics.csv row, column for column."""
     g = Grid(0.0, 1.0, 16)
     x = g.nodes
@@ -88,4 +88,9 @@ def test_record_fields_follow_the_diagnostics_columns(theta):
     assert rec.hfunc_valid == (theta > 0.0)
     expected = [float("nan") if v is None else (1 if v is True else 0 if v is False else v)
                 for v in values]
-    assert np.array(expected).tobytes() == np.array(_record_row(rec), dtype=float).tobytes()
+    traj = Trajectory(g, 1e-2, "imex1")
+    traj.records.append(rec)
+    export_trajectory(traj, tmp_path)
+    diag = read_diagnostics_csv(tmp_path / "diagnostics.csv")
+    assert list(diag) == list(DIAG_COLUMNS)
+    assert np.array(expected).tobytes() == np.array([diag[c][0] for c in DIAG_COLUMNS]).tobytes()
