@@ -37,14 +37,6 @@ def _output_root() -> str:
     return os.environ.get(OUTPUT_ROOT_ENV, ".")
 
 
-def _add_plot_flag(p):
-    p.add_argument(
-        "--plot",
-        choices=("gnuplot", "svg"),
-        help="emit plot artifacts: gnuplot data+script, or a standalone SVG",
-    )
-
-
 def _rough_levels(kw, params) -> None:
     if "n_cells" in kw:
         n = kw.pop("n_cells")
@@ -67,7 +59,7 @@ def _check_time_shift(kw, params) -> None:
         if k is None or k > n_steps:
             raise ConfigError(f"bad --shifts item {shift!r}: not a multiple of --dt {dt!r} "
                               f"up to --t-end {t_end!r}")
-    grid = Grid(params["a"], params["b"], params["n_cells"])
+    grid = Grid(*experiments.OMEGA, params["n_cells"])
     SolverConfig(dt=dt, t_end=t_end).check_cfl(grid)
 
 
@@ -115,13 +107,15 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute one simulation from a config file")
     runp.add_argument("--config", required=True, help="path to a run config")
     runp.add_argument("--output-dir", help="override [output] directory")
-    _add_plot_flag(runp)
+    runp.add_argument("--plot", choices=("gnuplot", "svg"),
+                      help="emit plot artifacts: gnuplot data+script, or a standalone SVG")
 
     for name, (helptext, flags, _) in _EXPERIMENTS.items():
         ep = sub.add_parser(name, help=helptext)
         ep.add_argument("--output-dir", help="directory for the report")
         ep.add_argument("--material", default="identity", choices=_MATERIALS)
-        _add_plot_flag(ep)
+        ep.add_argument("--plot", choices=("svg",),
+                        help="emit a standalone SVG of the report's first series")
         for flag, kwargs in flags:
             ep.add_argument(flag, **kwargs)
 
@@ -175,9 +169,9 @@ def _cmd_run(args) -> int:
 
 
 def _maybe_plot(args, traj, outdir):
-    if getattr(args, "plot", None) == "gnuplot":
+    if args.plot == "gnuplot":
         write_gnuplot(traj, outdir)
-    elif getattr(args, "plot", None) == "svg":
+    elif args.plot == "svg":
         t = traj.record_times
         write_svg_series(
             {
@@ -245,7 +239,7 @@ def _cmd_experiment(args) -> int:
 
     print(report.summary())
     written = write_report(report, outdir)
-    if getattr(args, "plot", None) == "svg" and report.series:
+    if args.plot == "svg" and report.series:
         first = next(iter(report.series.values()))
         cols = list(first.keys())
         if len(cols) >= 2:

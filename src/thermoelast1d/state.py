@@ -148,6 +148,9 @@ def solver_problems(dt: Optional[float], t_end: float, epsilon: float, scheme: s
         problems.append(f"solver.cfl_safety must be > 0, got {cfl_safety}")
     if not positivity_tol >= 0.0:
         problems.append(f"solver.positivity_tol must be >= 0, got {positivity_tol}")
+    problems += [f"solver.{key} must be finite, got {value}" for key, value in (
+        ("epsilon", epsilon), ("cfl_safety", cfl_safety), ("positivity_tol", positivity_tol),
+    ) if value == math.inf]
     return problems
 
 

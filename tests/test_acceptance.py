@@ -49,8 +49,7 @@ def _report(num, desc, ok, detail):
 
 def test_criterion_01_energy_identity():
     t0 = time.time()
-    rep = exp_energy_audit(n_cells=256, t_end=1.0, levels=2,
-                           tolerance=1e-3, min_gain=1.8)
+    rep = exp_energy_audit(n_cells=256, t_end=1.0, levels=2)
     elapsed = time.time() - t0
     resid = rep.series["residual_by_level"]["max_relative_residual"]
     ok = rep.passed and elapsed <= 10.0

@@ -85,6 +85,12 @@ _G = Grid(0.0, 1.0, 16)
      "solver.epsilon must be >= 0, got nan"),
     (lambda: SolverConfig(dt=0.01, t_end=INF).n_steps(),
      "solver.t_end must be finite and > 0, got inf"),
+    (lambda: SolverConfig(dt=0.01, t_end=0.05, epsilon=INF),
+     "solver.epsilon must be finite, got inf"),
+    (lambda: SolverConfig(dt=0.01, t_end=0.05, cfl_safety=INF),
+     "solver.cfl_safety must be finite, got inf"),
+    (lambda: SolverConfig(dt=0.01, t_end=0.05, positivity_tol=INF),
+     "solver.positivity_tol must be finite, got inf"),
     (lambda: SolverConfig(dt=1e-10, t_end=1e300).n_steps(), "not an integer multiple"),
     (lambda: Grid(-INF, 1.0, 16), "grid: requires finite a < b, got a=-inf, b=1.0"),
     (lambda: Grid(0.0, INF, 16), "grid: requires finite a < b, got a=0.0, b=inf"),
@@ -92,7 +98,8 @@ _G = Grid(0.0, 1.0, 16)
     (lambda: initial_data.random_smooth(_G, theta_amplitude=-5.0), "theta_amplitude"),
     (lambda: initial_data.equilibrium(_G, theta_bar=NAN), "non-finite theta"),
     (lambda: initial_data.step_strain(_G, theta_bar=NAN), "non-finite theta"),
-], ids=["epsilon-nan", "t_end-inf", "steps-overflow", "a-minus-inf", "b-inf", "theta_floor", "theta_amplitude",
+], ids=["epsilon-nan", "t_end-inf", "epsilon-inf", "cfl_safety-inf", "positivity_tol-inf",
+        "steps-overflow", "a-minus-inf", "b-inf", "theta_floor", "theta_amplitude",
         "equilibrium-nan", "step_strain-nan"])
 def test_refused_from_the_api(build, message):
     with pytest.raises(ContractError, match=message.replace(".", r"\.")):
@@ -126,7 +133,11 @@ def test_every_builder_returns_through_the_sample_check(kind, monkeypatch):
     ("", "t_end = 0.125\n", "kind = random_smooth\ntheta_floor = -1\n"),
     ("", "t_end = 1e300\n", ""),
     ("", "t_end = 1e300\ndt = 1e-10\n", ""),
-], ids=["a-minus-inf", "b-inf", "theta_floor", "auto-dt-steps", "steps-overflow"])
+    ("", "t_end = 0.125\nepsilon = inf\n", ""),
+    ("", "t_end = 0.125\ncfl_safety = inf\n", ""),
+    ("", "t_end = 0.125\npositivity_tol = inf\n", ""),
+], ids=["a-minus-inf", "b-inf", "theta_floor", "auto-dt-steps", "steps-overflow",
+        "epsilon-inf", "cfl_safety-inf", "positivity_tol-inf"])
 def test_run_refuses_before_the_output_dir(tmp_path, capsys, grid, solver, initial):
     """Each is a config error before any step, not a failed step (exit 1), a
     step count that cfl_dt cannot find, or an OverflowError."""

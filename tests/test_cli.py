@@ -80,6 +80,16 @@ def test_run_with_plots(tmp_path):
     assert (out_gp / "plot.gp").exists() and (out_gp / "series.dat").exists()
 
 
+def test_experiment_plot_takes_only_svg(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    outdir = tmp_path / "rep"
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "--plot", "gnuplot", "--output-dir", str(outdir)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'gnuplot'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_subcommand_writes_report(tmp_path, capsys):
     rc = main([
         "eps-cauchy", "--n-cells", "32", "--t-end", "0.125",

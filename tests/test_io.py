@@ -99,6 +99,13 @@ def test_nan_solver_value_is_refused(key):
     assert exc.value.errors == [f"solver.{key} must be >= 0, got nan"]
 
 
+@pytest.mark.parametrize("key", ["epsilon", "cfl_safety", "positivity_tol"])
+def test_infinite_solver_value_is_refused(key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[solver]\n{key} = inf\n")
+    assert exc.value.errors == [f"solver.{key} must be finite, got inf"]
+
+
 def test_duplicate_key_names_both_lines():
     text = "[solver]\ndt = 0.1\nt_end = 1.0\ndt = 0.2\n"
     with pytest.raises(ConfigError) as exc:

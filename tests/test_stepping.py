@@ -88,6 +88,40 @@ def test_single_step_mass_identity(a, length, n_cells, scheme, epsilon, material
     assert abs(residual) <= bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(-2.0, 2.0),
+    length=st.floats(0.1, 5.0),
+    n_cells=st.integers(4, 600),
+    material=st.sampled_from(MATERIALS),
+    dt_frac=st.floats(0.05, 1.0),
+    kind=st.sampled_from(["random_smooth", "random_L2_theta"]),
+    seed=st.integers(0, 2**16),
+)
+def test_single_step_heat_l2_identity(a, length, n_cells, material, dt_frac, kind, seed):
+    """The heat part of one limit step, Theta_1 - dt D2 Theta_1 = Theta_0 - dt f(Theta_0+)
+    D_x v_half, tested against Theta_1 in the trapezoid weights w:
+
+        1/2|Theta_1|_w^2 - 1/2|Theta_0|_w^2 + 1/2|Theta_1 - Theta_0|_w^2
+            + dt h sum (D+ Theta_1)^2 = dt <-f(Theta_0+) D_x v_half, Theta_1>_w,
+
+    since -w.(Theta D2 Theta) = h sum (D+ Theta)^2 for the Neumann D2 (summation
+    by parts).  The residual stays within 1e-11 of the largest term."""
+    g = Grid(a, a + length, n_cells)
+    init = initial_data.KINDS[kind](g, seed=seed)
+    dt = dt_frac * 0.5 * g.h
+    new = step_limit(init, material, SolverConfig(dt=dt, t_end=dt), g)
+    v, u, th0 = init.block
+    th1 = new.block[2]
+    wave, f0 = stepping._wave(material, u, th0, g.h)
+    v_half = stepping._pin(v + 0.5 * dt * wave)
+    w = g.quad_weights()
+    terms = (0.5 * (w @ th1 ** 2), -0.5 * (w @ th0 ** 2), 0.5 * (w @ (th1 - th0) ** 2),
+             dt * g.h * np.sum((np.diff(th1) / g.h) ** 2),
+             -dt * (w @ (-f0 * dx_values(v_half, g.h, BC_HINGED) * th1)))
+    assert abs(sum(terms)) <= 1e-11 * max(abs(t) for t in terms)
+
+
 #: the names ``import thermoelast1d`` gives, apart from submodules and dunders
 PUBLIC_NAMES = {
     "BC_DIRICHLET", "BC_FREE", "BC_HINGED", "BC_NEUMANN", "DiagnosticsRecord", "Field",

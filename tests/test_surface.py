@@ -9,7 +9,7 @@ import os
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoelast1d import cli, initial_data
+from thermoelast1d import cli, experiments, initial_data
 from thermoelast1d.config import (
     GridSpec,
     InitialDataSpec,
@@ -27,7 +27,8 @@ _PLOT = (["--plot"], None, ["gnuplot", "svg"],
 _EXPERIMENT = [
     (["--output-dir"], None, None, "directory for the report", None, False),
     (["--material"], "identity", _MATERIALS, None, None, False),
-    _PLOT,
+    (["--plot"], None, ["svg"], "emit a standalone SVG of the report's first series", None,
+     False),
 ]
 _N_CELLS = (["--n-cells"], None, None, None, "int", False)
 _T_END = (["--t-end"], None, None, None, "float", False)
@@ -85,6 +86,34 @@ def test_cli_surface_golden():
     }
     assert list(surface) == list(CLI_SURFACE)
     assert surface == CLI_SURFACE
+
+
+#: experiment -> its parameters, each with its default
+EXPERIMENT_SIGNATURES = {
+    "exp_energy_audit": ["n_cells=256", "t_end=1.0", "levels=3", "material=None"],
+    "exp_stability": ["n_cells=256", "t_end=0.5", "deltas=(0.01, 0.001, 0.0001)",
+                      "material=None"],
+    "exp_eps_cauchy": ["eps_ladder=(0.1, 0.03, 0.01, 0.003, 0.001)", "n_cells=128",
+                       "t_end=0.5", "material=None"],
+    "exp_time_shift": ["shifts=(0.01, 0.05, 0.1)", "epsilon=0.01", "n_cells=128", "dt=0.0025",
+                       "t_end=1.0", "material=None"],
+    "exp_rough_data": ["kind='step_strain'", "n_levels=(256, 512, 1024)", "t_end=1.0",
+                       "material=None", "**data_params"],
+    "exp_mms": ["spatial_levels=(32, 64, 128)", "temporal_dts=(0.0008, 0.0004, 0.0002)",
+                "temporal_n_cells=512", "t_end=0.24", "material=None"],
+}
+
+
+def test_experiment_signatures_golden():
+    """Each study takes only what a caller sets: a new parameter, or a new
+    default, must be added here."""
+    surface = {
+        name: [str(p.replace(annotation=p.empty))
+               for p in inspect.signature(getattr(experiments, name)).parameters.values()]
+        for name in dir(experiments) if name.startswith("exp_")
+    }
+    assert surface == EXPERIMENT_SIGNATURES
+    assert sum(map(len, surface.values())) == 28
 
 
 #: initial-data kind -> {key: whether it takes an int}
