@@ -9,6 +9,7 @@ errors.  THERMOELAST1D_OUTPUT_ROOT sets the default output root.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import math
 import os
@@ -24,7 +25,7 @@ from .initial_data import ROUGH_KINDS
 from .materials import KIND_TABULATED, KINDS, make_material
 from .output import (export_trajectory, make_output_dir, write_gnuplot, write_report,
                      write_svg_series)
-from .state import SolverConfig, whole_steps
+from .state import SolverConfig, eps_grid_problem, whole_steps
 from .stepping import run_eps, run_limit
 
 OUTPUT_ROOT_ENV = "THERMOELAST1D_OUTPUT_ROOT"
@@ -43,13 +44,21 @@ def _rough_levels(kw, params) -> None:
         kw["n_levels"] = (n, 2 * n, 4 * n)
 
 
+def _check_eps_grid(epsilon, n_cells) -> None:
+    problem = eps_grid_problem(epsilon, n_cells)
+    if problem:
+        raise ConfigError(f"bad --n-cells {n_cells}: {problem}")
+
+
 def _check_eps_ladder(kw, params) -> None:
     ladder = params["eps_ladder"]
     if any(e2 >= e1 for e1, e2 in zip(ladder, ladder[1:])):
         raise ConfigError(f"bad --eps-ladder {ladder}: must be strictly decreasing")
+    _check_eps_grid(ladder[0], params["n_cells"])
 
 
 def _check_time_shift(kw, params) -> None:
+    _check_eps_grid(params["epsilon"], params["n_cells"])
     dt, t_end = params["dt"], params["t_end"]
     n_steps = whole_steps(t_end, dt)
     if n_steps is None:
@@ -261,10 +270,18 @@ def _cmd_constants(args) -> int:
         print(f"config error: bad --omega {args.omega!r}: {exc}", file=sys.stderr)
         return 2
     material = make_material(args.material)
-    ledger = bounds.build_ledger(args.eta, args.K, args.T, grid, material)
+    try:
+        ledger = bounds.build_ledger(args.eta, args.K, args.T, grid, material)
+        gn = gn_constants(grid)
+        g1_half = bounds.gamma1(0.5, args.K, gn.c1, gn.c2, material.c3, material.c4)
+        values = [getattr(ledger, f.name) for f in dataclasses.fields(ledger)] + [g1_half]
+        finite = all(math.isfinite(v) for v in values if isinstance(v, float))
+    except OverflowError:  # a float power out of range
+        finite = False
+    if not finite:
+        raise ConfigError(f"a ledger constant is not finite for --omega {args.omega!r}, "
+                          f"--eta {args.eta!r}, --K {args.K!r}, --T {args.T!r}")
     print(ledger.describe())
-    gn = gn_constants(grid)
-    g1_half = bounds.gamma1(0.5, args.K, gn.c1, gn.c2, material.c3, material.c4)
     print(f"  Gamma1(1/2, K) = {g1_half:.12g}   (Gronwall building block)")
     return 0
 

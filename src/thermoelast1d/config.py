@@ -32,7 +32,8 @@ from .grid import Grid
 from .initial_data import KINDS as _INITIAL_KINDS
 from .materials import KIND_TABULATED, KINDS as _MATERIAL_KINDS, Material, make_material
 from .output import FORMATS
-from .state import SolverConfig, State, cfl_dt, solver_problems, whole_steps
+from .state import (SolverConfig, State, cfl_dt, eps_grid_problem, solver_problems,
+                    whole_steps)
 
 
 def _initial_keys(kind: str) -> Dict[str, bool]:
@@ -256,6 +257,9 @@ def _semantic_errors(cfg: RunConfig):
         errs.append(f"material.rho_floor must be > 0, got {m.rho_floor}")
     solver = solver_problems(**vars(s))
     errs.extend(solver)
+    cells = eps_grid_problem(s.epsilon, grid.n_cells) if grid is not None else None
+    if cells:
+        errs.append(f"grid.n_cells: {cells}")
     if not solver and s.dt is not None and whole_steps(s.t_end, s.dt) is None:
         errs.append(f"solver.dt={s.dt} does not divide solver.t_end={s.t_end}")
     elif not solver and s.dt is None and grid is not None:

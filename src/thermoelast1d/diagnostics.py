@@ -67,48 +67,81 @@ def compute_record(
 ) -> DiagnosticsRecord:
     """One diagnostics row; accumulators continue from ``prev`` by trapezoid.
 
-    One pass over the state's ``(3, N)`` block: dx and dxx of the three rows
-    in two stacked passes, and every integral from one ``np.vecdot`` over a
-    C-contiguous stack of integrands; bit-identical to the row composed from
-    :func:`energy`, :func:`hfunc` and the grid operators.  ``theta_min``
-    and ``f_theta`` are values the caller already has for this state, and
-    must equal min Theta and f(max(Theta, 0)); they are computed here when
-    not given."""
+    The one-state call of :func:`chunk_records`, on a view of the state's
+    ``(3, N)`` block; bit-identical to the row composed from :func:`energy`,
+    :func:`hfunc` and the grid operators.  ``theta_min`` and ``f_theta``
+    are values the caller already has for this state, and must equal min
+    Theta and f(max(Theta, 0)); they are computed here when not given."""
     if state.n_nodes != grid.n_nodes:
         raise StructuralError(f"state has {state.n_nodes} nodes, grid {grid.n_nodes}")
+    th_min = float(state.block[2].min()) if theta_min is None else theta_min
+    return chunk_records(state.block[None], [state.t], [th_min], material, grid, epsilon,
+                         prev, None if f_theta is None else f_theta[None])[0]
+
+
+def chunk_records(
+    stack: np.ndarray,
+    times: Sequence[float],
+    theta_min: Sequence[float],
+    material: Material,
+    grid: Grid,
+    epsilon: float,
+    prev: Optional[DiagnosticsRecord],
+    f_theta: Optional[np.ndarray] = None,
+) -> List[DiagnosticsRecord]:
+    """The diagnostics rows of C consecutive states in one pass over the
+    C-contiguous ``(C, 3, N)`` stack of their blocks; the accumulators of
+    row j continue from row j - 1 (row 0 from ``prev``) by trapezoid.
+
+    dx and dxx of the 3C rows in two stacked passes, every integral from
+    one ``np.vecdot`` over a C-contiguous stack of integrands, the material
+    kernels once over the states whose min Theta is at least the rho floor,
+    max Theta by one axis reduction, then the scalars of each row in step
+    order.  ``times`` and ``theta_min`` give each state's t and min Theta,
+    ``f_theta`` (``(C, N)``, optional) its f(max(Theta, 0))."""
+    c, _, n = stack.shape
     w = trapezoid_weights(grid)
-    block = state.block
-    th = block[2]
-    th_min = float(th.min()) if theta_min is None else theta_min
-    valid = not th_min < material.rho_floor
-    # integrands, one row each: v_x^2, u_x^2, Theta_x^2, v_xx^2, u_xx^2,
-    # Theta_xx^2, v^2, Theta, and rho(Theta) Theta_x^2 while rho is defined
-    rows = np.empty((9 if valid else 8, state.n_nodes))
-    dx_rows(block, grid.h, _STATE_BCS, out=rows[0:3])
-    dxx_rows(block, grid.h, _STATE_BCS, out=rows[3:6])
-    rows[6] = block[0]
-    np.square(rows[:7], out=rows[:7])
-    rows[7] = th
-    if valid:
-        # Theta >= rho_floor > 0 here, so f(max(Theta, 0)) is f(Theta) and
+    valid = [not m < material.rho_floor for m in theta_min]
+    # integrands, (3, C, 3, N): the squares of dx and of dxx of each state's
+    # (v, u, Theta), then v^2, Theta and, while rho is defined, rho(Theta) Theta_x^2
+    rows = np.empty((3, c, 3, n))
+    flat = stack.reshape(3 * c, n)
+    dx_rows(flat, grid.h, _STATE_BCS, out=rows[0].reshape(3 * c, n))
+    dxx_rows(flat, grid.h, _STATE_BCS, out=rows[1].reshape(3 * c, n))
+    np.square(rows[:2], out=rows[:2])
+    np.square(stack[:, 0], out=rows[2, :, 0])
+    th = stack[:, 2]
+    rows[2, :, 1] = th
+    all_valid = all(valid)
+    if not all_valid:
+        rows[2, np.logical_not(valid), 2] = 0.0
+    if all_valid or any(valid):
+        sel = slice(None) if all_valid else np.array(valid)
+        # Theta >= rho_floor > 0 there, so f(max(Theta, 0)) is f(Theta) and
         # the unchecked kernels apply
-        fth = f_kernel(material, th) if f_theta is None else f_theta
-        np.multiply(fp_kernel(material, th) / fth, rows[2], out=rows[8])
-    ints = np.vecdot(rows, w).tolist()
-    vx_sq, ux_sq, thx_sq, vxx_sq, uxx_sq, thxx_sq, v_sq, mass = ints[:8]
-    y = 1.0 + 0.5 * vx_sq + 0.5 * uxx_sq + 0.5 * ints[8] if valid else None
+        th_v = th[sel]
+        fth = f_kernel(material, th_v) if f_theta is None else f_theta[sel]
+        rows[2, sel, 2] = fp_kernel(material, th_v) / fth * rows[0, sel, 2]
+    ints = np.vecdot(rows, w).transpose(1, 0, 2).tolist()
+    th_max = th.max(axis=1).tolist()
 
-    diss = eps_diss = 0.0
-    if prev is not None:
-        half_dt = 0.5 * (state.t - prev.t)
-        diss = prev.dissipation_accum + half_dt * (prev.thetax_l2sq + thx_sq)
-        eps_diss = prev.eps_dissipation_accum + epsilon * half_dt * (
-            (prev.vxx_l2sq + prev.uxx_l2sq) + (vxx_sq + uxx_sq)
-        )
-
-    return DiagnosticsRecord(
-        state.t, 0.5 * v_sq + 0.5 * ux_sq + mass, mass, th_min, float(th.max()), y, valid,
-        thx_sq, thxx_sq, vx_sq, vxx_sq, uxx_sq, diss, eps_diss)
+    records = []
+    for j, t in enumerate(times):
+        (vx_sq, ux_sq, thx_sq), (vxx_sq, uxx_sq, thxx_sq), (v_sq, mass, rho_sq) = ints[j]
+        ok = valid[j]
+        y = 1.0 + 0.5 * vx_sq + 0.5 * uxx_sq + 0.5 * rho_sq if ok else None
+        diss = eps_diss = 0.0
+        if prev is not None:
+            half_dt = 0.5 * (t - prev.t)
+            diss = prev.dissipation_accum + half_dt * (prev.thetax_l2sq + thx_sq)
+            eps_diss = prev.eps_dissipation_accum + epsilon * half_dt * (
+                (prev.vxx_l2sq + prev.uxx_l2sq) + (vxx_sq + uxx_sq)
+            )
+        prev = DiagnosticsRecord(
+            t, 0.5 * v_sq + 0.5 * ux_sq + mass, mass, theta_min[j], th_max[j], y, ok,
+            thx_sq, thxx_sq, vx_sq, vxx_sq, uxx_sq, diss, eps_diss)
+        records.append(prev)
+    return records
 
 
 def energy_identity_residual(traj: Trajectory) -> np.ndarray:

@@ -12,10 +12,10 @@ summation-by-parts cancellations the diagnostics rely on:
 
 The array kernels :func:`dx_values` / :func:`dxx_values` (one field, or a
 stack ``(N, ...)`` with the nodes along the first axis) and
-:func:`dx_rows` / :func:`dxx_rows` (a ``(k, N)`` stack of rows, closed by one
-bc kind or by one kind per row) share one copy of the interior stencils
-and of the boundary closures; they serve :func:`dx` / :func:`dxx`, the time
-steppers and the diagnostics.
+:func:`dx_rows` / :func:`dxx_rows` (an ``(m, N)`` stack of rows, closed by
+one bc kind or by a repeating sequence of kinds) share one copy of the
+interior stencils and of the boundary closures; they serve :func:`dx` /
+:func:`dxx`, the time steppers and the diagnostics.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -24,6 +24,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -228,27 +229,33 @@ def _dxx_ends(out: np.ndarray, f: np.ndarray, h2: float, bc_kind: str) -> None:
 
 
 def _rows_kernel(interior, ends, f: np.ndarray, scale: float, bc, out) -> np.ndarray:
-    """Apply a kernel to each row of a ``(k, N)`` stack.  The interior
+    """Apply a kernel to each row of an ``(m, N)`` stack.  The interior
     stencil runs once over the flattened rows; where it straddles two rows
-    it lands on a row end, which the closures then overwrite: for every
-    row at once if ``bc`` is one kind, row by row if it is a kind per row."""
+    it lands on a row end, which the closures then overwrite, once per bc
+    kind: over every row if ``bc`` is one kind, over the rows ``i::k`` for
+    the i-th of a sequence of k kinds."""
     if out is None:
         out = np.empty(f.shape)
     elif out.shape != f.shape or not out.flags.c_contiguous:
         raise ContractError(f"out must be a C-contiguous {f.shape} array")
+    kinds = (bc,) if isinstance(bc, str) else tuple(bc)
+    k = len(kinds)
+    if f.shape[0] % k:
+        raise ContractError(f"{k} bc kinds do not divide {f.shape[0]} rows")
     interior(out.reshape(-1), f.reshape(-1), scale)
-    if isinstance(bc, str):
-        ends(out.T, f.T, scale, bc)
-    else:
-        for row_out, row, kind in zip(out, f, bc):
+    if len(f) == k:  # one row per kind: its ends are numpy scalars, cheaper than columns
+        for row_out, row, kind in zip(out, f, kinds):
             ends(row_out, row, scale, kind)
+    else:
+        for i, kind in enumerate(kinds):
+            ends(out[i::k].T, f[i::k].T, scale, kind)
     return out
 
 
 def dx_rows(f: np.ndarray, h: float, bc, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`dx_values` of each row of a ``(k, N)`` stack, as a C-contiguous
+    """:func:`dx_values` of each row of an ``(m, N)`` stack, as a C-contiguous
     array (``out`` if given); ``bc`` is one kind for every row or a sequence
-    of k kinds."""
+    of k kinds, the i-th for the rows i, i + k, ... (k divides m)."""
     return _rows_kernel(_dx_interior, _dx_ends, f, h, bc, out)
 
 
@@ -332,5 +339,12 @@ def gn_constants(grid: Grid) -> GNConstants:
     """
     length = grid.length
     c1 = max(np.sqrt(2.0), 1.0 / np.sqrt(length))
-    c2 = max(2.0 * length, 2.0 / length ** 2)
+    # c2 = max(2 L, 2 / L^2), with L^2 formed only where it is a normal float:
+    # below that it loses bits or underflows to 0, and L is divided out twice
+    if length >= 1.0:
+        c2 = 2.0 * length
+    elif length ** 2 >= sys.float_info.min:
+        c2 = 2.0 / length ** 2
+    else:
+        c2 = 2.0 / length / length
     return GNConstants(c1=float(c1), c2=float(c2))

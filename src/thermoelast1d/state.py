@@ -154,6 +154,20 @@ def solver_problems(dt: Optional[float], t_end: float, epsilon: float, scheme: s
     return problems
 
 
+#: fewest grid cells of an eps > 0 run: the 5-point stencil of its hinged
+#: fourth-order operator
+EPS_MIN_CELLS = 4
+
+
+def eps_grid_problem(epsilon: float, n_cells: int) -> Optional[str]:
+    """The grid rule of the eps > 0 systems, read by the config and the
+    command line (the operator refuses a smaller grid by the same
+    constant): the message when ``n_cells`` breaks it, else None."""
+    if epsilon > 0.0 and n_cells < EPS_MIN_CELLS:
+        return f"epsilon = {epsilon!r} > 0 needs n_cells >= {EPS_MIN_CELLS}, got {n_cells}"
+    return None
+
+
 def whole_steps(t_end: float, dt: float) -> Optional[int]:
     """The step count n >= 1 with n * dt = t_end to a relative 1e-9, or None
     when dt does not divide t_end."""

@@ -19,11 +19,19 @@ chain of fresh single steps:
 * :class:`LimitStepper` carries its closing half-kick into the next step's
   opening one, and its carried f(Theta) also gives the row's rho = f'/f;
 * the new (v, u, Theta) are copied once into the State's read-only
-  ``(3, N)`` block (:func:`~thermoelast1d.state.make_state`): a slot of the
-  run's one ``(n_kept, 3, N)`` store for a state the trajectory keeps, a
-  fresh block otherwise.  The block is checked with one finite test and one
-  min Theta (:func:`check_step` builds the message only on failure), and
-  :func:`~thermoelast1d.diagnostics.compute_record` takes its row from it.
+  ``(3, N)`` block (:func:`~thermoelast1d.state.make_state`), a slot of the
+  chunk's ``(C, 3, N)`` stack, and a state the trajectory keeps once more
+  into a slot of the run's one ``(n_kept, 3, N)`` store.  The block is
+  checked with one finite test and one min Theta (:func:`check_step` builds
+  the message only on failure).
+
+The diagnostics rows are formed per chunk of C = :func:`chunk_steps` steps
+(max(1, :data:`CHUNK_VALUES` // N): 248 at N = 33, 15 at N = 513, 1 from
+N = 4097 on), in one pass of :func:`~thermoelast1d.diagnostics.chunk_records`
+over the chunk's stack.  The recorder is called once per step and in step
+order: with t = 0 before step 1, then with the chunk's states as its rows
+are formed, so at most one chunk late.  A failing step first has the rows
+of the steps before it formed and recorded.
 """
 
 from __future__ import annotations
@@ -35,12 +43,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .diagnostics import compute_record
+from .diagnostics import chunk_records, compute_record
 from .errors import ContractError, PositivityError, SchemeError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
 # eval_f is unused here; bench/probes.py patches it by name
 from .materials import Material, eval_f, f_kernel  # noqa: F401
-from .state import SolverConfig, State, Trajectory, block_rows, make_state
+from .state import EPS_MIN_CELLS, SolverConfig, State, Trajectory, block_rows, make_state
 
 #: (S_v, S_theta): each maps the node array and a ``(C, 1)`` column of times
 #: to a ``(C, N)`` array, one row per time
@@ -72,9 +80,9 @@ def heat_system(grid: Grid, c: float, bc_kind: str) -> sp.csc_matrix:
 def biharmonic_system_hinged(grid: Grid, c: float) -> sp.csc_matrix:
     """I + c*D4 with identity rows at the ends and antisymmetric-ghost
     closures next to them (value and curvature pinned to zero)."""
+    if grid.n_cells < EPS_MIN_CELLS:
+        raise ContractError(f"fourth-order operator needs n_cells >= {EPS_MIN_CELLS}")
     n = grid.n_nodes
-    if n < 5:
-        raise ContractError("fourth-order operator needs n_cells >= 4")
     q = c / grid.h ** 4
     main = np.full(n, 1.0 + 6.0 * q)
     # hinged closure: ghost v[-1] = -v[1] folds onto the diagonal
@@ -328,6 +336,19 @@ def check_step(v: np.ndarray, u: np.ndarray, th: np.ndarray, step: int, t: float
             f"t = {t:.6g}, node {i} (x = {grid.nodes[i]:.6g})", t=t)
 
 
+#: values per field in one chunk of the run loop, whose rows are formed in
+#: one pass over the ``(C, 3, N)`` stack of C = :func:`chunk_steps` states.
+#: Stacked rows cost less per step than single ones up to N of about 2049
+#: (2 vCPUs, numpy 2.4), and more at N = 4097 with C = 3, so C = 1 from there
+CHUNK_VALUES = 1 << 13
+
+
+def chunk_steps(n_nodes: int) -> int:
+    """Steps per chunk of the run loop: within :data:`CHUNK_VALUES` values,
+    and 1 from N > CHUNK_VALUES / 2 on."""
+    return max(1, CHUNK_VALUES // n_nodes)
+
+
 def run_simulation(
     stepper,
     init: State,
@@ -337,13 +358,20 @@ def run_simulation(
     record_every: int = 1,
     recorder=None,
 ) -> Trajectory:
-    """March ``init`` to t_end with ``stepper`` (``advance`` and ``label``),
-    streaming per-step diagnostics.
+    """March ``init`` to t_end with ``stepper`` (``advance`` and ``label``,
+    optionally ``f_theta``), streaming per-step diagnostics.
 
-    Deterministic: identical inputs produce bit-identical trajectories.
-    Step failures propagate with the failing time attached, and a
-    :class:`SchemeError` or :class:`PositivityError` carries the last good
-    row as ``last_record``.
+    The rows are formed per chunk of :func:`chunk_steps` steps.
+    ``recorder(state, record)`` is called once per step, in step order: for
+    t = 0 before step 1, then for each step when its chunk's rows are
+    formed (at most one chunk late).  It may keep any state it is given.
+
+    Deterministic: identical inputs produce bit-identical trajectories, and
+    the rows equal :func:`~thermoelast1d.diagnostics.compute_record` chained
+    over single steps.  Step failures propagate with the failing time
+    attached; a :class:`SchemeError` or :class:`PositivityError` at step k
+    comes after the rows of steps 1 .. k - 1 are formed and recorded, and
+    carries the row of step k - 1 as ``last_record``.
     """
     if init.t != 0.0:
         raise ContractError(f"runs start at t = 0, got init.t = {init.t}")
@@ -362,31 +390,58 @@ def run_simulation(
         recorder(init, rec)
 
     kept_f = getattr(stepper, "f_theta", None)
-    # one slot per kept state; a recorder may keep any state, so no block is reused
+    n = grid.n_nodes
+    size = chunk_steps(n)
+    # one slot per kept state
     n_kept = n_steps // record_every + (n_steps % record_every != 0)
-    store = np.empty((n_kept, 3, grid.n_nodes))
-    v, u, th = init.block.copy()
-    try:
-        for k in range(1, n_steps + 1):
-            t_new = k * cfg.dt
-            v, u, th = stepper.advance(v, u, th, (k - 1) * cfg.dt)
-            kept = k % record_every == 0 or k == n_steps
-            state = make_state(t_new, v, u, th, out=store[len(traj.states) - 1] if kept else None)
-            block = state.block
-            th_min = float(block[2].min())
-            # the block's pinned ends are 0, so nonzero (or non-finite) ends
-            # of the stepper's v and u go to the full check as well
-            if (not np.isfinite(block).all() or th_min < -cfg.positivity_tol
-                    or v[0] or v[-1] or u[0] or u[-1]):
-                check_step(v, u, th, k, t_new, cfg, grid)
-            rec = compute_record(state, material, grid, cfg.epsilon, rec, theta_min=th_min,
-                                 f_theta=kept_f(th) if kept_f is not None else None)
+    store = np.empty((n_kept, 3, n))
+    slot = 0
+    pending = []  # (state, kept, min Theta) of the steps whose rows are not formed
+
+    def form_rows():
+        nonlocal rec
+        if not pending:
+            return
+        m = len(pending)
+        states, kept, th_min = zip(*pending)
+        pending.clear()
+        rows = chunk_records(stack[:m], [s.t for s in states], th_min, material, grid,
+                             cfg.epsilon, rec, None if fth is None else fth[:m])
+        for state, keep, rec in zip(states, kept, rows):  # rec: the last row formed
             traj.records.append(rec)
-            if kept:
+            if keep:
                 traj.states.append(state)
             if recorder is not None:
                 recorder(state, rec)
+
+    v, u, th = init.block.copy()
+    try:
+        for first in range(1, n_steps + 1, size):
+            c = min(size, n_steps + 1 - first)
+            # fresh per chunk: a recorder may keep any state, so no block is reused
+            stack = np.empty((c, 3, n))
+            fth = np.empty((c, n)) if kept_f is not None else None
+            for j, k in enumerate(range(first, first + c)):
+                t_new = k * cfg.dt
+                v, u, th = stepper.advance(v, u, th, (k - 1) * cfg.dt)
+                state = make_state(t_new, v, u, th, out=stack[j])
+                block = state.block
+                th_min = float(block[2].min())
+                # the block's pinned ends are 0, so nonzero (or non-finite) ends
+                # of the stepper's v and u go to the full check as well
+                if (not np.isfinite(block).all() or th_min < -cfg.positivity_tol
+                        or v[0] or v[-1] or u[0] or u[-1]):
+                    check_step(v, u, th, k, t_new, cfg, grid)
+                if fth is not None:
+                    fth[j] = kept_f(th)
+                kept = k % record_every == 0 or k == n_steps
+                if kept:
+                    state = make_state(t_new, *block, out=store[slot])
+                    slot += 1
+                pending.append((state, kept, th_min))
+            form_rows()
     except (SchemeError, PositivityError) as exc:
+        form_rows()
         exc.last_record = rec
         raise
     return traj

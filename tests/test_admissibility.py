@@ -14,8 +14,8 @@ from thermoelast1d import initial_data
 from thermoelast1d.cli import main
 from thermoelast1d.config import parse_config
 from thermoelast1d.errors import ConfigError, ContractError
-from thermoelast1d.grid import Grid
-from thermoelast1d.state import SolverConfig, cfl_dt
+from thermoelast1d.grid import Grid, gn_constants
+from thermoelast1d.state import SolverConfig, cfl_dt, eps_grid_problem
 
 INF, NAN = math.inf, math.nan
 #: values every rule must decide: nan, +-inf, 0, negatives, then ordinary ones
@@ -35,6 +35,8 @@ def _refuses(build) -> bool:
 @settings(max_examples=400, deadline=None)
 @example(a=0.0, b=1.0, n_cells=16, epsilon=0.0, t_end=1e300, dt=None, scheme="imex1",
          cfl_safety=0.5, positivity_tol=0.0)  # auto dt would need 2**53 or more steps
+@example(a=0.0, b=1.0, n_cells=3, epsilon=0.01, t_end=1.0, dt=None, scheme="imex1",
+         cfl_safety=0.5, positivity_tol=0.0)  # eps > 0 on fewer than 4 cells
 @given(a=_SPECIAL | st.floats(-3.0, 3.0), b=_SPECIAL | st.floats(-3.0, 3.0),
        n_cells=st.integers(-2, 64), epsilon=_VALUE, t_end=_VALUE,
        dt=st.none() | _VALUE | st.integers(1, 40), scheme=_SCHEMES,
@@ -42,7 +44,7 @@ def _refuses(build) -> bool:
 def test_config_accepts_exactly_what_the_owners_accept(a, b, n_cells, epsilon, t_end, dt,
                                                        scheme, cfl_safety, positivity_tol):
     """parse_config refuses a grid or solver value exactly when Grid,
-    SolverConfig or (for dt = auto) cfl_dt refuses it; apart from that, it
+    SolverConfig, eps_grid_problem or (for dt = auto) cfl_dt refuses it; apart from that, it
     refuses a dt exactly when SolverConfig.n_steps does.  An accepted config
     builds its grid and solver config, and n_steps succeeds.  (An int dt
     is t_end / dt.)"""
@@ -63,6 +65,8 @@ def test_config_accepts_exactly_what_the_owners_accept(a, b, n_cells, epsilon, t
         owner = SolverConfig(dt=t_end if dt is None else dt, **solver)
         if dt is None:  # the solver rules hold, so cfl_dt can resolve auto
             owner = SolverConfig(dt=cfl_dt(grid, t_end, cfl_safety), **solver)
+        if eps_grid_problem(epsilon, n_cells):
+            owner = None
     except (ContractError, ConfigError):
         owner = None
     assert (len(errors) > len(divides)) == (owner is None)
@@ -165,3 +169,44 @@ def test_time_shift_counts_steps_like_its_precheck(tmp_path, capsys):
             "--shifts", "2.0000000015", "--output-dir", str(outdir)]
     assert main(argv) == 0
     assert (outdir / "verdict.txt").exists() and (outdir / "series_shift_2.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["time-shift", "--n-cells", "3"],
+    ["eps-cauchy", "--n-cells", "3"],
+    ["run", "--config", "eps3.cfg"],
+], ids=["time-shift", "eps-cauchy", "run"])
+def test_eps_runs_refuse_fewer_than_four_cells_before_the_output_dir(tmp_path, capsys,
+                                                                     monkeypatch, argv):
+    """eps > 0 on n_cells < 4 (the hinged fourth-order operator) is a usage
+    error before any directory is made, not a failed run (exit 1)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "eps3.cfg").write_text("[grid]\nn_cells = 3\n[solver]\nepsilon = 0.01\n"
+                                       "t_end = 0.125\n")
+    assert main(argv + ["--output-dir", "out"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ")
+    assert "needs n_cells >= 4, got 3" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eps3.cfg"]
+
+
+@pytest.mark.parametrize("omega", ["0,1e-300", "0,1.2e-154", "0,5e-324", "0,1e300"])
+def test_constants_refuses_an_omega_with_a_non_finite_constant(capsys, omega):
+    """An interval so short (or long) that a ledger constant overflows is a
+    usage error naming --omega, with no traceback."""
+    assert main(["constants", "--omega", omega]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: a ledger constant is not finite for "
+                          f"--omega '{omega}'")
+
+
+def test_gn_constants_near_the_underflow_of_length_squared():
+    """c2 = max(2 L, 2 / L^2) without forming a subnormal or zero L^2: as
+    2 / L / L below it, the exact 2 / L^2 above it and 2 L from L = 1 on."""
+    for length in (1e-300, 1e-160, 1.2e-154):
+        c2 = gn_constants(Grid(0.0, length, 8)).c2
+        assert c2 == 2.0 / length / length and (c2 == INF) == (length < 1.1e-154)
+    for length in (1e-3, 0.37, 0.999):
+        assert gn_constants(Grid(0.0, length, 8)).c2 == 2.0 / length ** 2
+    assert gn_constants(Grid(0.0, 1e300, 8)).c2 == 2e300

@@ -13,8 +13,10 @@ from thermoelast1d.grid import (
     Field,
     Grid,
     dx,
+    dx_rows,
     dx_values,
     dxx,
+    dxx_rows,
     dxx_values,
     dxxxx,
     gn_constants,
@@ -236,6 +238,33 @@ def test_array_kernels_on_stacks_equal_row_by_row(n, rows, seed, bc):
         stacked = kernel(f.T, g.h, bc).T
         assert stacked.shape == f.shape and stacked.flags.c_contiguous
         assert np.array_equal(stacked, np.stack([kernel(row, g.h, bc) for row in f]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(3, 120),
+    kinds=st.lists(st.sampled_from([BC_DIRICHLET, BC_NEUMANN, BC_HINGED, BC_FREE]),
+                   min_size=1, max_size=4),
+    m=st.integers(1, 9),
+    seed=st.integers(0, 10_000),
+)
+def test_row_kernels_close_a_kind_sequence_row_by_row(n, kinds, m, seed):
+    """dx_rows/dxx_rows with a sequence of k kinds over an (m k, N) stack
+    close row i with kind i mod k: each row equals dx_values/dxx_values of
+    it bit for bit, for one row per kind (m = 1) and for many."""
+    g = Grid(-0.3, 1.7, n)
+    f = np.random.default_rng(seed).normal(size=(m * len(kinds), g.n_nodes))
+    for rows, values in ((dx_rows, dx_values), (dxx_rows, dxx_values)):
+        got = rows(f, g.h, kinds)
+        assert got.flags.c_contiguous
+        for i, row in enumerate(f):
+            assert np.array_equal(got[i], values(row, g.h, kinds[i % len(kinds)]))
+
+
+def test_row_kernels_refuse_a_kind_sequence_that_does_not_divide_the_rows():
+    f = np.zeros((4, 9))
+    with pytest.raises(ContractError, match="3 bc kinds do not divide 4 rows"):
+        dx_rows(f, 0.1, (BC_HINGED, BC_DIRICHLET, BC_NEUMANN))
 
 
 def test_nodes_and_weights_cached_read_only():

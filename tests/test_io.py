@@ -10,7 +10,7 @@ from helpers import (
     snapshot_csv_loop,
     svg_series_loop,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermoelast1d.config import (
@@ -39,7 +39,8 @@ from thermoelast1d.output import (
     write_svg_series,
 )
 from thermoelast1d.solver_limit import run_limit
-from thermoelast1d.state import DiagnosticsRecord, SolverConfig, Trajectory, make_state
+from thermoelast1d.state import (DiagnosticsRecord, SolverConfig, Trajectory, eps_grid_problem,
+                                make_state)
 
 MINIMAL = """
 [solver]
@@ -196,6 +197,7 @@ def test_retired_newton_keys_warn_and_are_ignored():
     seed=st.integers(0, 99),
 )
 def test_roundtrip_randomized(a, width, n_cells, eps, t_end, scheme, rec, seed):
+    assume(eps_grid_problem(eps, n_cells) is None)  # eps > 0 needs 4 cells
     cfg = RunConfig(
         grid=GridSpec(a=a, b=a + width, n_cells=n_cells),
         solver=SolverSpec(epsilon=eps, dt=None, t_end=t_end, scheme=scheme),

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import record_bits
+from thermoelast1d import stepping
 from thermoelast1d.diagnostics import compute_record, energy_identity_residual
-from thermoelast1d.errors import ConfigError, ContractError
+from thermoelast1d.errors import ConfigError, ContractError, PositivityError, SchemeError
 from thermoelast1d.grid import Grid, dx, l2_norm_sq
 from thermoelast1d.initial_data import (
     equilibrium,
@@ -25,7 +26,7 @@ from thermoelast1d.materials import (
 from thermoelast1d.solver_eps import run_eps, step_eps
 from thermoelast1d.solver_limit import run_limit, step_limit
 from thermoelast1d.state import SolverConfig, block_rows, make_state
-from thermoelast1d.stepping import LimitStepper
+from thermoelast1d.stepping import LimitStepper, run_simulation
 
 MAT = identity_material()
 
@@ -366,6 +367,100 @@ def test_recorder_keeps_states_of_one_read_only_store(n_cells, n_steps, record_e
         assert (id(s) in stored_ids) == np.shares_memory(s.block, store)
         with pytest.raises(ValueError, match="read-only"):
             s.block[2, 0] = 1.0
+
+
+class _FailAt:
+    """``stepper`` with node 3 of Theta set to ``value`` at step ``k``; it
+    hands on the stepper's carried f(Theta)."""
+
+    def __init__(self, stepper, k, value):
+        self.stepper, self.k, self.value, self.calls = stepper, k, value, 0
+        self.label = stepper.label
+        if hasattr(stepper, "f_theta"):
+            self.f_theta = stepper.f_theta
+
+    def advance(self, v, u, th, t):
+        self.calls += 1
+        v, u, th = self.stepper.advance(v, u, th, t)
+        if self.calls == self.k:
+            th = th.copy()
+            th[3] = self.value
+        return v, u, th
+
+
+def test_chunk_size_follows_the_node_count():
+    """C = CHUNK_VALUES // N steps per chunk, and 1 from N > CHUNK_VALUES / 2
+    (run-large's N = 4097 steps one state at a time)."""
+    assert stepping.chunk_steps(33) == stepping.CHUNK_VALUES // 33 > 100
+    assert stepping.chunk_steps(513) == stepping.CHUNK_VALUES // 513 > 1
+    assert stepping.chunk_steps(4097) == stepping.chunk_steps(10**6) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cells=st.integers(4, 60) | st.just(4100),
+    chunk=st.sampled_from([None, 1, 2, 3, 5]),
+    n_steps=st.integers(1, 11),
+    record_every=st.integers(1, 11),
+    scheme=st.sampled_from(["limit", "imex1", "imex2"]),
+    material=st.sampled_from(_materials()),
+    forced=st.booleans(),
+    fail=st.none() | st.tuples(st.integers(1, 11), st.sampled_from([-1.0, np.nan])),
+)
+def test_chunked_run_equals_chain_of_single_steps(n_cells, chunk, n_steps, record_every,
+                                                  scheme, material, forced, fail):
+    """The run loop forms its rows per chunk of C steps (``chunk``: C set
+    through CHUNK_VALUES, None: the node-count rule, C = 1 at N = 4101 and
+    C > n_steps on the small grids).  Records and stored states equal the
+    chain of fresh single steps and compute_record bit for bit, for every
+    scheme, material and record_every in 1..n_steps, with and without
+    forcing.  The recorder sees every step once, in order, t = 0 first, and
+    no state it was given changes after the run.  A failure at step k, in
+    any place of its chunk, names step k and carries the chain's row k - 1."""
+    record_every = min(record_every, n_steps)
+    g = Grid(0.0, 1.0, n_cells)
+    init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
+    dt = 0.37 * g.h
+    forcing = None
+    if scheme == "limit":
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt)
+        if forced:
+            forcing = (lambda x, t: t * np.sin(np.pi * x),
+                       lambda x, t: 0.5 * (1.0 + t) * (1.0 + np.cos(np.pi * x)))
+        stepper = LimitStepper(g, material, cfg, forcing=forcing)
+
+        def step(s, k):
+            fresh = LimitStepper(g, material, cfg, forcing=forcing)
+            return make_state(k * dt, *fresh.advance(*s.block.copy(), (k - 1) * dt))
+    else:
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, epsilon=1e-2, scheme=scheme)
+        stepper = stepping._EPS_STEPPERS[scheme](g, material, cfg)
+        step = lambda s, k: step_eps(s, material, cfg, g)  # noqa: E731
+    states, records = _chain(init, material, cfg, g, step)
+
+    seen = []
+    recorder = lambda s, r: seen.append((s, r, s.block.tobytes()))  # noqa: E731
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(stepping, "CHUNK_VALUES", chunk * g.n_nodes)
+            assert stepping.chunk_steps(g.n_nodes) == chunk
+        elif n_cells == 4100:
+            assert stepping.chunk_steps(g.n_nodes) == 1
+        if fail is None or fail[0] > n_steps:
+            traj = run_simulation(stepper, init, material, cfg, g, record_every, recorder)
+            _assert_run_equals_chain(traj, (states, records), record_every)
+            n_seen = n_steps + 1
+        else:
+            k, value = fail
+            error = PositivityError if value < 0 else SchemeError
+            with pytest.raises(error, match=f"at step {k}, ") as exc:
+                run_simulation(_FailAt(stepper, k, value), init, material, cfg, g,
+                               record_every, recorder)
+            assert record_bits(exc.value.last_record) == record_bits(records[k - 1])
+            n_seen = k
+    assert [s.t for s, _, _ in seen] == [k * dt for k in range(n_seen)]
+    assert [record_bits(r) for _, r, _ in seen] == [record_bits(r) for r in records[:n_seen]]
+    assert all(s.block.tobytes() == bits for s, _, bits in seen)
 
 
 @pytest.mark.parametrize("n_cells, dt_factor, n_steps",

@@ -122,6 +122,50 @@ def test_single_step_heat_l2_identity(a, length, n_cells, material, dt_frac, kin
     assert abs(sum(terms)) <= 1e-11 * max(abs(t) for t in terms)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(-2.0, 2.0),
+    length=st.floats(0.1, 5.0),
+    n_cells=st.integers(4, 600),
+    material=st.sampled_from(MATERIALS),
+    dt_frac=st.floats(0.05, 1.0),
+    kind=st.sampled_from(["random_smooth", "random_L2_theta"]),
+    seed=st.integers(0, 2**16),
+    amp_v=st.floats(-5.0, 5.0),
+    amp_th=st.floats(0.0, 5.0),
+)
+def test_single_step_forced_heat_l2_identity(a, length, n_cells, material, dt_frac, kind,
+                                             seed, amp_v, amp_th):
+    """The heat L2 identity of test_single_step_heat_l2_identity for one
+    forced run_limit step: S_v(0) enters the half-kick velocity, and
+    S_theta(dt) adds dt <S_theta, Theta_1>_w to the right-hand side,
+
+        1/2|Theta_1|_w^2 - 1/2|Theta_0|_w^2 + 1/2|Theta_1 - Theta_0|_w^2
+            + dt h sum (D+ Theta_1)^2
+            = dt <-f(Theta_0+) D_x v_half, Theta_1>_w + dt <S_theta(dt), Theta_1>_w,
+
+    within 1e-11 of the largest term."""
+    g = Grid(a, a + length, n_cells)
+    init = initial_data.KINDS[kind](g, seed=seed)
+    dt = dt_frac * 0.5 * g.h
+    xh = (g.nodes - g.a) / g.length
+    forcing = (lambda x, t: amp_v * (1.0 + t) * np.sin(np.pi * xh),
+               lambda x, t: amp_th * (1.0 + t) * (1.0 + np.cos(3 * np.pi * xh)))
+    traj = stepping.run_limit(init, material, SolverConfig(dt=dt, t_end=dt), g,
+                              forcing=forcing)
+    v, u, th0 = init.block
+    th1 = traj.final_state.block[2]
+    wave, f0 = stepping._wave(material, u, th0, g.h)
+    v_half = stepping._pin(v + 0.5 * dt * (wave + forcing[0](g.nodes, np.zeros((1, 1)))[0]))
+    s_th = forcing[1](g.nodes, np.full((1, 1), dt))[0]
+    w = g.quad_weights()
+    terms = (0.5 * (w @ th1 ** 2), -0.5 * (w @ th0 ** 2), 0.5 * (w @ (th1 - th0) ** 2),
+             dt * g.h * np.sum((np.diff(th1) / g.h) ** 2),
+             -dt * (w @ (-f0 * dx_values(v_half, g.h, BC_HINGED) * th1)),
+             -dt * (w @ (s_th * th1)))
+    assert abs(sum(terms)) <= 1e-11 * max(abs(t) for t in terms)
+
+
 #: the names ``import thermoelast1d`` gives, apart from submodules and dunders
 PUBLIC_NAMES = {
     "BC_DIRICHLET", "BC_FREE", "BC_HINGED", "BC_NEUMANN", "DiagnosticsRecord", "Field",
