@@ -61,22 +61,16 @@ def compute_record(
     grid: Grid,
     epsilon: float,
     prev: Optional[DiagnosticsRecord] = None,
-    *,
-    theta_min: Optional[float] = None,
-    f_theta: Optional[np.ndarray] = None,
 ) -> DiagnosticsRecord:
     """One diagnostics row; accumulators continue from ``prev`` by trapezoid.
 
     The one-state call of :func:`chunk_records`, on a view of the state's
     ``(3, N)`` block; bit-identical to the row composed from :func:`energy`,
-    :func:`hfunc` and the grid operators.  ``theta_min`` and ``f_theta``
-    are values the caller already has for this state, and must equal min
-    Theta and f(max(Theta, 0)); they are computed here when not given."""
+    :func:`hfunc` and the grid operators."""
     if state.n_nodes != grid.n_nodes:
         raise StructuralError(f"state has {state.n_nodes} nodes, grid {grid.n_nodes}")
-    th_min = float(state.block[2].min()) if theta_min is None else theta_min
-    return chunk_records(state.block[None], [state.t], [th_min], material, grid, epsilon,
-                         prev, None if f_theta is None else f_theta[None])[0]
+    return chunk_records(state.block[None], [state.t], [float(state.block[2].min())],
+                         material, grid, epsilon, prev)[0]
 
 
 def chunk_records(

@@ -243,12 +243,8 @@ def _rows_kernel(interior, ends, f: np.ndarray, scale: float, bc, out) -> np.nda
     if f.shape[0] % k:
         raise ContractError(f"{k} bc kinds do not divide {f.shape[0]} rows")
     interior(out.reshape(-1), f.reshape(-1), scale)
-    if len(f) == k:  # one row per kind: its ends are numpy scalars, cheaper than columns
-        for row_out, row, kind in zip(out, f, kinds):
-            ends(row_out, row, scale, kind)
-    else:
-        for i, kind in enumerate(kinds):
-            ends(out[i::k].T, f[i::k].T, scale, kind)
+    for i, kind in enumerate(kinds):
+        ends(out[i::k].T, f[i::k].T, scale, kind)
     return out
 
 

@@ -285,10 +285,12 @@ class LimitStepper(_Stepper):
         s_v, s_v1, s_th1 = self._tables
         return s_v[i], s_v1[i], s_th1[i]
 
-    def f_theta(self, th: np.ndarray) -> Optional[np.ndarray]:
-        """f(max(Theta, 0)) kept from the last step if ``th`` is its Theta."""
+    def f_theta(self, th: np.ndarray) -> np.ndarray:
+        """f(max(Theta, 0)) kept from the last step; ``th`` must be its Theta."""
         carry = self._carry
-        return carry[5] if carry is not None and carry[1] is th else None
+        if carry is None or carry[1] is not th:
+            raise ContractError("f_theta takes the Theta the last step returned")
+        return carry[5]
 
     def advance(self, v, u, th, t):
         dt = self.cfg.dt
@@ -338,8 +340,9 @@ def check_step(v: np.ndarray, u: np.ndarray, th: np.ndarray, step: int, t: float
 
 #: values per field in one chunk of the run loop, whose rows are formed in
 #: one pass over the ``(C, 3, N)`` stack of C = :func:`chunk_steps` states.
-#: Stacked rows cost less per step than single ones up to N of about 2049
-#: (2 vCPUs, numpy 2.4), and more at N = 4097 with C = 3, so C = 1 from there
+#: Stacked rows cost less per step than single ones wherever C > 1, C = 2 and
+#: 3 at N = 2049 .. 3585 included (2 vCPUs, numpy 2.4), and more at N = 4097
+#: with C = 3, so C = 1 from there
 CHUNK_VALUES = 1 << 13
 
 
@@ -359,12 +362,17 @@ def run_simulation(
     recorder=None,
 ) -> Trajectory:
     """March ``init`` to t_end with ``stepper`` (``advance`` and ``label``,
-    optionally ``f_theta``), streaming per-step diagnostics.
+    optionally ``f_theta(th)``: f(max(Theta, 0)) of the Theta ``th`` that
+    ``advance`` just returned), streaming per-step diagnostics.
 
     The rows are formed per chunk of :func:`chunk_steps` steps.
     ``recorder(state, record)`` is called once per step, in step order: for
     t = 0 before step 1, then for each step when its chunk's rows are
-    formed (at most one chunk late).  It may keep any state it is given.
+    formed (at most one chunk late).  It may keep any state it is given, as
+    no block is reused; but a state the trajectory does not keep is a view of
+    its chunk's ``(C, 3, N)`` stack, which it then keeps alive whole (C times
+    the state's size), so a recorder that keeps such states should keep
+    copies (``make_state(s.t, *s.block)``).
 
     Deterministic: identical inputs produce bit-identical trajectories, and
     the rows equal :func:`~thermoelast1d.diagnostics.compute_record` chained

@@ -18,6 +18,7 @@ from thermoelast1d.initial_data import (
     step_strain,
 )
 from thermoelast1d.materials import (
+    f_kernel,
     identity_material,
     log1p_material,
     rational_saturating_material,
@@ -492,3 +493,21 @@ def test_forcing_evaluates_only_the_opening_rows_it_reads(n_cells, dt_factor, n_
     assert n_steps <= chunk or n_cells == 4096  # one chunk, except at N = 4096
     assert mismatched or n_cells == 4096
     assert sum(rows) == n_steps + len(mismatched) + len(opens)
+
+
+def test_carried_f_theta_is_only_for_the_last_steps_theta():
+    """LimitStepper.f_theta gives f(max(Theta, 0)) of the Theta its last
+    step returned, and refuses any other array (before a step, or a copy)."""
+    g = Grid(0.0, 1.0, 16)
+    init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
+    cfg = SolverConfig(dt=0.25 * g.h, t_end=g.h)
+    material = log1p_material()
+    stepper = LimitStepper(g, material, cfg)
+    v, u, th = init.block.copy()
+    with pytest.raises(ContractError, match="last step"):
+        stepper.f_theta(th)
+    v, u, th = stepper.advance(v, u, th, 0.0)
+    f_th = f_kernel(material, np.maximum(th, 0.0))
+    assert stepper.f_theta(th).tobytes() == f_th.tobytes()
+    with pytest.raises(ContractError, match="last step"):
+        stepper.f_theta(th.copy())
