@@ -165,7 +165,7 @@ def _cmd_run(args) -> int:
                          record_every=cfg.output.record_every)
 
     written = export_trajectory(traj, outdir, cfg.output.formats)
-    _maybe_plot(args, traj, outdir)
+    written += _maybe_plot(args, traj, outdir)
     last = traj.records[-1]
     first = traj.records[0]
     print(f"run complete: {len(traj.records) - 1} steps to t = {last.t:g}")
@@ -177,12 +177,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _maybe_plot(args, traj, outdir):
+def _maybe_plot(args, traj, outdir) -> list:
+    """The plot files of ``--plot`` written under ``outdir``: their paths."""
     if args.plot == "gnuplot":
-        write_gnuplot(traj, outdir)
-    elif args.plot == "svg":
+        return write_gnuplot(traj, outdir)
+    if args.plot == "svg":
         t = traj.record_times
-        write_svg_series(
+        return [write_svg_series(
             {
                 "E": traj.record_series("energy"),
                 "int_Theta": traj.record_series("theta_mass"),
@@ -191,7 +192,8 @@ def _maybe_plot(args, traj, outdir):
             },
             t,
             os.path.join(outdir, "series.svg"),
-        )
+        )]
+    return []
 
 
 #: float flags whose value must be finite and > 0

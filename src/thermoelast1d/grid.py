@@ -173,16 +173,21 @@ def _check(field: Field, grid: Grid, min_cells: int = 2) -> np.ndarray:
     return vals
 
 
-def dx_values(f: np.ndarray, h: float, bc_kind: str) -> np.ndarray:
-    """First derivative of nodal values: central interior, bc-aware ends."""
-    out = np.empty_like(f)
+def dx_values(f: np.ndarray, h: float, bc_kind: str,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """First derivative of nodal values: central interior, bc-aware ends;
+    into ``out`` if given (f's shape, sharing no memory with ``f``)."""
+    if out is None:
+        out = np.empty_like(f)
     _dx_interior(out, f, h)
     _dx_ends(out, f, h, bc_kind)
     return out
 
 
 def _dx_interior(out: np.ndarray, f: np.ndarray, h: float) -> None:
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    # (f[2:] - f[:-2]) / (2h), formed in place
+    o = np.subtract(f[2:], f[:-2], out=out[1:-1])
+    o /= 2.0 * h
 
 
 def _dx_ends(out: np.ndarray, f: np.ndarray, h: float, bc_kind: str) -> None:
@@ -201,17 +206,24 @@ def _dx_ends(out: np.ndarray, f: np.ndarray, h: float, bc_kind: str) -> None:
         out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
 
 
-def dxx_values(f: np.ndarray, h: float, bc_kind: str) -> np.ndarray:
-    """Second derivative of nodal values: 3-point interior, ghost-node ends."""
+def dxx_values(f: np.ndarray, h: float, bc_kind: str,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Second derivative of nodal values: 3-point interior, ghost-node ends;
+    into ``out`` as :func:`dx_values`."""
     h2 = h * h
-    out = np.empty_like(f)
+    if out is None:
+        out = np.empty_like(f)
     _dxx_interior(out, f, h2)
     _dxx_ends(out, f, h2, bc_kind)
     return out
 
 
 def _dxx_interior(out: np.ndarray, f: np.ndarray, h2: float) -> None:
-    out[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h2
+    # (f[:-2] - 2 f[1:-1] + f[2:]) / h2, formed in place in that order
+    o = np.multiply(f[1:-1], 2.0, out=out[1:-1])
+    np.subtract(f[:-2], o, out=o)
+    o += f[2:]
+    o /= h2
 
 
 def _dxx_ends(out: np.ndarray, f: np.ndarray, h2: float, bc_kind: str) -> None:

@@ -73,28 +73,34 @@ class State:
         return self.block.shape[1]
 
 
-def make_state(t, v, u, theta, *, out: Optional[np.ndarray] = None) -> State:
+def make_state(t, v, u, theta) -> State:
     """State from raw arrays, pinning the zero-value boundary entries.
 
-    The arrays are copied once into a ``(3, N)`` block (rows v, u, Theta),
-    a fresh one or ``out`` (a slot of a run's state store), which is set
-    read-only and becomes the State's :attr:`~State.block`."""
+    The arrays are copied once into a fresh ``(3, N)`` block (rows v, u,
+    Theta), which is set read-only and becomes the State's
+    :attr:`~State.block`."""
     n = len(v)
     if len(u) != n or len(theta) != n:
         raise StructuralError("state fields live on different grids")
-    if out is None:
-        block = np.array((v, u, theta), dtype=float)
-        if block.ndim != 2:
-            raise StructuralError(f"field values must be 1D, got shape {block.shape[1:]}")
-    else:
-        block = out
-        block[0], block[1], block[2] = v, u, theta
+    block = np.array((v, u, theta), dtype=float)
+    if block.ndim != 2:
+        raise StructuralError(f"field values must be 1D, got shape {block.shape[1:]}")
     block[:2, 0] = 0.0
     block[:2, -1] = 0.0
     block.flags.writeable = False
-    state = object.__new__(State)
-    object.__setattr__(state, "t", float(t))
-    object.__setattr__(state, "block", block)
+    return state_on(float(t), block)
+
+
+_new_state = object.__new__
+_set_t, _set_block = State.t.__set__, State.block.__set__
+
+
+def state_on(t: float, block: np.ndarray) -> State:
+    """The State of ``block`` as it is: no copy, pin or check (the run loop
+    passes read-only ``(3, N)`` blocks with pinned v and u ends)."""
+    state = _new_state(State)
+    _set_t(state, t)
+    _set_block(state, block)
     return state
 
 

@@ -13,25 +13,21 @@ The steppers work on raw arrays with the stencil kernels of :mod:`.grid`
 loop and the summation-by-parts cancellations the diagnostics rely on hold
 exactly.
 
-Each step of :func:`run_simulation` is one pass, with every value as in a
-chain of fresh single steps:
-
-* :class:`LimitStepper` carries its closing half-kick into the next step's
-  opening one, and its carried f(Theta) also gives the row's rho = f'/f;
-* the new (v, u, Theta) are copied once into the State's read-only
-  ``(3, N)`` block (:func:`~thermoelast1d.state.make_state`), a slot of the
-  chunk's ``(C, 3, N)`` stack, and a state the trajectory keeps once more
-  into a slot of the run's one ``(n_kept, 3, N)`` store.  The block is
-  checked with one finite test and one min Theta (:func:`check_step` builds
-  the message only on failure).
-
-The diagnostics rows are formed per chunk of C = :func:`chunk_steps` steps
-(max(1, :data:`CHUNK_VALUES` // N): 248 at N = 33, 15 at N = 513, 1 from
-N = 4097 on), in one pass of :func:`~thermoelast1d.diagnostics.chunk_records`
-over the chunk's stack.  The recorder is called once per step and in step
-order: with t = 0 before step 1, then with the chunk's states as its rows
-are formed, so at most one chunk late.  A failing step first has the rows
-of the steps before it formed and recorded.
+Each step of :func:`run_simulation` only advances (:class:`LimitStepper`
+carries its closing half-kick into the next step's opening one, and its
+f(Theta) into the row's rho = f'/f) and copies the stepper's raw (v, u,
+Theta) into its slot of the chunk's ``(C, 3, N)`` stack.  The rest is done
+per chunk of C = :func:`chunk_steps` steps (max(1, :data:`CHUNK_VALUES` //
+N): 248 at N = 33, 15 at N = 513, 1 from N = 4097 on), in one pass over the
+rows written: the finite and Theta >= -positivity_tol tests as array
+reductions (:func:`check_step` builds the message of the first failing
+step), the pins of the v and u ends, one indexed copy of the kept states
+into the run's one ``(n_kept, 3, N)`` store, the rows by one
+:func:`~thermoelast1d.diagnostics.chunk_records` pass, and the recorder,
+once per step in step order, at most one chunk late.  So stepping may run
+up to C - 1 steps past a failing step; those are discarded, and the steps
+before it are recorded first.  Every value is as in a chain of fresh
+single steps.
 """
 
 from __future__ import annotations
@@ -48,7 +44,8 @@ from .errors import ContractError, PositivityError, SchemeError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
 # eval_f is unused here; bench/probes.py patches it by name
 from .materials import Material, eval_f, f_kernel  # noqa: F401
-from .state import EPS_MIN_CELLS, SolverConfig, State, Trajectory, block_rows, make_state
+from .state import (EPS_MIN_CELLS, SolverConfig, State, Trajectory, block_rows, make_state,
+                    state_on)
 
 #: (S_v, S_theta): each maps the node array and a ``(C, 1)`` column of times
 #: to a ``(C, N)`` array, one row per time
@@ -133,10 +130,14 @@ def _f_of(material: Material, th: np.ndarray) -> np.ndarray:
     return f_kernel(material, np.maximum(th, 0.0))
 
 
-def _wave(material: Material, u: np.ndarray, th: np.ndarray, h: float):
-    """u_xx - (f(Theta))_x on the pinned/zero-flux closures, and f(Theta)."""
+def _wave(material: Material, u: np.ndarray, th: np.ndarray, h: float,
+          work: Optional[np.ndarray] = None):
+    """u_xx - (f(Theta))_x on the pinned/zero-flux closures, and f(Theta);
+    (f(Theta))_x goes into ``work`` if given."""
     fth = _f_of(material, th)
-    return dxx_values(u, h, BC_DIRICHLET) - dx_values(fth, h, BC_NEUMANN), fth
+    wave = dxx_values(u, h, BC_DIRICHLET)
+    wave -= dx_values(fth, h, BC_NEUMANN, out=work)
+    return wave, fth
 
 
 class _Stepper:
@@ -236,6 +237,10 @@ class LimitStepper(_Stepper):
     another t (an ulp off), the opening force is the kept wave part + S_v(t).
     :meth:`f_theta` gives the kept f(Theta).
 
+    v_half, its hinged dx, the heat right-hand side and the Neumann dx of
+    f(Theta) are formed in one ``(3, N)`` scratch array of the stepper, so a
+    stepper is not reentrant; the arrays it returns and keeps are fresh.
+
     A forcing is evaluated once per chunk of at most
     :func:`~thermoelast1d.state.block_rows` steps: S_v and S_theta at the
     closing times (k - 1) dt + dt, formed as :func:`run_simulation` forms
@@ -256,6 +261,8 @@ class LimitStepper(_Stepper):
         self._carry = None
         # opening times of the chunk, its S_v, S_v(+dt), S_theta(+dt) tables, last row
         self._times, self._tables, self._row = [], None, -1
+        # v_half, g = its dx, the heat right-hand side or a dx of f(Theta)
+        self._scratch = tuple(np.empty((3, grid.n_nodes)))
 
     def _sources(self, t):
         """S_v(t), S_v(t + dt) and S_theta(t + dt); 0.0 without forcing."""
@@ -293,7 +300,8 @@ class LimitStepper(_Stepper):
         return carry[5]
 
     def advance(self, v, u, th, t):
-        dt = self.cfg.dt
+        dt, h = self.cfg.dt, self.grid.h
+        v_half, g, rhs = self._scratch
         s_v, s_v1, s_th1 = self._sources(t)
         carry = self._carry
         if carry is not None and carry[0] is u and carry[1] is th:
@@ -301,18 +309,25 @@ class LimitStepper(_Stepper):
             if self.forcing is not None and carry[2] != t:
                 force = wave + s_v
         else:
-            wave, fth = _wave(self.material, u, th, self.grid.h)
+            wave, fth = _wave(self.material, u, th, h, rhs)
             force = wave + s_v
-        v_half = _pin(v + 0.5 * dt * force)
-        u1 = _pin(u + dt * v_half)
-        g = dx_values(v_half, self.grid.h, BC_HINGED)
-        rhs_th = th + dt * (-fth * g + s_th1)
-        th1 = self.f["lu_th"].solve(rhs_th)
+        # v_half = v + dt/2 force; u1 = u + dt v_half
+        np.multiply(force, 0.5 * dt, out=v_half)
+        _pin(np.add(v, v_half, out=v_half))
+        u1 = np.multiply(v_half, dt)
+        _pin(np.add(u, u1, out=u1))
+        dx_values(v_half, h, BC_HINGED, out=g)
+        # th + dt (S_theta - f g), equal bit for bit to th + dt (-f g + S_theta)
+        np.multiply(fth, g, out=rhs)
+        np.subtract(s_th1, rhs, out=rhs)
+        rhs *= dt
+        th1 = self.f["lu_th"].solve(np.add(th, rhs, out=rhs))
         u1.flags.writeable = th1.flags.writeable = False
-        wave1, fth1 = _wave(self.material, u1, th1, self.grid.h)
+        wave1, fth1 = _wave(self.material, u1, th1, h, rhs)
         force1 = wave1 + s_v1
         self._carry = (u1, th1, t + dt, wave1, force1, fth1)
-        return _pin(v_half + 0.5 * dt * force1), u1, th1
+        v1 = np.multiply(force1, 0.5 * dt)
+        return _pin(np.add(v_half, v1, out=v1)), u1, th1
 
 
 def check_step(v: np.ndarray, u: np.ndarray, th: np.ndarray, step: int, t: float,
@@ -320,8 +335,8 @@ def check_step(v: np.ndarray, u: np.ndarray, th: np.ndarray, step: int, t: float
     """Post-step checks of every stepping entry point: finite v, u, Theta,
     then Theta >= -positivity_tol.  A failure names the step (k of t_k = k dt),
     t, the fields and the node (first non-finite, or argmin Theta) with its x.
-    :func:`run_simulation` tests the step's block first and calls this only
-    when that test fails."""
+    :func:`run_simulation` tests its chunk's raw rows first and calls this
+    on the rows of the first failing step only."""
     bad = [(n, a) for n, a in (("v", v), ("u", u), ("theta", th))
            if not np.isfinite(a).all()]
     if bad:
@@ -365,21 +380,24 @@ def run_simulation(
     optionally ``f_theta(th)``: f(max(Theta, 0)) of the Theta ``th`` that
     ``advance`` just returned), streaming per-step diagnostics.
 
-    The rows are formed per chunk of :func:`chunk_steps` steps.
-    ``recorder(state, record)`` is called once per step, in step order: for
-    t = 0 before step 1, then for each step when its chunk's rows are
-    formed (at most one chunk late).  It may keep any state it is given, as
-    no block is reused; but a state the trajectory does not keep is a view of
-    its chunk's ``(C, 3, N)`` stack, which it then keeps alive whole (C times
-    the state's size), so a recorder that keeps such states should keep
-    copies (``make_state(s.t, *s.block)``).
+    The steps are checked, pinned, kept and given their rows per chunk of
+    :func:`chunk_steps` steps, so stepping goes on for up to C - 1 steps past
+    a failing one; those steps are discarded.  ``recorder(state, record)``
+    is called once per step, in step order: for t = 0 before step 1, then
+    for each step when its chunk ends (at most one chunk late).  It may keep
+    any state it is given, as no block is reused; but a state the trajectory
+    does not keep is a view of its chunk's ``(C, 3, N)`` stack, which it
+    then keeps alive whole (C times the state's size), so a recorder that
+    keeps such states should keep copies (``make_state(s.t, *s.block)``).
 
     Deterministic: identical inputs produce bit-identical trajectories, and
     the rows equal :func:`~thermoelast1d.diagnostics.compute_record` chained
     over single steps.  Step failures propagate with the failing time
     attached; a :class:`SchemeError` or :class:`PositivityError` at step k
     comes after the rows of steps 1 .. k - 1 are formed and recorded, and
-    carries the row of step k - 1 as ``last_record``.
+    carries the row of step k - 1 as ``last_record``.  When ``advance`` or
+    ``f_theta`` raises, the steps before it are checked and recorded first,
+    so a failing one among them wins.
     """
     if init.t != 0.0:
         raise ContractError(f"runs start at t = 0, got init.t = {init.t}")
@@ -399,57 +417,81 @@ def run_simulation(
 
     kept_f = getattr(stepper, "f_theta", None)
     n = grid.n_nodes
+    dt, floor = cfg.dt, -cfg.positivity_tol
     size = chunk_steps(n)
     # one slot per kept state
     n_kept = n_steps // record_every + (n_steps % record_every != 0)
     store = np.empty((n_kept, 3, n))
     slot = 0
-    pending = []  # (state, kept, min Theta) of the steps whose rows are not formed
+    # f(Theta) of the chunk's steps; only read by the rows
+    fth = np.empty((size, n)) if kept_f is not None else None
 
-    def form_rows():
-        nonlocal rec
-        if not pending:
+    def finish(first, stack):
+        """Check the steps first, first + 1, ... whose raw (v, u, Theta) are
+        the rows of ``stack`` and record them; a failing step raises after
+        the steps before it are recorded."""
+        if not len(stack):
             return
-        m = len(pending)
-        states, kept, th_min = zip(*pending)
-        pending.clear()
-        rows = chunk_records(stack[:m], [s.t for s in states], th_min, material, grid,
-                             cfg.epsilon, rec, None if fth is None else fth[:m])
-        for state, keep, rec in zip(states, kept, rows):  # rec: the last row formed
-            traj.records.append(rec)
-            if keep:
-                traj.states.append(state)
-            if recorder is not None:
-                recorder(state, rec)
+        th_min = stack[:, 2].min(axis=1)
+        if not (np.isfinite(stack).all() and th_min.min() >= floor):
+            bad = np.logical_not(np.isfinite(stack).all(axis=(1, 2))) | (th_min < floor)
+            j = int(np.argmax(bad))
+            if j:
+                record(first, stack[:j], th_min[:j])
+            check_step(*stack[j], first + j, (first + j) * dt, cfg, grid)
+        record(first, stack, th_min)
+
+    # not a recursion of finish: a closure that calls itself holds its own
+    # cell, a cycle that keeps the run's store alive until gc collects it
+    def record(first, stack, th_min):
+        """Pin, keep and record the checked steps of ``stack``."""
+        nonlocal rec, slot
+        m = len(stack)
+        stack[:, :2, 0] = 0.0
+        stack[:, :2, -1] = 0.0
+        stack.flags.writeable = False
+        times = [k * dt for k in range(first, first + m)]
+        rows = chunk_records(stack, times, th_min.tolist(), material, grid, cfg.epsilon,
+                             rec, None if fth is None else fth[:m])
+        # the steps the trajectory keeps: every record_every-th and the last
+        keep = list(range(-first % record_every, m, record_every))
+        if first + m - 1 == n_steps and n_steps % record_every:
+            keep.append(m - 1)
+        blocks = store[slot:slot + len(keep)]
+        slot += len(keep)
+        np.take(stack, keep, axis=0, out=blocks, mode="clip")
+        blocks.flags.writeable = False
+        kept = [state_on(times[j], block) for j, block in zip(keep, blocks)]
+        traj.records.extend(rows)
+        traj.states.extend(kept)
+        rec = rows[-1]
+        if recorder is not None:
+            states = kept
+            if len(kept) < m:
+                states = [state_on(t, block) for t, block in zip(times, stack)]
+                for j, state in zip(keep, kept):
+                    states[j] = state
+            for state, row in zip(states, rows):
+                recorder(state, row)
 
     v, u, th = init.block.copy()
     try:
         for first in range(1, n_steps + 1, size):
-            c = min(size, n_steps + 1 - first)
             # fresh per chunk: a recorder may keep any state, so no block is reused
-            stack = np.empty((c, 3, n))
-            fth = np.empty((c, n)) if kept_f is not None else None
-            for j, k in enumerate(range(first, first + c)):
-                t_new = k * cfg.dt
-                v, u, th = stepper.advance(v, u, th, (k - 1) * cfg.dt)
-                state = make_state(t_new, v, u, th, out=stack[j])
-                block = state.block
-                th_min = float(block[2].min())
-                # the block's pinned ends are 0, so nonzero (or non-finite) ends
-                # of the stepper's v and u go to the full check as well
-                if (not np.isfinite(block).all() or th_min < -cfg.positivity_tol
-                        or v[0] or v[-1] or u[0] or u[-1]):
-                    check_step(v, u, th, k, t_new, cfg, grid)
-                if fth is not None:
-                    fth[j] = kept_f(th)
-                kept = k % record_every == 0 or k == n_steps
-                if kept:
-                    state = make_state(t_new, *block, out=store[slot])
-                    slot += 1
-                pending.append((state, kept, th_min))
-            form_rows()
+            stack = np.empty((min(size, n_steps + 1 - first), 3, n))
+            m = 0
+            try:
+                for k in range(first, first + len(stack)):
+                    v, u, th = stepper.advance(v, u, th, (k - 1) * dt)
+                    stack[m] = v, u, th
+                    if fth is not None:
+                        fth[m] = kept_f(th)
+                    m += 1
+            except Exception:  # the steps before it are checked first
+                finish(first, stack[:m])
+                raise
+            finish(first, stack)
     except (SchemeError, PositivityError) as exc:
-        form_rows()
         exc.last_record = rec
         raise
     return traj

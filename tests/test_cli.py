@@ -80,6 +80,24 @@ def test_run_with_plots(tmp_path):
     assert (out_gp / "plot.gp").exists() and (out_gp / "series.dat").exists()
 
 
+@pytest.mark.parametrize("plot, plot_files", [("svg", {"series.svg"}),
+                                              ("gnuplot", {"series.dat", "plot.gp"})])
+def test_run_counts_the_plot_files_it_wrote(tmp_path, capsys, plot, plot_files):
+    """The summary's file count is the number of files under the output
+    directory, the plot files included."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[grid]\nn_cells = 16\n"
+        "[solver]\nt_end = 0.0625\ndt = 0.03125\n"
+        "[initial_data]\nkind = standing_wave\namplitude = 0.1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--plot", plot]) == 0
+    names = set(os.listdir(out))
+    assert plot_files <= names
+    assert f"wrote {len(names)} files under {out}" in capsys.readouterr().out
+
+
 def test_experiment_plot_takes_only_svg(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outdir = tmp_path / "rep"

@@ -226,6 +226,34 @@ def test_array_kernels_equal_public_operators(n, seed, bc):
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(3, 200),
+    rows=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 10_000),
+    bc=st.sampled_from([BC_DIRICHLET, BC_NEUMANN, BC_HINGED, BC_FREE]),
+)
+def test_array_kernels_into_out_equal_fresh_results(n, rows, seed, bc):
+    """dx_values/dxx_values with ``out=`` (a row of a larger array, or a
+    stack with the nodes first, filled with NaN) return ``out`` holding the
+    fresh result bit for bit; the interior equals the textbook expressions
+    (f[2:] - f[:-2]) / 2h and (f[:-2] - 2 f[1:-1] + f[2:]) / h^2."""
+    g = Grid(-0.3, 1.7, n)
+    shape = (g.n_nodes,) if rows is None else (g.n_nodes, rows)
+    f = np.random.default_rng(seed).normal(size=shape)
+    h, h2 = g.h, g.h * g.h
+    interior = {dx_values: (f[2:] - f[:-2]) / (2.0 * h),
+                dxx_values: (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h2}
+    for kernel, inner in interior.items():
+        fresh = kernel(f, h, bc)
+        scratch = np.full((2,) + shape, np.nan)
+        target = scratch[1]
+        assert kernel(f, h, bc, out=target) is target
+        assert np.isnan(scratch[0]).all()
+        assert fresh.tobytes() == target.tobytes()
+        assert fresh[1:-1].tobytes() == inner.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 200),
     rows=st.integers(1, 7),
     seed=st.integers(0, 10_000),
     bc=st.sampled_from([BC_DIRICHLET, BC_NEUMANN, BC_HINGED, BC_FREE]),

@@ -371,22 +371,50 @@ def test_recorder_keeps_states_of_one_read_only_store(n_cells, n_steps, record_e
 
 
 class _FailAt:
-    """``stepper`` with node 3 of Theta set to ``value`` at step ``k``; it
-    hands on the stepper's carried f(Theta)."""
+    """``stepper`` with node ``node`` of ``field`` set to ``value`` at step
+    ``k``, in a copy.  A finite value (at an end the run pins) is taken back
+    at the next step, so the run goes on as the chain does; any other value
+    is handed on.  With ``then_raise`` the step after k raises
+    ContractError.  ``f_theta`` hands on the stepper's carried f(Theta)."""
 
-    def __init__(self, stepper, k, value):
-        self.stepper, self.k, self.value, self.calls = stepper, k, value, 0
+    def __init__(self, stepper, k, field, node, value, then_raise=False):
+        self.stepper, self.k, self.calls = stepper, k, 0
+        self.field, self.node, self.value, self.then_raise = field, node, value, then_raise
         self.label = stepper.label
+        self.swap = None  # (returned, original) of the changed array
         if hasattr(stepper, "f_theta"):
-            self.f_theta = stepper.f_theta
+            self.f_theta = lambda th: stepper.f_theta(self._original(th))
+
+    def _original(self, a):
+        return self.swap[1] if self.swap is not None and a is self.swap[0] else a
 
     def advance(self, v, u, th, t):
         self.calls += 1
-        v, u, th = self.stepper.advance(v, u, th, t)
+        if self.then_raise and self.calls == self.k + 1:
+            raise ContractError("advance refused its input")
+        if np.isfinite(self.value):
+            v, u, th = map(self._original, (v, u, th))
+        out = list(self.stepper.advance(v, u, th, t))
         if self.calls == self.k:
-            th = th.copy()
-            th[3] = self.value
-        return v, u, th
+            i = ("v", "u", "theta").index(self.field)
+            changed = out[i].copy()
+            changed[self.node] = self.value
+            self.swap = changed, out[i]
+            out[i] = changed
+        return tuple(out)
+
+
+#: (field, node, value, then_raise) of a changed step and the error it raises:
+#: negative or NaN Theta, a finite nonzero v end (pinned, no error), a NaN v
+#: end, and a Theta failure before an advance that raises
+_CHANGES = [
+    (("theta", 3, -1.0, False), PositivityError, "at step {k}, "),
+    (("theta", 3, np.nan, False), SchemeError, "non-finite theta at step {k}, "),
+    (("v", 0, 0.25, False), None, None),
+    (("v", 0, np.nan, False), SchemeError,
+     r"non-finite v at step {k}, t = [^;]*; first at v node 0 "),
+    (("theta", 3, -1.0, True), PositivityError, "at step {k}, "),
+]
 
 
 def test_chunk_size_follows_the_node_count():
@@ -406,7 +434,7 @@ def test_chunk_size_follows_the_node_count():
     scheme=st.sampled_from(["limit", "imex1", "imex2"]),
     material=st.sampled_from(_materials()),
     forced=st.booleans(),
-    fail=st.none() | st.tuples(st.integers(1, 11), st.sampled_from([-1.0, np.nan])),
+    fail=st.none() | st.tuples(st.integers(1, 11), st.sampled_from(_CHANGES)),
 )
 def test_chunked_run_equals_chain_of_single_steps(n_cells, chunk, n_steps, record_every,
                                                   scheme, material, forced, fail):
@@ -417,7 +445,10 @@ def test_chunked_run_equals_chain_of_single_steps(n_cells, chunk, n_steps, recor
     scheme, material and record_every in 1..n_steps, with and without
     forcing.  The recorder sees every step once, in order, t = 0 first, and
     no state it was given changes after the run.  A failure at step k, in
-    any place of its chunk, names step k and carries the chain's row k - 1."""
+    any place of its chunk, names step k (field and node for a non-finite
+    value) and carries the chain's row k - 1, also when the next advance
+    raises.  A finite nonzero v end from the stepper is no failure: every
+    state kept or recorded has its v and u ends pinned to 0."""
     record_every = min(record_every, n_steps)
     g = Grid(0.0, 1.0, n_cells)
     init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
@@ -447,16 +478,18 @@ def test_chunked_run_equals_chain_of_single_steps(n_cells, chunk, n_steps, recor
             assert stepping.chunk_steps(g.n_nodes) == chunk
         elif n_cells == 4100:
             assert stepping.chunk_steps(g.n_nodes) == 1
-        if fail is None or fail[0] > n_steps:
+        if fail is not None and fail[0] <= n_steps:
+            k, (change, error, message) = fail
+            stepper = _FailAt(stepper, k, *change)
+        if fail is None or fail[0] > n_steps or error is None:
             traj = run_simulation(stepper, init, material, cfg, g, record_every, recorder)
             _assert_run_equals_chain(traj, (states, records), record_every)
+            ends = [s.block[:2, [0, -1]] for s in traj.states + [s for s, _, _ in seen]]
+            assert not np.any(ends)
             n_seen = n_steps + 1
         else:
-            k, value = fail
-            error = PositivityError if value < 0 else SchemeError
-            with pytest.raises(error, match=f"at step {k}, ") as exc:
-                run_simulation(_FailAt(stepper, k, value), init, material, cfg, g,
-                               record_every, recorder)
+            with pytest.raises(error, match=message.format(k=k)) as exc:
+                run_simulation(stepper, init, material, cfg, g, record_every, recorder)
             assert record_bits(exc.value.last_record) == record_bits(records[k - 1])
             n_seen = k
     assert [s.t for s, _, _ in seen] == [k * dt for k in range(n_seen)]
@@ -511,3 +544,71 @@ def test_carried_f_theta_is_only_for_the_last_steps_theta():
     assert stepper.f_theta(th).tobytes() == f_th.tobytes()
     with pytest.raises(ContractError, match="last step"):
         stepper.f_theta(th.copy())
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_steppers_on_one_grid_share_no_working_memory(forced):
+    """Two LimitSteppers on one grid (one set of LU factors), advanced
+    alternately, equal their separate runs bit for bit, and no array that
+    ``advance`` returned changes on later steps of either."""
+    g = Grid(0.0, 1.0, 24)
+    cfg = SolverConfig(dt=0.3 * g.h, t_end=6 * 0.3 * g.h)
+    forcing = None
+    if forced:
+        forcing = (lambda x, t: t * np.sin(np.pi * x), lambda x, t: 0.5 * t * np.cos(np.pi * x))
+    inits = [standing_wave(g, amplitude=0.3, theta_amplitude=0.2),
+             standing_wave(g, amplitude=0.1, theta_amplitude=0.4)]
+    materials = [log1p_material(), MAT]
+
+    def states(stepper, block, k):
+        return stepper.advance(*block, (k - 1) * cfg.dt)
+
+    alone = []
+    for init, material in zip(inits, materials):
+        stepper = LimitStepper(g, material, cfg, forcing=forcing)
+        block, out = init.block.copy(), []
+        for k in range(1, cfg.n_steps() + 1):
+            block = states(stepper, block, k)
+            out.append([a.tobytes() for a in block])
+        alone.append(out)
+
+    steppers = [LimitStepper(g, m, cfg, forcing=forcing) for m in materials]
+    blocks = [init.block.copy() for init in inits]
+    returned = [[], []]
+    for k in range(1, cfg.n_steps() + 1):
+        for i, stepper in enumerate(steppers):
+            blocks[i] = states(stepper, blocks[i], k)
+            returned[i].append((blocks[i], [a.tobytes() for a in blocks[i]]))
+    for i in range(2):
+        assert [bits for _, bits in returned[i]] == alone[i]
+        assert all([a.tobytes() for a in arrays] == bits for arrays, bits in returned[i])
+
+
+@pytest.mark.parametrize("scheme", ["limit", "imex1"])
+def test_run_frees_its_store_without_the_cycle_collector(scheme):
+    """Nothing of a run is left in a reference cycle: with the cycle
+    collector off, the state store and the chunk stacks are freed as soon as
+    the trajectory is dropped, so a run's memory never waits for gc."""
+    import gc
+    import weakref
+
+    g = Grid(0.0, 1.0, 40)
+    init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
+    dt = 0.37 * g.h
+    eps = 0.0 if scheme == "limit" else 1e-2
+    cfg = SolverConfig(dt=dt, t_end=9 * dt, epsilon=eps, scheme="imex1")
+    run = run_limit if scheme == "limit" else run_eps
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepping, "CHUNK_VALUES", 4 * g.n_nodes)
+        gc.collect()
+        gc.disable()
+        try:
+            traj = run(init, MAT, cfg, g, record_every=2,
+                       recorder=lambda s, r: s.t and seen.append(weakref.ref(s.block.base)))
+            store = weakref.ref(traj.states[-1].block.base)
+            assert len(seen) == 9 and store() is not None
+            del traj
+            assert store() is None and all(ref() is None for ref in seen)
+        finally:
+            gc.enable()
