@@ -20,7 +20,6 @@ from .grid import (
     Grid,
     dx,
     dxx,
-    dxxxx,
     gn_constants,
     norms,
 )

@@ -237,33 +237,6 @@ def tau_bound(y0: float, range_bounds: RangeBounds, c10: float) -> TauBound:
     )
 
 
-def empirical_range_bounds(traj, material: Material) -> RangeBounds:
-    """Estimate the two-sided constitutive bounds from a recorded run.
-
-    The theory only asserts that such bounds exist (no formula), so they
-    are measured: f, f', f'' are monotone enough on the observed Theta
-    range that the range endpoints give the extrema; a dense sample over
-    [min Theta, max Theta] covers materials where they are not.
-    """
-    from .materials import eval_f, eval_fp, eval_fpp
-
-    th_min = min(r.theta_min for r in traj.records)
-    th_max = max(r.theta_max for r in traj.records)
-    if th_min <= 0.0:
-        raise DomainError(
-            f"run temperature reached {th_min}; two-sided bounds need Theta > 0"
-        )
-    xs = np.linspace(th_min, th_max, 512)
-    f = eval_f(material, xs)
-    fp = eval_fp(material, xs)
-    fpp = eval_fpp(material, xs)
-    return RangeBounds(
-        c1=float(f.min()), c2=float(f.max()),
-        c3=float(fp.min()), c4=float(fp.max()),
-        c5=float(np.max(np.abs(fpp))),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Gronwall verification and the time-shift constant
 # ---------------------------------------------------------------------------

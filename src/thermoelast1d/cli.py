@@ -254,11 +254,11 @@ def _cmd_experiment(args) -> int:
         first = next(iter(report.series.values()))
         cols = list(first.keys())
         if len(cols) >= 2:
-            write_svg_series(
+            written.append(write_svg_series(
                 {cols[1]: np.atleast_1d(first[cols[1]])},
                 np.atleast_1d(first[cols[0]]),
                 os.path.join(outdir, "series.svg"),
-            )
+            ))
     print(f"report written under {outdir} ({len(written)} files)")
     return 0 if report.passed else 1
 

@@ -22,37 +22,13 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ContractError, StructuralError
-from .grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx, dx_rows, dxx,
-                   dxx_rows, integrate, l2_norm_sq, trapezoid_weights)
+from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_rows, dxx_rows, trapezoid_weights
 # eval_f and eval_fp are unused here; bench/probes.py patches them by name
-from .materials import Material, eval_f, eval_fp, f_kernel, fp_kernel, rho  # noqa: F401
+from .materials import Material, eval_f, eval_fp, f_kernel, fp_kernel  # noqa: F401
 from .state import DiagnosticsRecord, State, Trajectory
 
 #: bc kinds of the rows (v, u, Theta) of a state block
 _STATE_BCS = (BC_HINGED, BC_DIRICHLET, BC_NEUMANN)
-
-
-def energy(state: State, grid: Grid) -> float:
-    """E = 1/2 |v|_2^2 + 1/2 |u_x|_2^2 + int Theta."""
-    ke = 0.5 * l2_norm_sq(state.v.values, grid)
-    pe = 0.5 * l2_norm_sq(dx(state.u, grid).values, grid)
-    return ke + pe + integrate(state.theta.values, grid)
-
-
-def hfunc(state: State, material: Material, grid: Grid) -> Optional[float]:
-    """y = 1 + 1/2 |v_x|^2 + 1/2 |u_xx|^2 + 1/2 int rho(Theta) Theta_x^2.
-
-    Returns None when min Theta is below the rho floor: the weight f'/f is
-    then uncontrolled and the value must be flagged, not fabricated.
-    """
-    th = state.theta.values
-    if float(th.min()) < material.rho_floor:
-        return None
-    vx2 = l2_norm_sq(dx(state.v, grid).values, grid)
-    uxx2 = l2_norm_sq(dxx(state.u, grid).values, grid)
-    thx = dx(state.theta, grid).values
-    weighted = integrate(rho(material, th) * thx ** 2, grid)
-    return 1.0 + 0.5 * vx2 + 0.5 * uxx2 + 0.5 * weighted
 
 
 def compute_record(
@@ -65,8 +41,7 @@ def compute_record(
     """One diagnostics row; accumulators continue from ``prev`` by trapezoid.
 
     The one-state call of :func:`chunk_records`, on a view of the state's
-    ``(3, N)`` block; bit-identical to the row composed from :func:`energy`,
-    :func:`hfunc` and the grid operators."""
+    ``(3, N)`` block."""
     if state.n_nodes != grid.n_nodes:
         raise StructuralError(f"state has {state.n_nodes} nodes, grid {grid.n_nodes}")
     return chunk_records(state.block[None], [state.t], [float(state.block[2].min())],
@@ -81,7 +56,6 @@ def chunk_records(
     grid: Grid,
     epsilon: float,
     prev: Optional[DiagnosticsRecord],
-    f_theta: Optional[np.ndarray] = None,
 ) -> List[DiagnosticsRecord]:
     """The diagnostics rows of C consecutive states in one pass over the
     C-contiguous ``(C, 3, N)`` stack of their blocks; the accumulators of
@@ -91,8 +65,7 @@ def chunk_records(
     one ``np.vecdot`` over a C-contiguous stack of integrands, the material
     kernels once over the states whose min Theta is at least the rho floor,
     max Theta by one axis reduction, then the scalars of each row in step
-    order.  ``times`` and ``theta_min`` give each state's t and min Theta,
-    ``f_theta`` (``(C, N)``, optional) its f(max(Theta, 0))."""
+    order.  ``times`` and ``theta_min`` give each state's t and min Theta."""
     c, _, n = stack.shape
     w = trapezoid_weights(grid)
     valid = [not m < material.rho_floor for m in theta_min]
@@ -114,8 +87,7 @@ def chunk_records(
         # Theta >= rho_floor > 0 there, so f(max(Theta, 0)) is f(Theta) and
         # the unchecked kernels apply
         th_v = th[sel]
-        fth = f_kernel(material, th_v) if f_theta is None else f_theta[sel]
-        rows[2, sel, 2] = fp_kernel(material, th_v) / fth * rows[0, sel, 2]
+        rows[2, sel, 2] = fp_kernel(material, th_v) / f_kernel(material, th_v) * rows[0, sel, 2]
     ints = np.vecdot(rows, w).transpose(1, 0, 2).tolist()
     th_max = th.max(axis=1).tolist()
 
@@ -254,20 +226,23 @@ def _poly_test_function(target: str, t_end: float, p_coef, q_coef, a: float, b: 
 
     # time part q(tau) (1 - tau)^2 with tau = t / t_end:
     # vanishes at the horizon together with its first derivative, so the
-    # double time integration by parts in the displacement identity closes
+    # double time integration by parts in the displacement identity closes.
+    # The factors square by multiplication: on a scalar t, ``** 2`` is libm
+    # pow, which can differ by an ulp from numpy's x * x on an array of times
     def T(t):
         tau = t / t_end
-        return q(tau) * (1.0 - tau) ** 2
+        s = 1.0 - tau
+        return q(tau) * (s * s)
 
     def Tp(t):
         tau = t / t_end
-        return (qp(tau) * (1.0 - tau) ** 2 - 2.0 * q(tau) * (1.0 - tau)) / t_end
+        s = 1.0 - tau
+        return (qp(tau) * (s * s) - 2.0 * q(tau) * s) / t_end
 
     def Tpp(t):
         tau = t / t_end
-        return (
-            qpp(tau) * (1.0 - tau) ** 2 - 4.0 * qp(tau) * (1.0 - tau) + 2.0 * q(tau)
-        ) / t_end ** 2
+        s = 1.0 - tau
+        return (qpp(tau) * (s * s) - 4.0 * qp(tau) * s + 2.0 * q(tau)) / t_end ** 2
 
     return SpaceTimeTestFunction(
         target=target, X=X, Xp=Xp, T=T, Tp=Tp, Tpp=Tpp, t_end=t_end, label=label

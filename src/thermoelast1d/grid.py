@@ -287,27 +287,6 @@ def dxx(field: Field, grid: Grid) -> Field:
     return Field(out, BC_FREE)
 
 
-def dxxxx(field: Field, grid: Grid) -> Field:
-    """Fourth derivative for hinged fields (value and curvature zero).
-
-    5-point interior stencil; antisymmetric ghosts (v[-1] = -v[1],
-    v[-2] = -v[2]) realize the hinged closure.
-    """
-    if field.bc_kind != BC_HINGED:
-        raise ContractError(
-            f"dxxxx requires a hinged field, got bc_kind={field.bc_kind!r}"
-        )
-    f = _check(field, grid, min_cells=4)
-    h4 = grid.h ** 4
-    out = np.empty_like(f)
-    out[2:-2] = (f[:-4] - 4.0 * f[1:-3] + 6.0 * f[2:-2] - 4.0 * f[3:-1] + f[4:]) / h4
-    out[1] = ((-f[1]) - 4.0 * f[0] + 6.0 * f[1] - 4.0 * f[2] + f[3]) / h4
-    out[-2] = (f[-4] - 4.0 * f[-3] + 6.0 * f[-2] - 4.0 * f[-1] + (-f[-2])) / h4
-    out[0] = ((-f[2]) - 4.0 * (-f[1]) + 6.0 * f[0] - 4.0 * f[1] + f[2]) / h4
-    out[-1] = (f[-3] - 4.0 * f[-2] + 6.0 * f[-1] - 4.0 * (-f[-2]) + (-f[-3])) / h4
-    return Field(out, BC_FREE)
-
-
 def integrate(values: np.ndarray, grid: Grid) -> float:
     """Trapezoid-rule integral of nodal values over (a, b)."""
     if values.shape[0] != grid.n_nodes:

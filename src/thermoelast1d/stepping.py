@@ -14,15 +14,15 @@ loop and the summation-by-parts cancellations the diagnostics rely on hold
 exactly.
 
 Each step of :func:`run_simulation` only advances (:class:`LimitStepper`
-carries its closing half-kick into the next step's opening one, and its
-f(Theta) into the row's rho = f'/f) and copies the stepper's raw (v, u,
-Theta) into its slot of the chunk's ``(C, 3, N)`` stack.  The rest is done
-per chunk of C = :func:`chunk_steps` steps (max(1, :data:`CHUNK_VALUES` //
-N): 248 at N = 33, 15 at N = 513, 1 from N = 4097 on), in one pass over the
-rows written: the finite and Theta >= -positivity_tol tests as array
-reductions (:func:`check_step` builds the message of the first failing
-step), the pins of the v and u ends, one indexed copy of the kept states
-into the run's one ``(n_kept, 3, N)`` store, the rows by one
+carries its closing half-kick into the next step's opening one) and copies
+the stepper's raw (v, u, Theta) into its slot of the chunk's ``(C, 3, N)``
+stack.  The rest is done per chunk of C = :func:`chunk_steps` steps (max(1,
+:data:`CHUNK_VALUES` // N): 248 at N = 33, 15 at N = 513, 1 from N = 4097
+on), in one pass over the rows written: the finite and
+Theta >= -positivity_tol tests as array reductions (:func:`check_step`
+builds the message of the first failing step), the pins of the v and u
+ends, one indexed copy of the kept states into the run's one
+``(n_kept, 3, N)`` store, the rows by one
 :func:`~thermoelast1d.diagnostics.chunk_records` pass, and the recorder,
 once per step in step order, at most one chunk late.  So stepping may run
 up to C - 1 steps past a failing step; those are discarded, and the steps
@@ -235,7 +235,6 @@ class LimitStepper(_Stepper):
     the closing wave part, force and f(Theta) for them, and the next call
     reuses them if it gets the same u and Theta arrays back; with forcing at
     another t (an ulp off), the opening force is the kept wave part + S_v(t).
-    :meth:`f_theta` gives the kept f(Theta).
 
     v_half, its hinged dx, the heat right-hand side and the Neumann dx of
     f(Theta) are formed in one ``(3, N)`` scratch array of the stepper, so a
@@ -291,13 +290,6 @@ class LimitStepper(_Stepper):
         self._row = i
         s_v, s_v1, s_th1 = self._tables
         return s_v[i], s_v1[i], s_th1[i]
-
-    def f_theta(self, th: np.ndarray) -> np.ndarray:
-        """f(max(Theta, 0)) kept from the last step; ``th`` must be its Theta."""
-        carry = self._carry
-        if carry is None or carry[1] is not th:
-            raise ContractError("f_theta takes the Theta the last step returned")
-        return carry[5]
 
     def advance(self, v, u, th, t):
         dt, h = self.cfg.dt, self.grid.h
@@ -376,9 +368,8 @@ def run_simulation(
     record_every: int = 1,
     recorder=None,
 ) -> Trajectory:
-    """March ``init`` to t_end with ``stepper`` (``advance`` and ``label``,
-    optionally ``f_theta(th)``: f(max(Theta, 0)) of the Theta ``th`` that
-    ``advance`` just returned), streaming per-step diagnostics.
+    """March ``init`` to t_end with ``stepper`` (``advance`` and ``label``),
+    streaming per-step diagnostics.
 
     The steps are checked, pinned, kept and given their rows per chunk of
     :func:`chunk_steps` steps, so stepping goes on for up to C - 1 steps past
@@ -395,9 +386,9 @@ def run_simulation(
     over single steps.  Step failures propagate with the failing time
     attached; a :class:`SchemeError` or :class:`PositivityError` at step k
     comes after the rows of steps 1 .. k - 1 are formed and recorded, and
-    carries the row of step k - 1 as ``last_record``.  When ``advance`` or
-    ``f_theta`` raises, the steps before it are checked and recorded first,
-    so a failing one among them wins.
+    carries the row of step k - 1 as ``last_record``.  When ``advance``
+    raises, the steps before it are checked and recorded first, so a failing
+    one among them wins.
     """
     if init.t != 0.0:
         raise ContractError(f"runs start at t = 0, got init.t = {init.t}")
@@ -415,7 +406,6 @@ def run_simulation(
     if recorder is not None:
         recorder(init, rec)
 
-    kept_f = getattr(stepper, "f_theta", None)
     n = grid.n_nodes
     dt, floor = cfg.dt, -cfg.positivity_tol
     size = chunk_steps(n)
@@ -423,8 +413,6 @@ def run_simulation(
     n_kept = n_steps // record_every + (n_steps % record_every != 0)
     store = np.empty((n_kept, 3, n))
     slot = 0
-    # f(Theta) of the chunk's steps; only read by the rows
-    fth = np.empty((size, n)) if kept_f is not None else None
 
     def finish(first, stack):
         """Check the steps first, first + 1, ... whose raw (v, u, Theta) are
@@ -451,8 +439,7 @@ def run_simulation(
         stack[:, :2, -1] = 0.0
         stack.flags.writeable = False
         times = [k * dt for k in range(first, first + m)]
-        rows = chunk_records(stack, times, th_min.tolist(), material, grid, cfg.epsilon,
-                             rec, None if fth is None else fth[:m])
+        rows = chunk_records(stack, times, th_min.tolist(), material, grid, cfg.epsilon, rec)
         # the steps the trajectory keeps: every record_every-th and the last
         keep = list(range(-first % record_every, m, record_every))
         if first + m - 1 == n_steps and n_steps % record_every:
@@ -484,8 +471,6 @@ def run_simulation(
                 for k in range(first, first + len(stack)):
                     v, u, th = stepper.advance(v, u, th, (k - 1) * dt)
                     stack[m] = v, u, th
-                    if fth is not None:
-                        fth[m] = kept_f(th)
                     m += 1
             except Exception:  # the steps before it are checked first
                 finish(first, stack[:m])

@@ -12,15 +12,16 @@ import math
 
 import numpy as np
 
+from thermoelast1d.bounds import RangeBounds
 from thermoelast1d.diagnostics import (
     DifferenceNorms,
     WeakFormResiduals,
     _cumtrapz,
     _validate_test_function,
 )
-from thermoelast1d.errors import StructuralError
-from thermoelast1d.grid import dx, integrate, l2_norm_sq
-from thermoelast1d.materials import eval_f, eval_fp
+from thermoelast1d.errors import DomainError, StructuralError
+from thermoelast1d.grid import dx, dxx, integrate, l2_norm_sq
+from thermoelast1d.materials import eval_f, eval_fp, eval_fpp, rho
 
 
 def record_bits(rec) -> bytes:
@@ -78,6 +79,52 @@ def trig_field(rng, x, n_modes=4, cosines=True, sines=True):
             val += b * np.sin(k * np.pi * x)
             der += b * k * np.pi * np.cos(k * np.pi * x)
     return val, der
+
+
+# ---------------------------------------------------------------------------
+# References of one diagnostics row, composed from the Field operators:
+# ``compute_record`` and ``chunk_records`` must equal them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def energy(state, grid) -> float:
+    """E = 1/2 |v|_2^2 + 1/2 |u_x|_2^2 + int Theta."""
+    ke = 0.5 * l2_norm_sq(state.v.values, grid)
+    pe = 0.5 * l2_norm_sq(dx(state.u, grid).values, grid)
+    return ke + pe + integrate(state.theta.values, grid)
+
+
+def hfunc(state, material, grid):
+    """y = 1 + 1/2 |v_x|^2 + 1/2 |u_xx|^2 + 1/2 int rho(Theta) Theta_x^2,
+    or None when min Theta is below the rho floor (f'/f uncontrolled)."""
+    th = state.theta.values
+    if float(th.min()) < material.rho_floor:
+        return None
+    vx2 = l2_norm_sq(dx(state.v, grid).values, grid)
+    uxx2 = l2_norm_sq(dxx(state.u, grid).values, grid)
+    thx = dx(state.theta, grid).values
+    weighted = integrate(rho(material, th) * thx ** 2, grid)
+    return 1.0 + 0.5 * vx2 + 0.5 * uxx2 + 0.5 * weighted
+
+
+def empirical_range_bounds(traj, material) -> RangeBounds:
+    """The two-sided constitutive bounds measured along a recorded run:
+    extrema of f, f', |f''| over 512 samples of [min Theta, max Theta]."""
+    th_min = min(r.theta_min for r in traj.records)
+    th_max = max(r.theta_max for r in traj.records)
+    if th_min <= 0.0:
+        raise DomainError(
+            f"run temperature reached {th_min}; two-sided bounds need Theta > 0"
+        )
+    xs = np.linspace(th_min, th_max, 512)
+    f = eval_f(material, xs)
+    fp = eval_fp(material, xs)
+    fpp = eval_fpp(material, xs)
+    return RangeBounds(
+        c1=float(f.min()), c2=float(f.max()),
+        c3=float(fp.min()), c4=float(fp.max()),
+        c5=float(np.max(np.abs(fpp))),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from helpers import trig_field
+from helpers import empirical_range_bounds, hfunc, trig_field
 from thermoelast1d import bounds
 from thermoelast1d.diagnostics import (
     default_test_bank,
     energy_identity_residual,
-    hfunc,
     weak_form_residual,
 )
 from thermoelast1d.experiments import (
@@ -187,7 +186,7 @@ def test_criterion_08_short_time_regularity():
     y0 = hfunc(init, MAT, g)
     cfg = SolverConfig(dt=2e-4, t_end=0.02, epsilon=1e-3, scheme="imex2")
     traj = run_eps(init, MAT, cfg, g)
-    rb = bounds.empirical_range_bounds(traj, MAT)
+    rb = empirical_range_bounds(traj, MAT)
     tb = bounds.tau_bound(y0, rb, bounds.c10_quartic(g.length))
     ts = traj.record_times
     ys = traj.record_series("hfunc")

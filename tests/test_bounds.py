@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pl_h1_sq, pl_l2_sq, pl_l4_4
+from helpers import empirical_range_bounds, pl_h1_sq, pl_l2_sq, pl_l4_4
 from thermoelast1d import bounds
 from thermoelast1d.errors import DomainError
 from thermoelast1d.grid import Grid, gn_constants
@@ -220,7 +220,6 @@ def test_gronwall_detects_violation():
 def test_gronwall_on_run_data():
     """Difference of two perturbed runs obeys its Gronwall envelope with the
     measured coefficient series."""
-    from thermoelast1d.diagnostics import energy
     from thermoelast1d.grid import dx, l2_norm_sq
     from thermoelast1d.initial_data import standing_wave
     from thermoelast1d.solver_limit import run_limit
@@ -273,7 +272,7 @@ def test_empirical_range_bounds_identity():
     cfg = SolverConfig(dt=1e-3, t_end=0.05, epsilon=1e-3, scheme="imex2")
     init = standing_wave(g, amplitude=0.1, theta_amplitude=0.2)
     traj = run_eps(init, identity_material(), cfg, g, record_every=10)
-    rb = bounds.empirical_range_bounds(traj, identity_material())
+    rb = empirical_range_bounds(traj, identity_material())
     assert 0.7 <= rb.c1 <= 0.9  # min Theta ~ 0.8
     assert 1.1 <= rb.c2 <= 1.3  # max Theta ~ 1.2
     assert rb.c3 == 1.0 and rb.c4 == 1.0 and rb.c5 == 0.0

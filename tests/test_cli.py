@@ -98,6 +98,17 @@ def test_run_counts_the_plot_files_it_wrote(tmp_path, capsys, plot, plot_files):
     assert f"wrote {len(names)} files under {out}" in capsys.readouterr().out
 
 
+def test_experiment_counts_the_svg_it_wrote(tmp_path, capsys):
+    """The report's file count is the number of files under the output
+    directory, series.svg included."""
+    out = tmp_path / "rep"
+    assert main(["energy-audit", "--n-cells", "16", "--t-end", "0.05", "--plot", "svg",
+                 "--output-dir", str(out)]) == 0
+    names = set(os.listdir(out))
+    assert "series.svg" in names
+    assert f"report written under {out} ({len(names)} files)" in capsys.readouterr().out
+
+
 def test_experiment_plot_takes_only_svg(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outdir = tmp_path / "rep"

@@ -18,7 +18,6 @@ from thermoelast1d.grid import (
     dxx,
     dxx_rows,
     dxx_values,
-    dxxxx,
     gn_constants,
     integrate,
     norms,
@@ -147,33 +146,6 @@ def test_dxx_divergence_property():
     assert abs(total) <= 1e-12 * max(1.0, np.max(np.abs(f.values)) / g.h**2)
 
 
-# --- dxxxx ----------------------------------------------------------------
-
-
-def test_dxxxx_requires_hinged(unit_grid):
-    f = Field(np.zeros(unit_grid.n_nodes), BC_NEUMANN)
-    with pytest.raises(ContractError):
-        dxxxx(f, unit_grid)
-
-
-def test_dxxxx_zero_and_cubic():
-    g = Grid(0.0, 1.0, 16)
-    z = Field(np.zeros(g.n_nodes), BC_HINGED)
-    assert np.all(dxxxx(z, g).values == 0.0)
-    cubic = Field.clamped(g.nodes**3 - g.nodes**2 * 0, BC_HINGED)
-    # clamping breaks the profile at the ends; deep interior is a real cubic
-    d = dxxxx(cubic, g).values
-    assert np.allclose(d[4:-4], 0.0, atol=1e-9)
-
-
-def test_dxxxx_sine_value():
-    g = Grid(0.0, 1.0, 64)
-    f = Field.clamped(np.sin(np.pi * g.nodes), BC_HINGED)
-    mid = g.n_nodes // 2
-    exact = np.pi**4 * np.sin(np.pi * 0.5)
-    assert dxxxx(f, g).values[mid] == pytest.approx(exact, rel=0.01)
-
-
 # --- linearity (property) --------------------------------------------------
 
 
@@ -191,8 +163,7 @@ def test_operators_are_linear(alpha, beta, seed, bc):
     fb = rng.normal(size=g.n_nodes)
     if bc in (BC_DIRICHLET, BC_HINGED):
         fa[0] = fa[-1] = fb[0] = fb[-1] = 0.0
-    ops = [dx, dxx] + ([dxxxx] if bc == BC_HINGED else [])
-    for op in ops:
+    for op in (dx, dxx):
         lhs = op(Field(alpha * fa + beta * fb, bc), g).values
         rhs = alpha * op(Field(fa, bc), g).values + beta * op(Field(fb, bc), g).values
         scale = np.max(np.abs(rhs)) + 1.0

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import record_bits
-from thermoelast1d.diagnostics import energy, energy_identity_residual
+from helpers import energy, record_bits
+from thermoelast1d.diagnostics import energy_identity_residual
 from thermoelast1d.errors import ConfigError, ContractError, PositivityError, SchemeError
 from thermoelast1d.grid import Grid, dxx, l2_norm_sq
 from thermoelast1d.initial_data import equilibrium, standing_wave
@@ -255,6 +255,26 @@ def test_biharmonic_matrix_same_csc_arrays(n_cells, c):
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _d4(g, f):
+    """The solver's hinged D4 of ``f``: (I + D4) f - f."""
+    return biharmonic_system_hinged(g, 1.0) @ f - f
+
+
+def test_biharmonic_d4_of_a_cubic_vanishes_inside():
+    g = Grid(0.0, 1.0, 16)
+    cubic = g.nodes ** 3
+    cubic[0] = cubic[-1] = 0.0
+    # pinning breaks the profile at the ends; the deep interior is a real cubic
+    assert np.allclose(_d4(g, cubic)[4:-4], 0.0, atol=1e-9)
+
+
+def test_biharmonic_d4_of_a_sine():
+    g = Grid(0.0, 1.0, 64)
+    f = np.sin(np.pi * g.nodes)
+    f[0] = f[-1] = 0.0
+    assert _d4(g, f)[g.n_nodes // 2] == pytest.approx(np.pi ** 4, rel=0.01)
 
 
 def test_biharmonic_needs_four_cells():

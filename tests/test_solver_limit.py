@@ -18,7 +18,6 @@ from thermoelast1d.initial_data import (
     step_strain,
 )
 from thermoelast1d.materials import (
-    f_kernel,
     identity_material,
     log1p_material,
     rational_saturating_material,
@@ -375,15 +374,13 @@ class _FailAt:
     ``k``, in a copy.  A finite value (at an end the run pins) is taken back
     at the next step, so the run goes on as the chain does; any other value
     is handed on.  With ``then_raise`` the step after k raises
-    ContractError.  ``f_theta`` hands on the stepper's carried f(Theta)."""
+    ContractError."""
 
     def __init__(self, stepper, k, field, node, value, then_raise=False):
         self.stepper, self.k, self.calls = stepper, k, 0
         self.field, self.node, self.value, self.then_raise = field, node, value, then_raise
         self.label = stepper.label
         self.swap = None  # (returned, original) of the changed array
-        if hasattr(stepper, "f_theta"):
-            self.f_theta = lambda th: stepper.f_theta(self._original(th))
 
     def _original(self, a):
         return self.swap[1] if self.swap is not None and a is self.swap[0] else a
@@ -526,24 +523,6 @@ def test_forcing_evaluates_only_the_opening_rows_it_reads(n_cells, dt_factor, n_
     assert n_steps <= chunk or n_cells == 4096  # one chunk, except at N = 4096
     assert mismatched or n_cells == 4096
     assert sum(rows) == n_steps + len(mismatched) + len(opens)
-
-
-def test_carried_f_theta_is_only_for_the_last_steps_theta():
-    """LimitStepper.f_theta gives f(max(Theta, 0)) of the Theta its last
-    step returned, and refuses any other array (before a step, or a copy)."""
-    g = Grid(0.0, 1.0, 16)
-    init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
-    cfg = SolverConfig(dt=0.25 * g.h, t_end=g.h)
-    material = log1p_material()
-    stepper = LimitStepper(g, material, cfg)
-    v, u, th = init.block.copy()
-    with pytest.raises(ContractError, match="last step"):
-        stepper.f_theta(th)
-    v, u, th = stepper.advance(v, u, th, 0.0)
-    f_th = f_kernel(material, np.maximum(th, 0.0))
-    assert stepper.f_theta(th).tobytes() == f_th.tobytes()
-    with pytest.raises(ContractError, match="last step"):
-        stepper.f_theta(th.copy())
 
 
 @pytest.mark.parametrize("forced", [False, True])

@@ -169,7 +169,7 @@ def test_single_step_forced_heat_l2_identity(a, length, n_cells, material, dt_fr
 #: the names ``import thermoelast1d`` gives, apart from submodules and dunders
 PUBLIC_NAMES = {
     "BC_DIRICHLET", "BC_FREE", "BC_HINGED", "BC_NEUMANN", "DiagnosticsRecord", "Field",
-    "Grid", "Material", "SolverConfig", "State", "Trajectory", "dx", "dxx", "dxxxx",
+    "Grid", "Material", "SolverConfig", "State", "Trajectory", "dx", "dxx",
     "eval_f", "eval_fp", "eval_fpp", "gn_constants", "hypothesis_report",
     "identity_material", "log1p_material", "make_material", "make_state",
     "material_from_file", "norms", "prepare_rough_data", "rational_saturating_material",
