@@ -23,8 +23,8 @@ from .errors import ConfigError, ContractError, Thermoelast1dError
 from .grid import Grid, gn_constants
 from .initial_data import ROUGH_KINDS
 from .materials import KIND_TABULATED, KINDS, make_material
-from .output import (export_trajectory, make_output_dir, write_gnuplot, write_report,
-                     write_svg_series)
+from .output import (export_trajectory, make_output_dir, snapshot_writer, write_gnuplot,
+                     write_report, write_svg_series)
 from .state import SolverConfig, eps_grid_problem, whole_steps
 from .stepping import run_eps, run_limit
 
@@ -157,14 +157,19 @@ def _cmd_run(args) -> int:
     outdir = args.output_dir or os.path.join(_output_root(), cfg.output.directory)
     make_output_dir(outdir)  # an unusable path fails before any step is taken
 
-    if solver_cfg.epsilon > 0.0:
-        traj = run_eps(init, material, solver_cfg, grid,
-                       record_every=cfg.output.record_every)
-    else:
-        traj = run_limit(init, material, solver_cfg, grid,
-                         record_every=cfg.output.record_every)
-
-    written = export_trajectory(traj, outdir, cfg.output.formats)
+    # the kept states go to a writer process as the run makes them (or, with
+    # no writer, are formatted after the run)
+    record_every = cfg.output.record_every
+    writer = snapshot_writer(outdir, cfg.output.formats, grid, solver_cfg.n_steps(),
+                             record_every)
+    try:
+        run = run_eps if solver_cfg.epsilon > 0.0 else run_limit
+        traj = run(init, material, solver_cfg, grid, recorder=writer,
+                   record_every=record_every)
+        written = export_trajectory(traj, outdir, cfg.output.formats, snapshots=writer)
+    finally:
+        if writer is not None:
+            writer.close()
     written += _maybe_plot(args, traj, outdir)
     last = traj.records[-1]
     first = traj.records[0]

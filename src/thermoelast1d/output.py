@@ -9,20 +9,29 @@ over a row template.  ``%`` converts each value alone with ``float``, so the
 bytes equal one ``"%.17g" % float(x)`` per value.  A snapshot template holds
 its t (formatted once per file) and x (once per grid) as literal text, safe
 as a ``%.17g`` string never contains ``%``.  Write failures name the path.
+
+The snapshot files of ``thermoelast1d run`` are formatted while the run
+steps, by a :class:`SnapshotWriter` in a forked process, through the same
+routines as the export after a run (:func:`_write_snapshot_csv`,
+:func:`_snapshot_line`); diagnostics.csv is written after the run, in the
+run's process, by :func:`export_trajectory`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+import shutil
+import signal
+import tempfile
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractError, Thermoelast1dError
-from .state import DiagnosticsRecord, Trajectory
+from .state import DiagnosticsRecord, Trajectory, kept_steps
 
 #: diagnostics.csv header, as in FORMATS.md
 DIAG_COLUMNS = tuple(
@@ -69,12 +78,47 @@ def _write_columns(fh, columns, sep: str) -> None:
         fh.write(row * (hi - lo) % tuple(np.column_stack(present).ravel().tolist()))
 
 
-def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("csv",)):
+def _csv_x_rows(x) -> list:
+    """Row j of a snapshot CSV template after its t: node j's x, then a
+    ``%.17g`` slot for each of v, u and Theta ("%%" stays as "%")."""
+    x = x.tolist()
+    return ((_G + ",%%.17g,%%.17g,%%.17g\n") * len(x) % tuple(x)).splitlines(True)
+
+
+def _write_snapshot_csv(path, t: float, block: np.ndarray, x_rows: list) -> None:
+    """snapshot_NNNNNN.csv of the state ``(t, block)``: t,x,v,u,theta per node."""
+    prefix = _G % t + ","
+    vals = block.T.ravel().tolist()
+    with _writing(path) as fh:
+        fh.write("t,x,v,u,theta\n")
+        for lo in range(0, len(x_rows), ROW_BLOCK):
+            template = prefix + prefix.join(x_rows[lo:lo + ROW_BLOCK])
+            fh.write(template % tuple(vals[3 * lo:3 * (lo + ROW_BLOCK)]))
+
+
+def _snapshot_line(t: float, block: np.ndarray) -> str:
+    """The snapshots.jsonl line of the state ``(t, block)``."""
+    v, u, theta = block.tolist()
+    return json.dumps({"t": t, "v": v, "u": u, "theta": theta}) + "\n"
+
+
+def _snapshot_names(formats: Sequence[str], n_states: int) -> list:
+    """The snapshot files of ``n_states`` kept states, in export order."""
+    names = [f"snapshot_{idx:06d}.csv" for idx in range(n_states)] if "csv" in formats else []
+    return names + ["snapshots.jsonl"] * ("json_lines" in formats)
+
+
+def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("csv",),
+                      snapshots: Optional["SnapshotWriter"] = None):
     """Write per-step diagnostics plus field snapshots.
 
     csv:        diagnostics.csv + one snapshot_NNNNNN.csv per recorded time
     json_lines: diagnostics.csv + snapshots.jsonl (streamable, one snapshot
                 per line)
+
+    With ``snapshots``, the writer that was the run's recorder, the snapshot
+    files are those it formatted during the run: after diagnostics.csv this
+    waits for it and moves its files into ``directory``.
 
     Returns the list of written paths.
     """
@@ -90,28 +134,179 @@ def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("cs
         _write_columns(fh, [traj.record_series(f.name) for f in fields(DiagnosticsRecord)], ",")
     written.append(diag_path)
 
+    if snapshots is not None:
+        if (snapshots.formats, snapshots.count) != (tuple(formats), len(traj.states)):
+            raise ContractError(f"the writer has {snapshots.count} states in formats "
+                                f"{snapshots.formats}, the export {len(traj.states)} "
+                                f"in {tuple(formats)}")
+        return written + snapshots.publish()
+    paths = [os.path.join(directory, name) for name in _snapshot_names(formats, len(traj.states))]
     if "csv" in formats:
-        # x_rows[j]: node j's row after its t; "%%" stays as "%" of a value slot
-        x = traj.grid.nodes.tolist()
-        x_rows = ((_G + ",%%.17g,%%.17g,%%.17g\n") * len(x) % tuple(x)).splitlines(True)
-        for idx, s in enumerate(traj.states):
-            path = os.path.join(directory, f"snapshot_{idx:06d}.csv")
-            prefix = _G % s.t + ","
-            vals = np.column_stack((s.v.values, s.u.values, s.theta.values)).ravel().tolist()
-            with _writing(path) as fh:
-                fh.write("t,x,v,u,theta\n")
-                for lo in range(0, len(x), ROW_BLOCK):
-                    template = prefix + prefix.join(x_rows[lo:lo + ROW_BLOCK])
-                    fh.write(template % tuple(vals[3 * lo:3 * (lo + ROW_BLOCK)]))
+        x_rows = _csv_x_rows(traj.grid.nodes)
+        for path, s in zip(paths, traj.states):
+            _write_snapshot_csv(path, s.t, s.block, x_rows)
             written.append(path)
     if "json_lines" in formats:
-        path = os.path.join(directory, "snapshots.jsonl")
-        with _writing(path) as fh:
+        with _writing(paths[-1]) as fh:
             for s in traj.states:
-                fh.write(json.dumps({"t": s.t, "v": s.v.values.tolist(), "u": s.u.values.tolist(),
-                                     "theta": s.theta.values.tolist()}) + "\n")
-        written.append(path)
+                fh.write(_snapshot_line(s.t, s.block))
+        written.append(paths[-1])
     return written
+
+
+# ---------------------------------------------------------------------------
+# snapshot files formatted in a writer process during a run
+# ---------------------------------------------------------------------------
+
+#: bytes asked of the writer's pipe (Linux ``F_SETPIPE_SZ``; 1 MiB is the
+#: default limit for unprivileged processes): at N = 4097 about ten kept
+#: states fit, so a send waits only when the writer falls that far behind
+PIPE_BYTES = 1 << 20
+
+
+def _write_snapshots(directory, formats: Sequence[str], x, states) -> None:
+    """The snapshot files of the ``(t, block)`` items of ``states``, each
+    written as it comes; the writer process runs this."""
+    x_rows = _csv_x_rows(x)
+    jsonl = (_writing(os.path.join(directory, "snapshots.jsonl")) if "json_lines" in formats
+             else nullcontext())
+    with jsonl as fh:
+        for idx, (t, block) in enumerate(states):
+            if "csv" in formats:
+                _write_snapshot_csv(os.path.join(directory, f"snapshot_{idx:06d}.csv"),
+                                    t, block, x_rows)
+            if fh is not None:
+                fh.write(_snapshot_line(t, block))
+
+
+def _serve(feed, reply, directory, formats, x, parent_ends) -> None:
+    """Body of the writer process: the states of ``feed`` up to a ``None``,
+    then ``None`` on ``reply``, or the message of the error that stopped it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the writer
+    for end in parent_ends:  # so that the feed ends when the parent does
+        end.close()
+    try:
+        _write_snapshots(directory, formats, x, iter(feed.recv, None))
+    except EOFError:  # the parent closed the feed without its end mark: stopped
+        return
+    except Thermoelast1dError as exc:
+        reply.send(str(exc))
+        return
+    reply.send(None)
+
+
+class SnapshotWriter:
+    """The snapshot files of a run, formatted in a forked process while the
+    run steps.
+
+    Passed to ``run_eps``/``run_limit`` as ``recorder``: of the states it is
+    given it forwards those the trajectory keeps (:func:`~.state.kept_steps`)
+    as ``(t, block)`` over a one-way pipe.  The process starts with the first
+    state (t = 0), so the fork and the import of :mod:`multiprocessing` fall
+    in the run's first step; it writes into a hidden staging directory under
+    ``directory``.  :func:`export_trajectory` with ``snapshots=`` calls
+    :meth:`publish`; :meth:`close` stops the writer and removes what it
+    staged, and leaves the files published."""
+
+    def __init__(self, directory, formats: Sequence[str], grid, n_steps: int,
+                 record_every: int):
+        self.directory = directory
+        self.formats = tuple(formats)
+        self.count = 0  # states forwarded
+        self._x = grid.nodes
+        self._steps = n_steps, record_every
+        self._step = 0
+        self._proc = self._staging = None
+
+    def __call__(self, state, record) -> None:
+        if kept_steps(self._step, 1, *self._steps):
+            if self._proc is None:
+                self._start()
+            self._send((state.t, state.block))
+            self.count += 1
+        self._step += 1
+
+    def _start(self) -> None:
+        import fcntl
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        try:
+            self._staging = tempfile.mkdtemp(prefix=".snapshots-", dir=self.directory)
+        except OSError as exc:
+            raise Thermoelast1dError(f"failed writing {self.directory}: {exc}") from exc
+        feed_out, self._feed = ctx.Pipe(duplex=False)
+        self._reply, reply_in = ctx.Pipe(duplex=False)
+        try:
+            fcntl.fcntl(self._feed.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except (AttributeError, OSError):  # not Linux, or over the limit: the default size
+            pass
+        proc = ctx.Process(target=_serve, daemon=True, name="snapshot-writer", args=(
+            feed_out, reply_in, self._staging, self.formats, self._x, (self._feed, self._reply)))
+        proc.start()
+        self._proc = proc
+        feed_out.close()
+        reply_in.close()
+
+    def _send(self, item) -> None:
+        try:
+            self._feed.send(item)
+        except OSError:  # the writer stopped: its error
+            self._outcome()
+            raise
+
+    def _outcome(self) -> None:
+        """Wait for the writer to end; raise the error that stopped it."""
+        try:
+            error = self._reply.recv()
+        except EOFError:  # it ended without a word
+            error = ""
+        self._proc.join()
+        if error is not None:
+            raise Thermoelast1dError(error or "snapshot writer exited with code "
+                                     f"{self._proc.exitcode}")
+
+    def publish(self) -> list:
+        """Wait for the writer, then move its files into ``directory`` in
+        export order; their paths.  An error names the file."""
+        written = []
+        if self._proc is None:
+            return written
+        self._send(None)
+        self._feed.close()
+        self._outcome()
+        for name in _snapshot_names(self.formats, self.count):
+            path = os.path.join(self.directory, name)
+            try:
+                os.replace(os.path.join(self._staging, name), path)
+            except OSError as exc:
+                raise Thermoelast1dError(f"failed writing {path}: {exc}") from exc
+            written.append(path)
+        os.rmdir(self._staging)
+        return written
+
+    def close(self) -> None:
+        """Stop the writer if it runs, wait for it and remove its staging
+        directory; safe to call more than once."""
+        if self._proc is not None:
+            self._feed.close()
+            if self._proc.is_alive():
+                self._proc.terminate()
+            self._proc.join()
+            self._reply.close()
+        if self._staging is not None:
+            shutil.rmtree(self._staging, ignore_errors=True)
+
+
+def snapshot_writer(directory, formats: Sequence[str], grid, n_steps: int,
+                    record_every: int) -> Optional[SnapshotWriter]:
+    """A :class:`SnapshotWriter` for a run, or None where the snapshots are
+    formatted after the run in this process: where there is no ``fork`` or
+    fewer than 2 CPUs are available to this process."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if not hasattr(os, "fork") or (cpus or 1) < 2:
+        return None
+    return SnapshotWriter(directory, formats, grid, n_steps, record_every)
 
 
 def read_snapshot_csv(path) -> Dict[str, np.ndarray]:

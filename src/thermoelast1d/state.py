@@ -240,6 +240,16 @@ def block_rows(n_nodes: int) -> int:
     return max(1, min(STATE_BLOCK, BLOCK_VALUES // n_nodes))
 
 
+def kept_steps(first: int, m: int, n_steps: int, record_every: int) -> List[int]:
+    """The offsets j in ``range(m)`` of the steps ``first + j`` of a run of
+    ``n_steps`` steps that its trajectory keeps: every ``record_every``-th
+    step from step 0 (t = 0) on, and the last step."""
+    keep = list(range(-first % record_every, m, record_every))
+    if first + m - 1 == n_steps and n_steps % record_every:
+        keep.append(m - 1)
+    return keep
+
+
 #: row of each field in a state's block
 _STATE_ROWS = {"v": 0, "u": 1, "theta": 2}
 

@@ -44,8 +44,8 @@ from .errors import ContractError, PositivityError, SchemeError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
 # eval_f is unused here; bench/probes.py patches it by name
 from .materials import Material, eval_f, f_kernel  # noqa: F401
-from .state import (EPS_MIN_CELLS, SolverConfig, State, Trajectory, block_rows, make_state,
-                    state_on)
+from .state import (EPS_MIN_CELLS, SolverConfig, State, Trajectory, block_rows, kept_steps,
+                    make_state, state_on)
 
 #: (S_v, S_theta): each maps the node array and a ``(C, 1)`` column of times
 #: to a ``(C, N)`` array, one row per time
@@ -409,9 +409,8 @@ def run_simulation(
     n = grid.n_nodes
     dt, floor = cfg.dt, -cfg.positivity_tol
     size = chunk_steps(n)
-    # one slot per kept state
-    n_kept = n_steps // record_every + (n_steps % record_every != 0)
-    store = np.empty((n_kept, 3, n))
+    # one slot per step after t = 0 that kept_steps keeps: ceil(n_steps / record_every)
+    store = np.empty((-(-n_steps // record_every), 3, n))
     slot = 0
 
     def finish(first, stack):
@@ -440,10 +439,7 @@ def run_simulation(
         stack.flags.writeable = False
         times = [k * dt for k in range(first, first + m)]
         rows = chunk_records(stack, times, th_min.tolist(), material, grid, cfg.epsilon, rec)
-        # the steps the trajectory keeps: every record_every-th and the last
-        keep = list(range(-first % record_every, m, record_every))
-        if first + m - 1 == n_steps and n_steps % record_every:
-            keep.append(m - 1)
+        keep = kept_steps(first, m, n_steps, record_every)
         blocks = store[slot:slot + len(keep)]
         slot += len(keep)
         np.take(stack, keep, axis=0, out=blocks, mode="clip")

@@ -3,17 +3,20 @@ DiagnosticsRecord."""
 
 import dataclasses
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoelast1d import stepping
 from thermoelast1d.diagnostics import compute_record
 from thermoelast1d.grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Field, Grid
 from thermoelast1d.materials import identity_material
 from thermoelast1d.output import DIAG_COLUMNS, export_trajectory, read_diagnostics_csv
-from thermoelast1d.state import DiagnosticsRecord, State, Trajectory, make_state
+from thermoelast1d.state import (DiagnosticsRecord, SolverConfig, State, Trajectory,
+                                 kept_steps, make_state)
 
 FIELDS = (("v", 0, BC_HINGED), ("u", 1, BC_DIRICHLET), ("theta", 2, BC_NEUMANN))
 
@@ -94,3 +97,25 @@ def test_record_fields_follow_the_diagnostics_columns(theta, tmp_path):
     diag = read_diagnostics_csv(tmp_path / "diagnostics.csv")
     assert list(diag) == list(DIAG_COLUMNS)
     assert np.array(expected).tobytes() == np.array([diag[c][0] for c in DIAG_COLUMNS]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_steps=st.integers(1, 40), record_every=st.integers(1, 50), chunk=st.integers(1, 45))
+def test_kept_steps_picks_the_times_of_the_stored_states(n_steps, record_every, chunk):
+    """Every record_every-th step and the last, whole or chunk by chunk, are
+    the steps whose states a run stores, at any chunk size of the run loop."""
+    rule = [k for k in range(n_steps + 1) if k % record_every == 0 or k == n_steps]
+    assert kept_steps(0, n_steps + 1, n_steps, record_every) == rule
+    assert [k for k in range(n_steps + 1) if kept_steps(k, 1, n_steps, record_every)] == rule
+    by_chunk = [0] + [first + j for first in range(1, n_steps + 1, chunk)
+                      for j in kept_steps(first, min(chunk, n_steps + 1 - first), n_steps,
+                                          record_every)]
+    assert by_chunk == rule
+    g = Grid(0.0, 1.0, 8)
+    cfg = SolverConfig(dt=1 / 64, t_end=n_steps / 64)
+    x = g.nodes
+    init = make_state(0.0, np.sin(np.pi * x), 0.1 * np.sin(np.pi * x),
+                      1.0 + 0.2 * np.cos(np.pi * x))
+    with mock.patch.object(stepping, "chunk_steps", lambda n_nodes: chunk):
+        traj = stepping.run_limit(init, identity_material(), cfg, g, record_every=record_every)
+    assert [s.t for s in traj.states] == [k * cfg.dt for k in rule]
