@@ -6,10 +6,12 @@ Conventions
 * All spatial integrals use the trapezoid rule on the run's grid.
 * All time integrals over trajectories use the trapezoid rule on the
   recorded time grid.
-* Trajectory diagnostics stack blocks of stored states into C-contiguous
-  ``(block, N)`` arrays; ``np.vecdot(rows, w)`` equals ``w @ row`` per row
-  bit for bit there (numpy 2.4/OpenBLAS; a dgemv ``rows @ w`` is not), and
-  time sums stay sequential: every value equals the one-state loop's.
+* Trajectory diagnostics gather each block of stored states once, into a
+  C-contiguous ``(block, 3, N)`` array (:meth:`~.state.Trajectory.gather`),
+  and read v, u and Theta as its rows; ``np.vecdot(rows, w)`` equals
+  ``w @ row`` per row bit for bit there (numpy 2.4/OpenBLAS; a dgemv
+  ``rows @ w`` is not), and time sums stay sequential: every value equals
+  the one-state loop's.
 * Quantities whose displays are squared norms are reported squared; the
   CSV/report headers say so.
 """
@@ -131,12 +133,12 @@ def mass_identity_residual(traj: Trajectory, material: Material) -> np.ndarray:
     mass = np.empty(times.shape)
     source = np.empty(times.shape)
     for lo, hi in traj.blocks(0, len(times)):
-        th = traj.stacked("theta", lo, hi)
+        v, _, th = traj.gather(lo, hi).transpose(1, 0, 2)
         mass[lo:hi] = np.vecdot(th, w)
         integrand = (
             fp_kernel(material, np.maximum(th, 0.0))
             * dx_rows(th, grid.h, BC_NEUMANN)
-            * traj.stacked("v", lo, hi)
+            * v
         )
         source[lo:hi] = np.vecdot(integrand, w)
     return mass - mass[0] - _cumtrapz(source, times)
@@ -339,7 +341,7 @@ def weak_form_residual(
     # its time factors ("wu" fills three, "wt" four)
     proj = np.empty((len(test_bank), 4, len(times)))
     for lo, hi in traj.blocks(0, len(times)):
-        v, u, th = (traj.stacked(f, lo, hi) for f in ("v", "u", "theta"))
+        v, u, th = traj.gather(lo, hi).transpose(1, 0, 2)
         thx = dx_rows(th, grid.h, BC_NEUMANN)
         ux = dx_rows(u, grid.h, BC_DIRICHLET)
         th_pos = np.maximum(th, 0.0)
@@ -404,9 +406,8 @@ def squared_differences(traj_a: Trajectory, traj_b: Trajectory, lo: int, hi: int
     the difference."""
     w = trapezoid_weights(traj_a.grid)
     h = traj_a.grid.h
-    va, ua, tha = (traj_a.stacked(f, lo + shift, hi + shift)
-                   for f in ("v", "u", "theta"))
-    vb, ub, thb = (traj_b.stacked(f, lo, hi) for f in ("v", "u", "theta"))
+    va, ua, tha = traj_a.gather(lo + shift, hi + shift).transpose(1, 0, 2)
+    vb, ub, thb = traj_b.gather(lo, hi).transpose(1, 0, 2)
     dux = dx_rows(ua, h, BC_DIRICHLET) - dx_rows(ub, h, BC_DIRICHLET)
     dthx = dx_rows(tha, h, BC_NEUMANN) - dx_rows(thb, h, BC_NEUMANN)
     return (np.vecdot((va - vb) ** 2, w), np.vecdot(dux ** 2, w),

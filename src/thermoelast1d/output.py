@@ -179,14 +179,25 @@ def _write_snapshots(directory, formats: Sequence[str], x, states) -> None:
                 fh.write(_snapshot_line(t, block))
 
 
+def _received(feed, n_nodes: int):
+    """The ``(t, block)`` of each message of ``feed`` up to an empty one."""
+    while True:
+        message = feed.recv_bytes()
+        if not message:
+            return
+        values = np.frombuffer(message)
+        yield float(values[0]), values[1:].reshape(3, n_nodes)
+
+
 def _serve(feed, reply, directory, formats, x, parent_ends) -> None:
-    """Body of the writer process: the states of ``feed`` up to a ``None``,
-    then ``None`` on ``reply``, or the message of the error that stopped it."""
+    """Body of the writer process: the states of ``feed`` up to an empty
+    message, then ``None`` on ``reply``, or the message of the error that
+    stopped it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the writer
     for end in parent_ends:  # so that the feed ends when the parent does
         end.close()
     try:
-        _write_snapshots(directory, formats, x, iter(feed.recv, None))
+        _write_snapshots(directory, formats, x, _received(feed, len(x)))
     except EOFError:  # the parent closed the feed without its end mark: stopped
         return
     except Thermoelast1dError as exc:
@@ -201,12 +212,13 @@ class SnapshotWriter:
 
     Passed to ``run_eps``/``run_limit`` as ``recorder``: of the states it is
     given it forwards those the trajectory keeps (:func:`~.state.kept_steps`)
-    as ``(t, block)`` over a one-way pipe.  The process starts with the first
-    state (t = 0), so the fork and the import of :mod:`multiprocessing` fall
-    in the run's first step; it writes into a hidden staging directory under
-    ``directory``.  :func:`export_trajectory` with ``snapshots=`` calls
-    :meth:`publish`; :meth:`close` stops the writer and removes what it
-    staged, and leaves the files published."""
+    over a one-way pipe, each as one message of raw float64 bytes: t, then
+    the ``(3, N)`` block; an empty message ends the feed.  The process
+    starts with the first state (t = 0), so the fork and the import of
+    :mod:`multiprocessing` fall in the run's first step; it writes into a
+    hidden staging directory under ``directory``.  :func:`export_trajectory`
+    with ``snapshots=`` calls :meth:`publish`; :meth:`close` stops the
+    writer and removes what it staged, and leaves the files published."""
 
     def __init__(self, directory, formats: Sequence[str], grid, n_steps: int,
                  record_every: int):
@@ -214,6 +226,8 @@ class SnapshotWriter:
         self.formats = tuple(formats)
         self.count = 0  # states forwarded
         self._x = grid.nodes
+        # the message of a state: t, then its block's values
+        self._message = np.empty(1 + 3 * grid.n_nodes)
         self._steps = n_steps, record_every
         self._step = 0
         self._proc = self._staging = None
@@ -222,7 +236,10 @@ class SnapshotWriter:
         if kept_steps(self._step, 1, *self._steps):
             if self._proc is None:
                 self._start()
-            self._send((state.t, state.block))
+            message = self._message
+            message[0] = state.t
+            message[1:].reshape(state.block.shape)[...] = state.block
+            self._send(message)
             self.count += 1
         self._step += 1
 
@@ -248,9 +265,9 @@ class SnapshotWriter:
         feed_out.close()
         reply_in.close()
 
-    def _send(self, item) -> None:
+    def _send(self, message) -> None:
         try:
-            self._feed.send(item)
+            self._feed.send_bytes(message)
         except OSError:  # the writer stopped: its error
             self._outcome()
             raise
@@ -272,7 +289,7 @@ class SnapshotWriter:
         written = []
         if self._proc is None:
             return written
-        self._send(None)
+        self._send(b"")
         self._feed.close()
         self._outcome()
         for name in _snapshot_names(self.formats, self.count):

@@ -288,15 +288,23 @@ class Trajectory:
 
     def blocks(self, start: int, stop: int) -> Iterator[Tuple[int, int]]:
         """``(lo, hi)`` bounds splitting ``range(start, stop)`` of the stored
-        states into blocks of at most :attr:`block_size`."""
+        states into blocks of at most :attr:`block_size`; :meth:`gather`
+        reads such a block with all three fields."""
         for lo in range(start, stop, self.block_size):
             yield lo, min(lo + self.block_size, stop)
 
+    def gather(self, start: int, stop: int) -> np.ndarray:
+        """The blocks of ``states[start:stop]`` as one C-contiguous
+        ``(stop - start, 3, N)`` array, copied in one pass: its ``[:, 0]``,
+        ``[:, 1]`` and ``[:, 2]`` are the v, u and Theta rows."""
+        return np.array([s.block for s in self.states[start:stop]])
+
     def stacked(self, field: str, start: int, stop: int) -> np.ndarray:
         """Values of ``field`` (``"v"``, ``"u"`` or ``"theta"``) of
-        ``states[start:stop]`` as one C-contiguous ``(stop - start, N)`` array."""
-        row = _STATE_ROWS[field]
-        return np.stack([s.block[row] for s in self.states[start:stop]])
+        ``states[start:stop]`` as one C-contiguous ``(stop - start, N)``
+        array: that row of the block :meth:`gather` reads, which holds all
+        three fields."""
+        return np.ascontiguousarray(self.gather(start, stop)[:, _STATE_ROWS[field]])
 
     def record_series(self, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.records]

@@ -237,8 +237,11 @@ class LimitStepper(_Stepper):
     another t (an ulp off), the opening force is the kept wave part + S_v(t).
 
     v_half, its hinged dx, the heat right-hand side and the Neumann dx of
-    f(Theta) are formed in one ``(3, N)`` scratch array of the stepper, so a
-    stepper is not reentrant; the arrays it returns and keeps are fresh.
+    f(Theta) are formed in one ``(3, N)`` scratch array of the stepper, and
+    the closing wave part, force and max(Theta, 0) (f(Theta) itself for the
+    identity) in two buffer sets of the stepper, used in turn: the kept ones
+    are never written by the step that reads them.  So a stepper is not
+    reentrant; the arrays it returns are fresh.
 
     A forcing is evaluated once per chunk of at most
     :func:`~thermoelast1d.state.block_rows` steps: S_v and S_theta at the
@@ -261,7 +264,18 @@ class LimitStepper(_Stepper):
         # opening times of the chunk, its S_v, S_v(+dt), S_theta(+dt) tables, last row
         self._times, self._tables, self._row = [], None, -1
         # v_half, g = its dx, the heat right-hand side or a dx of f(Theta)
+        # (the closing one in its interior)
         self._scratch = tuple(np.empty((3, grid.n_nodes)))
+        self._rhs_inner = self._scratch[2][1:-1]
+        # two sets of (wave part, force, max(Theta, 0), wave part's interior)
+        # of a closing half-kick, filled in turn.  The wave part's ends are
+        # always -0.0: D2 u1 there is -2 * 0.0 / h^2 (u1 is pinned), less a
+        # Neumann dx end of 0.0
+        sets = np.empty((2, 3, grid.n_nodes))
+        sets[:, 0, 0] = sets[:, 0, -1] = -0.0
+        self._sets = [(wave, force, pos, wave[1:-1]) for wave, force, pos in sets]
+        self._turn = 0
+        self._h2, self._two_h, self._half_dt = grid.h * grid.h, 2.0 * grid.h, 0.5 * cfg.dt
 
     def _sources(self, t):
         """S_v(t), S_v(t + dt) and S_theta(t + dt); 0.0 without forcing."""
@@ -292,7 +306,7 @@ class LimitStepper(_Stepper):
         return s_v[i], s_v1[i], s_th1[i]
 
     def advance(self, v, u, th, t):
-        dt, h = self.cfg.dt, self.grid.h
+        dt, h, half_dt = self.cfg.dt, self.grid.h, self._half_dt
         v_half, g, rhs = self._scratch
         s_v, s_v1, s_th1 = self._sources(t)
         carry = self._carry
@@ -304,22 +318,33 @@ class LimitStepper(_Stepper):
             wave, fth = _wave(self.material, u, th, h, rhs)
             force = wave + s_v
         # v_half = v + dt/2 force; u1 = u + dt v_half
-        np.multiply(force, 0.5 * dt, out=v_half)
-        _pin(np.add(v, v_half, out=v_half))
+        np.multiply(force, half_dt, v_half)
+        _pin(np.add(v, v_half, v_half))
         u1 = np.multiply(v_half, dt)
-        _pin(np.add(u, u1, out=u1))
+        _pin(np.add(u, u1, u1))
         dx_values(v_half, h, BC_HINGED, out=g)
         # th + dt (S_theta - f g), equal bit for bit to th + dt (-f g + S_theta)
-        np.multiply(fth, g, out=rhs)
-        np.subtract(s_th1, rhs, out=rhs)
+        np.multiply(fth, g, rhs)
+        np.subtract(s_th1, rhs, rhs)
         rhs *= dt
-        th1 = self.f["lu_th"].solve(np.add(th, rhs, out=rhs))
+        th1 = self.f["lu_th"].solve(np.add(th, rhs, rhs))
         u1.flags.writeable = th1.flags.writeable = False
-        wave1, fth1 = _wave(self.material, u1, th1, h, rhs)
-        force1 = wave1 + s_v1
+        # the closing wave part D2 u1 - D1 f(Theta1), as _wave forms it, into
+        # the set the carry does not hold
+        wave1, force1, pos, inner = self._sets[self._turn]
+        self._turn ^= 1
+        fth1 = f_kernel(self.material, np.maximum(th1, 0.0, out=pos))
+        np.multiply(u1[1:-1], 2.0, inner)
+        np.subtract(u1[:-2], inner, inner)
+        np.add(inner, u1[2:], inner)
+        np.divide(inner, self._h2, inner)
+        d = np.subtract(fth1[2:], fth1[:-2], self._rhs_inner)
+        np.divide(d, self._two_h, d)
+        np.subtract(inner, d, inner)
+        np.add(wave1, s_v1, force1)
         self._carry = (u1, th1, t + dt, wave1, force1, fth1)
-        v1 = np.multiply(force1, 0.5 * dt)
-        return _pin(np.add(v_half, v1, out=v1)), u1, th1
+        v1 = np.multiply(force1, half_dt)
+        return _pin(np.add(v_half, v1, v1)), u1, th1
 
 
 def check_step(v: np.ndarray, u: np.ndarray, th: np.ndarray, step: int, t: float,

@@ -11,6 +11,7 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from thermoelast1d.bounds import RangeBounds
 from thermoelast1d.diagnostics import (
@@ -20,8 +21,16 @@ from thermoelast1d.diagnostics import (
     _validate_test_function,
 )
 from thermoelast1d.errors import DomainError, StructuralError
-from thermoelast1d.grid import dx, dxx, integrate, l2_norm_sq
+from thermoelast1d.grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, dx, dx_values, dxx,
+                                dxx_values, integrate, l2_norm_sq)
 from thermoelast1d.materials import eval_f, eval_fp, eval_fpp, rho
+from thermoelast1d.stepping import heat_system
+
+
+def float_bits(a) -> list:
+    """The int64 view of a float array, so that equality is bit for bit,
+    signs of zero included."""
+    return np.ascontiguousarray(a).view(np.int64).tolist()
 
 
 def record_bits(rec) -> bytes:
@@ -233,6 +242,23 @@ def difference_norms_loop(traj_a, traj_b):
     )
 
 
+def squared_differences_loop(traj_a, traj_b, lo, hi, shift=0):
+    """The rows of ``diagnostics.squared_differences`` one state pair at a
+    time: (|dv|^2, |d u_x|^2, |dTheta|^2, |dTheta_x|^2) of
+    ``traj_a.states[j + shift]`` minus ``traj_b.states[j]``, j in [lo, hi)."""
+    g = traj_a.grid
+    rows = []
+    for j in range(lo, hi):
+        sa, sb = traj_a.states[j + shift], traj_b.states[j]
+        rows.append([l2_norm_sq(d, g) for d in (
+            sa.v.values - sb.v.values,
+            dx(sa.u, g).values - dx(sb.u, g).values,
+            sa.theta.values - sb.theta.values,
+            dx(sa.theta, g).values - dx(sb.theta, g).values,
+        )])
+    return tuple(np.array(rows).reshape(-1, 4).T)
+
+
 # ---------------------------------------------------------------------------
 # Per-value references of the text writers in ``thermoelast1d.output``: one
 # format call per value.  The block writers must produce the same bytes.
@@ -370,3 +396,39 @@ def mms_s_th_scalar(ref, material, x, t):
     th = 1.0 + ref.th_amp * c * math.exp(-ref.decay * t)
     u_xt = -ref.u_amp * ref.omega * k * c * math.sin(ref.omega * t)
     return th_t - th_xx + eval_f(material, th) * u_xt
+
+
+# ---------------------------------------------------------------------------
+# Reference of one limit (eps = 0) step: the leapfrog/backward-Euler formula
+# of ``LimitStepper.advance`` on fresh arrays, with no carried wave part,
+# no scratch buffers and no forcing tables.  ``step_limit``, ``run_limit``
+# and the stepper must equal it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def limit_step_reference(v, u, th, t, material, cfg, grid, forcing=None):
+    """(v1, u1, Theta1) of one step from (v, u, Theta) at ``t``; ``forcing``
+    is a ``stepping.Forcing`` (S_v, S_theta), read one time at a time: S_v
+    at t, S_v and S_theta at t + dt."""
+    dt, h, x = cfg.dt, grid.h, grid.nodes
+    s_v = s_v1 = s_th1 = 0.0
+    if forcing is not None:
+        s_v = forcing[0](x, np.array([[t]]))[0]
+        s_v1 = forcing[0](x, np.array([[t + dt]]))[0]
+        s_th1 = forcing[1](x, np.array([[t + dt]]))[0]
+
+    def wave_part(u, th):
+        fth = eval_f(material, np.maximum(th, 0.0))
+        return dxx_values(u, h, BC_DIRICHLET) - dx_values(fth, h, BC_NEUMANN), fth
+
+    wave, fth = wave_part(u, th)
+    v_half = v + (wave + s_v) * (0.5 * dt)
+    v_half[0] = v_half[-1] = 0.0
+    u1 = u + v_half * dt
+    u1[0] = u1[-1] = 0.0
+    g = dx_values(v_half, h, BC_HINGED)
+    th1 = splu(heat_system(grid, dt, BC_NEUMANN)).solve(th + (s_th1 - fth * g) * dt)
+    wave1, _ = wave_part(u1, th1)
+    v1 = v_half + (wave1 + s_v1) * (0.5 * dt)
+    v1[0] = v1[-1] = 0.0
+    return v1, u1, th1

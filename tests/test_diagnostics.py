@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from helpers import (
     difference_norms_loop,
     energy,
+    float_bits,
     hfunc,
     mass_identity_residual_loop,
     record_bits,
+    squared_differences_loop,
     weak_form_residual_loop,
 )
 from thermoelast1d.diagnostics import (
@@ -23,12 +25,13 @@ from thermoelast1d.diagnostics import (
     difference_norms,
     energy_identity_residual,
     mass_identity_residual,
+    squared_differences,
     weak_form_residual,
 )
 from thermoelast1d.errors import ContractError, StructuralError
-from thermoelast1d.experiments import Manufactured
+from thermoelast1d.experiments import Manufactured, _restrict
 from thermoelast1d.grid import Field, Grid, dx, dxx, integrate, l2_norm_sq
-from thermoelast1d.initial_data import equilibrium, standing_wave
+from thermoelast1d.initial_data import equilibrium, random_l2_theta, random_smooth, standing_wave
 from thermoelast1d.materials import (
     identity_material,
     log1p_material,
@@ -567,3 +570,64 @@ def test_blocked_diagnostics_equal_loop_references_bitwise(n, count, seed, mat,
     assert np.array_equal(mass_identity_residual(traj_a, mat),
                           mass_identity_residual_loop(traj_a, mat))
     assert difference_norms(traj_a, traj_b) == difference_norms_loop(traj_a, traj_b)
+
+
+#: the rough and smooth data of the runs below; L2 Theta as trajectory-analysis draws it
+_RUN_DATA = {"random_smooth": random_smooth,
+             "random_L2_theta": lambda g, seed: random_l2_theta(g, seed=seed, theta_base=0.5)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    # N = 2101 and its restriction to 1051 nodes: 7 and 15 states per block
+    n_cells=st.sampled_from([8, 40, 130, 2100]),
+    scheme=st.sampled_from(["limit", "imex1", "imex2"]),
+    n_steps=st.integers(1, 24),
+    record_every=st.integers(1, 3),
+    restrict=st.booleans(),
+    kind=st.sampled_from(sorted(_RUN_DATA)),
+    mat=st.sampled_from(MATERIALS),
+    seed=st.integers(0, 1000),
+    shift=st.integers(1, 4),
+)
+def test_gathered_diagnostics_of_runs_equal_loop_references_bitwise(
+        n_cells, scheme, n_steps, record_every, restrict, kind, mat, seed, shift):
+    """The trajectory diagnostics of run_limit and run_eps trajectories,
+    whose stored states after t = 0 are views of the run's store, and of
+    their ``experiments._restrict``ion to every second node, equal the loop
+    references bit for bit; so do the rows of ``squared_differences`` with
+    ``shift`` over the blocks exp_time_shift reads.  ``Trajectory.stacked``
+    is C-contiguous and equals the np.stack of each state's row."""
+    g = Grid(0.0, 1.0, n_cells)
+    epsilon = 0.0 if scheme == "limit" else 1e-2
+    cfg = SolverConfig(dt=0.4 * g.h, t_end=n_steps * 0.4 * g.h, epsilon=epsilon,
+                       scheme="imex1" if scheme == "limit" else scheme)
+    run = run_eps if epsilon > 0.0 else run_limit
+    trajs = [run(_RUN_DATA[kind](g, seed=s), mat, cfg, g, record_every=record_every)
+             for s in (seed, seed + 1)]
+    assert trajs[0].states[-1].block.base is not None  # a view of the run's store
+    if restrict:
+        trajs = [_restrict(t, Grid(0.0, 1.0, n_cells // 2), 2) for t in trajs]
+    traj_a, traj_b = trajs
+
+    bank = default_test_bank(traj_a.grid, float(traj_a.times[-1]), n=4, seed=seed)
+    got = weak_form_residual(traj_a, mat, bank)
+    ref = weak_form_residual_loop(traj_a, mat, bank)
+    assert float_bits(got.r_wu) == float_bits(ref.r_wu)
+    assert float_bits(got.r_wt) == float_bits(ref.r_wt)
+    assert float_bits(mass_identity_residual(traj_a, mat)) == float_bits(
+        mass_identity_residual_loop(traj_a, mat))
+    assert difference_norms(traj_a, traj_b) == difference_norms_loop(traj_a, traj_b)
+
+    n_states = len(traj_a)
+    if shift < n_states:
+        for lo, hi in [(0, 1), *traj_a.blocks(1, n_states - shift)]:
+            got = squared_differences(traj_a, traj_a, lo, hi, shift=shift)
+            ref = squared_differences_loop(traj_a, traj_a, lo, hi, shift)
+            assert [float_bits(a) for a in got] == [float_bits(a) for a in ref]
+
+    for row, field in enumerate(("v", "u", "theta")):
+        stacked = traj_a.stacked(field, 1, n_states)
+        assert stacked.flags.c_contiguous
+        rows = np.stack([s.block[row] for s in traj_a.states[1:]])
+        assert float_bits(stacked) == float_bits(rows)

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermoelast1d
+from helpers import float_bits, limit_step_reference
 from thermoelast1d import initial_data, solver_eps, solver_limit, state, stepping
+from thermoelast1d.experiments import Manufactured
 from thermoelast1d.grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
 from thermoelast1d.materials import (eval_f, identity_material, log1p_material,
                                      rational_saturating_material, tabulated_material)
 from thermoelast1d.state import SolverConfig, make_state
-from thermoelast1d.stepping import Imex2Stepper, step_eps, step_limit
+from thermoelast1d.stepping import Imex2Stepper, LimitStepper, step_eps, step_limit
 
 _XI = np.linspace(0.0, 4.0, 9)
 MATERIALS = [identity_material(), log1p_material(), rational_saturating_material(),
@@ -164,6 +166,77 @@ def test_single_step_forced_heat_l2_identity(a, length, n_cells, material, dt_fr
              -dt * (w @ (-f0 * dx_values(v_half, g.h, BC_HINGED) * th1)),
              -dt * (w @ (s_th * th1)))
     assert abs(sum(terms)) <= 1e-11 * max(abs(t) for t in terms)
+
+
+def _bits(arrays):
+    return [float_bits(a) for a in arrays]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cells=st.integers(2, 300),
+    material=st.sampled_from(MATERIALS),
+    dt_frac=st.sampled_from([1.0, 0.74, 0.6, 0.2]),
+    forced=st.sampled_from(["none", "on_grid", "off_grid"]),
+    first=st.integers(0, 3),
+    undershoot=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_limit_steps_equal_the_reference_formula_bitwise(n_cells, material, dt_frac, forced,
+                                                         first, undershoot, seed):
+    """Eight limit steps equal ``helpers.limit_step_reference`` chained bit
+    for bit: ``run_limit`` and a chained stepper (the closing wave part is
+    carried), ``step_limit`` and a fresh stepper per step (it is not).
+    Forced steps use the manufactured forcing at on-grid times k dt, where
+    for most grids (k - 1) dt + dt differs from k dt by an ulp at some k <=
+    8, or at times an ulp past them.  An undershoot sets Theta0 at two
+    nodes to -positivity_tol / 2, which f reads as 0."""
+    g = Grid(-0.5, 1.5, n_cells)
+    dt = dt_frac * 0.5 * g.h
+    n_steps = 8
+    cfg = SolverConfig(dt=dt, t_end=n_steps * dt)
+    rng = np.random.default_rng(seed)
+    v0, u0 = 0.01 * rng.normal(size=(2, g.n_nodes))
+    th0 = 0.5 + np.abs(rng.normal(scale=0.4, size=g.n_nodes))
+    if undershoot:
+        th0[rng.integers(g.n_nodes, size=2)] = -0.5 * cfg.positivity_tol
+    init = make_state(0.0, v0, u0, th0)
+    forcing = None
+    if forced != "none":
+        forcing = Manufactured(g.a, g.b).forcing(material)
+    if forced == "off_grid":
+        times = [float(np.nextafter((first + k) * dt, np.inf)) for k in range(n_steps)]
+    else:
+        times = [k * dt for k in range(n_steps)]
+
+    ref, block, admissible = [], tuple(init.block), True
+    for t in times:
+        block = limit_step_reference(*block, t, material, cfg, g, forcing)
+        ref.append(_bits(block))
+        admissible &= block[2].min() >= -cfg.positivity_tol
+
+    chained = LimitStepper(g, material, cfg, forcing=forcing)
+    got = {"chained": [], "fresh": []}
+    block = init.block.copy()
+    for t in times:
+        block = chained.advance(*block, t)
+        got["chained"].append(_bits(block))
+    block = init.block.copy()
+    for t in times:
+        block = LimitStepper(g, material, cfg, forcing=forcing).advance(*block, t)
+        got["fresh"].append(_bits(block))
+    # run_limit and step_limit stop where Theta falls below -positivity_tol
+    # (a coarse grid's large dt with the forcing, or an undershoot node)
+    if forced != "off_grid" and admissible:
+        traj = stepping.run_limit(init, material, cfg, g, forcing=forcing)
+        got["run_limit"] = [_bits(s.block) for s in traj.states[1:]]
+    if forced == "none" and admissible:
+        state, got["step_limit"] = init, []
+        for _ in times:
+            state = step_limit(state, material, cfg, g)
+            got["step_limit"].append(_bits(state.block))
+    for name, steps in got.items():
+        assert steps == ref, name
 
 
 #: the names ``import thermoelast1d`` gives, apart from submodules and dunders
