@@ -36,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from .diagnostics import _cumtrapz
 from .errors import DomainError
 from .grid import Grid, gn_constants
 from .materials import Material
@@ -264,10 +265,7 @@ def gronwall_check(t: np.ndarray, y: np.ndarray, b: np.ndarray,
         raise DomainError("gronwall_check requires b >= 0")
     if y0 is None:
         y0 = float(y[0])
-    acc = np.zeros_like(t)
-    if t.size > 1:
-        acc[1:] = np.cumsum(0.5 * (b[1:] + b[:-1]) * np.diff(t))
-    log_bound = math.log(y0) + acc if y0 > 0 else np.full_like(t, -math.inf)
+    log_bound = math.log(y0) + _cumtrapz(b, t) if y0 > 0 else np.full_like(t, -math.inf)
     with np.errstate(divide="ignore"):
         log_y = np.where(y > 0, np.log(np.maximum(y, 1e-300)), -np.inf)
     log_ratio = log_y - log_bound

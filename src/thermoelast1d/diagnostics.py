@@ -251,8 +251,8 @@ def _poly_test_function(target: str, t_end: float, p_coef, q_coef, a: float, b: 
     )
 
 
-def default_test_bank(grid: Grid, t_end: float, n: int = 10, seed: int = 1234,
-                      max_time_degree: int = 2) -> List[SpaceTimeTestFunction]:
+def default_test_bank(grid: Grid, t_end: float, n: int = 10,
+                      seed: int = 1234) -> List[SpaceTimeTestFunction]:
     """Reproducible bank of smooth separable test functions.
 
     Alternates displacement-type and temperature-type members; fixed seed
@@ -265,7 +265,7 @@ def default_test_bank(grid: Grid, t_end: float, n: int = 10, seed: int = 1234,
         p_coef = rng.uniform(-1.0, 1.0, size=rng.integers(1, 4))
         if not np.any(np.abs(p_coef) > 0.2):
             p_coef[0] = 0.5
-        q_coef = rng.uniform(-1.0, 1.0, size=rng.integers(1, max_time_degree + 1))
+        q_coef = rng.uniform(-1.0, 1.0, size=rng.integers(1, 3))
         if not np.any(np.abs(q_coef) > 0.2):
             q_coef[0] = 1.0
         bank.append(

@@ -12,9 +12,9 @@ as a ``%.17g`` string never contains ``%``.  Write failures name the path.
 
 The snapshot files of ``thermoelast1d run`` are formatted while the run
 steps, by a :class:`SnapshotWriter` in a forked process, through the same
-routines as the export after a run (:func:`_write_snapshot_csv`,
-:func:`_snapshot_line`); diagnostics.csv is written after the run, in the
-run's process, by :func:`export_trajectory`.
+routine as the export after a run (:func:`_write_snapshots`);
+diagnostics.csv is written after the run, in the run's process, by
+:func:`export_trajectory`.
 """
 
 from __future__ import annotations
@@ -126,32 +126,26 @@ def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("cs
         if f not in FORMATS:
             raise ContractError(f"unknown export format {f!r}")
     make_output_dir(directory)
-    written = []
 
     diag_path = os.path.join(directory, "diagnostics.csv")
     with _writing(diag_path) as fh:
         fh.write(",".join(DIAG_COLUMNS) + "\n")
         _write_columns(fh, [traj.record_series(f.name) for f in fields(DiagnosticsRecord)], ",")
-    written.append(diag_path)
 
     if snapshots is not None:
         if (snapshots.formats, snapshots.count) != (tuple(formats), len(traj.states)):
             raise ContractError(f"the writer has {snapshots.count} states in formats "
                                 f"{snapshots.formats}, the export {len(traj.states)} "
                                 f"in {tuple(formats)}")
-        return written + snapshots.publish()
-    paths = [os.path.join(directory, name) for name in _snapshot_names(formats, len(traj.states))]
-    if "csv" in formats:
-        x_rows = _csv_x_rows(traj.grid.nodes)
-        for path, s in zip(paths, traj.states):
-            _write_snapshot_csv(path, s.t, s.block, x_rows)
-            written.append(path)
-    if "json_lines" in formats:
-        with _writing(paths[-1]) as fh:
-            for s in traj.states:
-                fh.write(_snapshot_line(s.t, s.block))
-        written.append(paths[-1])
-    return written
+        return [diag_path] + snapshots.publish()
+    # one format at a time: every CSV is written before snapshots.jsonl is
+    # opened, so a failing CSV path leaves no snapshots.jsonl behind
+    for f in FORMATS:
+        if f in formats:
+            _write_snapshots(directory, (f,), traj.grid.nodes,
+                             ((s.t, s.block) for s in traj.states))
+    return [diag_path] + [os.path.join(directory, name)
+                          for name in _snapshot_names(formats, len(traj.states))]
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +160,8 @@ PIPE_BYTES = 1 << 20
 
 def _write_snapshots(directory, formats: Sequence[str], x, states) -> None:
     """The snapshot files of the ``(t, block)`` items of ``states``, each
-    written as it comes; the writer process runs this."""
+    written as it comes: the writer process and :func:`export_trajectory`
+    run this."""
     x_rows = _csv_x_rows(x)
     jsonl = (_writing(os.path.join(directory, "snapshots.jsonl")) if "json_lines" in formats
              else nullcontext())

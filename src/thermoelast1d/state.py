@@ -228,16 +228,19 @@ class DiagnosticsRecord:
     eps_dissipation_accum: float
 
 
-#: most states, and most values per stacked field, in one block of the
-#: trajectory diagnostics (and most rows of the limit stepper's forcing
-#: tables): their working memory is bounded for any run
-STATE_BLOCK = 256
-BLOCK_VALUES = 1 << 14
+#: most values per field in one block of C = :func:`block_rows` rows, so in a
+#: chunk of the run loop (its rows formed in one pass over its ``(C, 3, N)``
+#: stack), a forcing table of the limit stepper and a block of the trajectory
+#: diagnostics: their working memory is bounded for any run.  Stacked rows
+#: cost less per step than single ones wherever C > 1, C = 2 and 3 at
+#: N = 2049 .. 3585 included (2 vCPUs, numpy 2.4), and more at N = 4097 with
+#: C = 3, so C = 1 from there
+BLOCK_VALUES = 1 << 13
 
 
 def block_rows(n_nodes: int) -> int:
-    """Rows of N nodes per block: within :data:`STATE_BLOCK` and :data:`BLOCK_VALUES`."""
-    return max(1, min(STATE_BLOCK, BLOCK_VALUES // n_nodes))
+    """Rows of N nodes per block: within :data:`BLOCK_VALUES`, and at least 1."""
+    return max(1, BLOCK_VALUES // n_nodes)
 
 
 def kept_steps(first: int, m: int, n_steps: int, record_every: int) -> List[int]:
@@ -248,10 +251,6 @@ def kept_steps(first: int, m: int, n_steps: int, record_every: int) -> List[int]
     if first + m - 1 == n_steps and n_steps % record_every:
         keep.append(m - 1)
     return keep
-
-
-#: row of each field in a state's block
-_STATE_ROWS = {"v": 0, "u": 1, "theta": 2}
 
 
 class Trajectory:
@@ -283,13 +282,14 @@ class Trajectory:
 
     @property
     def block_size(self) -> int:
-        """States per block: within :data:`STATE_BLOCK` and :data:`BLOCK_VALUES`."""
+        """States per block: :func:`block_rows` of the grid's node count."""
         return block_rows(self.grid.n_nodes)
 
     def blocks(self, start: int, stop: int) -> Iterator[Tuple[int, int]]:
         """``(lo, hi)`` bounds splitting ``range(start, stop)`` of the stored
-        states into blocks of at most :attr:`block_size`; :meth:`gather`
-        reads such a block with all three fields."""
+        states (or of the steps of a run's chunks) into blocks of at most
+        :attr:`block_size`; :meth:`gather` reads such a block with all three
+        fields."""
         for lo in range(start, stop, self.block_size):
             yield lo, min(lo + self.block_size, stop)
 
@@ -298,13 +298,6 @@ class Trajectory:
         ``(stop - start, 3, N)`` array, copied in one pass: its ``[:, 0]``,
         ``[:, 1]`` and ``[:, 2]`` are the v, u and Theta rows."""
         return np.array([s.block for s in self.states[start:stop]])
-
-    def stacked(self, field: str, start: int, stop: int) -> np.ndarray:
-        """Values of ``field`` (``"v"``, ``"u"`` or ``"theta"``) of
-        ``states[start:stop]`` as one C-contiguous ``(stop - start, N)``
-        array: that row of the block :meth:`gather` reads, which holds all
-        three fields."""
-        return np.ascontiguousarray(self.gather(start, stop)[:, _STATE_ROWS[field]])
 
     def record_series(self, name: str) -> np.ndarray:
         vals = [getattr(r, name) for r in self.records]

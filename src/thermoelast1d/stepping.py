@@ -16,13 +16,13 @@ exactly.
 Each step of :func:`run_simulation` only advances (:class:`LimitStepper`
 carries its closing half-kick into the next step's opening one) and copies
 the stepper's raw (v, u, Theta) into its slot of the chunk's ``(C, 3, N)``
-stack.  The rest is done per chunk of C = :func:`chunk_steps` steps (max(1,
-:data:`CHUNK_VALUES` // N): 248 at N = 33, 15 at N = 513, 1 from N = 4097
-on), in one pass over the rows written: the finite and
-Theta >= -positivity_tol tests as array reductions (:func:`check_step`
-builds the message of the first failing step), the pins of the v and u
-ends, one indexed copy of the kept states into the run's one
-``(n_kept, 3, N)`` store, the rows by one
+stack.  The rest is done per chunk ``traj.blocks(1, n_steps + 1)`` of
+C = :func:`~thermoelast1d.state.block_rows` steps (248 at N = 33, 15 at
+N = 513, 1 from N = 4097 on), in one pass over the rows written: the
+finite and Theta >= -positivity_tol tests as array reductions
+(:func:`check_step` builds the message of the first failing step), the
+pins of the v and u ends, one indexed copy of the kept states into the
+run's one ``(n_kept, 3, N)`` store, the rows by one
 :func:`~thermoelast1d.diagnostics.chunk_records` pass, and the recorder,
 once per step in step order, at most one chunk late.  So stepping may run
 up to C - 1 steps past a failing step; those are discarded, and the steps
@@ -243,8 +243,8 @@ class LimitStepper(_Stepper):
     are never written by the step that reads them.  So a stepper is not
     reentrant; the arrays it returns are fresh.
 
-    A forcing is evaluated once per chunk of at most
-    :func:`~thermoelast1d.state.block_rows` steps: S_v and S_theta at the
+    A forcing is evaluated once per chunk of :func:`run_simulation` (at most
+    :func:`~thermoelast1d.state.block_rows` steps): S_v and S_theta at the
     closing times (k - 1) dt + dt, formed as :func:`run_simulation` forms
     them, and S_v at the opening times (k - 1) dt only where one differs
     from the previous closing time (and at the chunk's first).  A t off
@@ -370,20 +370,6 @@ def check_step(v: np.ndarray, u: np.ndarray, th: np.ndarray, step: int, t: float
             f"t = {t:.6g}, node {i} (x = {grid.nodes[i]:.6g})", t=t)
 
 
-#: values per field in one chunk of the run loop, whose rows are formed in
-#: one pass over the ``(C, 3, N)`` stack of C = :func:`chunk_steps` states.
-#: Stacked rows cost less per step than single ones wherever C > 1, C = 2 and
-#: 3 at N = 2049 .. 3585 included (2 vCPUs, numpy 2.4), and more at N = 4097
-#: with C = 3, so C = 1 from there
-CHUNK_VALUES = 1 << 13
-
-
-def chunk_steps(n_nodes: int) -> int:
-    """Steps per chunk of the run loop: within :data:`CHUNK_VALUES` values,
-    and 1 from N > CHUNK_VALUES / 2 on."""
-    return max(1, CHUNK_VALUES // n_nodes)
-
-
 def run_simulation(
     stepper,
     init: State,
@@ -396,15 +382,17 @@ def run_simulation(
     """March ``init`` to t_end with ``stepper`` (``advance`` and ``label``),
     streaming per-step diagnostics.
 
-    The steps are checked, pinned, kept and given their rows per chunk of
-    :func:`chunk_steps` steps, so stepping goes on for up to C - 1 steps past
-    a failing one; those steps are discarded.  ``recorder(state, record)``
-    is called once per step, in step order: for t = 0 before step 1, then
-    for each step when its chunk ends (at most one chunk late).  It may keep
-    any state it is given, as no block is reused; but a state the trajectory
-    does not keep is a view of its chunk's ``(C, 3, N)`` stack, which it
-    then keeps alive whole (C times the state's size), so a recorder that
-    keeps such states should keep copies (``make_state(s.t, *s.block)``).
+    The steps are checked, pinned, kept and given their rows per chunk
+    ``traj.blocks(1, n_steps + 1)`` of C =
+    :func:`~thermoelast1d.state.block_rows` steps, so stepping goes on for
+    up to C - 1 steps past a failing one; those steps are discarded.
+    ``recorder(state, record)`` is called once per step, in step order: for
+    t = 0 before step 1, then for each step when its chunk ends (at most one
+    chunk late).  It may keep any state it is given, as no block is reused;
+    but a state the trajectory does not keep is a view of its chunk's
+    ``(C, 3, N)`` stack, which it then keeps alive whole (C times the
+    state's size), so a recorder that keeps such states should keep copies
+    (``make_state(s.t, *s.block)``).
 
     Deterministic: identical inputs produce bit-identical trajectories, and
     the rows equal :func:`~thermoelast1d.diagnostics.compute_record` chained
@@ -433,7 +421,6 @@ def run_simulation(
 
     n = grid.n_nodes
     dt, floor = cfg.dt, -cfg.positivity_tol
-    size = chunk_steps(n)
     # one slot per step after t = 0 that kept_steps keeps: ceil(n_steps / record_every)
     store = np.empty((-(-n_steps // record_every), 3, n))
     slot = 0
@@ -484,12 +471,12 @@ def run_simulation(
 
     v, u, th = init.block.copy()
     try:
-        for first in range(1, n_steps + 1, size):
+        for first, stop in traj.blocks(1, n_steps + 1):
             # fresh per chunk: a recorder may keep any state, so no block is reused
-            stack = np.empty((min(size, n_steps + 1 - first), 3, n))
+            stack = np.empty((stop - first, 3, n))
             m = 0
             try:
-                for k in range(first, first + len(stack)):
+                for k in range(first, stop):
                     v, u, th = stepper.advance(v, u, th, (k - 1) * dt)
                     stack[m] = v, u, th
                     m += 1

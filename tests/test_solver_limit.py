@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import record_bits
-from thermoelast1d import stepping
+from thermoelast1d import state, stepping
 from thermoelast1d.diagnostics import compute_record, energy_identity_residual
 from thermoelast1d.errors import ConfigError, ContractError, PositivityError, SchemeError
 from thermoelast1d.grid import Grid, dx, l2_norm_sq
@@ -293,12 +293,14 @@ def test_run_loop_equals_chain_of_single_steps(material, scheme, record_every, t
                          [("mms", 20, 1), ("linear", 20, 1),
                           ("mms", 4096, 3), ("linear", 4096, 3)],
                          ids=["mms", "linear", "mms-chunks", "linear-chunks"])
-def test_forced_run_equals_fresh_stepper_per_step(material, source, n_cells, record_every):
+def test_forced_run_equals_fresh_stepper_per_step(material, source, n_cells, record_every,
+                                                  monkeypatch):
     """With forcing the opening half-kick reuses the closing force only at an
     equal t: (k - 1) dt + dt differs from k dt at some steps of this run.  A
     source linear in t, started from rest, changes the force with the last
     bit of t, so a carry that ignored t would fail here.  At N = 4096 the
-    forcing tables hold 3 steps, so the run crosses three chunk boundaries."""
+    forcing tables hold 3 steps (BLOCK_VALUES = 3 N), so the run crosses
+    three chunk boundaries."""
     from thermoelast1d.experiments import Manufactured
 
     g = Grid(0.0, 1.0, n_cells)
@@ -314,6 +316,8 @@ def test_forced_run_equals_fresh_stepper_per_step(material, source, n_cells, rec
     cfg = SolverConfig(dt=0.1 * g.h, t_end=12 * 0.1 * g.h)
     n = cfg.n_steps()
     assert any((k - 1) * cfg.dt + cfg.dt != k * cfg.dt for k in range(2, n + 1))
+    if n_cells == 4096:
+        monkeypatch.setattr(state, "BLOCK_VALUES", 3 * g.n_nodes)
     assert n_cells == 20 or block_rows(g.n_nodes) == 3  # chunks open at steps 1, 4, 7, 10
     traj = run_limit(init, material, cfg, g, forcing=forcing, record_every=record_every)
 
@@ -415,11 +419,11 @@ _CHANGES = [
 
 
 def test_chunk_size_follows_the_node_count():
-    """C = CHUNK_VALUES // N steps per chunk, and 1 from N > CHUNK_VALUES / 2
+    """C = BLOCK_VALUES // N steps per chunk, and 1 from N > BLOCK_VALUES / 2
     (run-large's N = 4097 steps one state at a time)."""
-    assert stepping.chunk_steps(33) == stepping.CHUNK_VALUES // 33 > 100
-    assert stepping.chunk_steps(513) == stepping.CHUNK_VALUES // 513 > 1
-    assert stepping.chunk_steps(4097) == stepping.chunk_steps(10**6) == 1
+    assert block_rows(33) == state.BLOCK_VALUES // 33 > 100
+    assert block_rows(513) == state.BLOCK_VALUES // 513 > 1
+    assert block_rows(4097) == block_rows(10**6) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,7 +440,7 @@ def test_chunk_size_follows_the_node_count():
 def test_chunked_run_equals_chain_of_single_steps(n_cells, chunk, n_steps, record_every,
                                                   scheme, material, forced, fail):
     """The run loop forms its rows per chunk of C steps (``chunk``: C set
-    through CHUNK_VALUES, None: the node-count rule, C = 1 at N = 4101 and
+    through BLOCK_VALUES, None: the node-count rule, C = 1 at N = 4101 and
     C > n_steps on the small grids).  Records and stored states equal the
     chain of fresh single steps and compute_record bit for bit, for every
     scheme, material and record_every in 1..n_steps, with and without
@@ -471,10 +475,10 @@ def test_chunked_run_equals_chain_of_single_steps(n_cells, chunk, n_steps, recor
     recorder = lambda s, r: seen.append((s, r, s.block.tobytes()))  # noqa: E731
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
-            mp.setattr(stepping, "CHUNK_VALUES", chunk * g.n_nodes)
-            assert stepping.chunk_steps(g.n_nodes) == chunk
+            mp.setattr(state, "BLOCK_VALUES", chunk * g.n_nodes)
+            assert block_rows(g.n_nodes) == chunk
         elif n_cells == 4100:
-            assert stepping.chunk_steps(g.n_nodes) == 1
+            assert block_rows(g.n_nodes) == 1
         if fail is not None and fail[0] <= n_steps:
             k, (change, error, message) = fail
             stepper = _FailAt(stepper, k, *change)
@@ -494,9 +498,55 @@ def test_chunked_run_equals_chain_of_single_steps(n_cells, chunk, n_steps, recor
     assert all(s.block.tobytes() == bits for s, _, bits in seen)
 
 
+class _Counted:
+    """``stepper`` with a count of its ``advance`` calls."""
+
+    def __init__(self, stepper):
+        self.stepper, self.label, self.calls = stepper, stepper.label, 0
+
+    def advance(self, v, u, th, t):
+        self.calls += 1
+        return self.stepper.advance(v, u, th, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_cells=st.integers(4, 40), rows=st.integers(1, 5), n_steps=st.integers(1, 17),
+       forced=st.booleans())
+def test_chunks_and_forcing_tables_are_the_blocks_of_the_trajectory(n_cells, rows, n_steps,
+                                                                    forced):
+    """With BLOCK_VALUES = rows * N, the run loop's chunks are the blocks
+    ``traj.blocks(1, n_steps + 1)``: the recorder sees the steps of a block
+    only after the advance of its last step.  The forced limit stepper
+    evaluates S_theta once per block, at that block's closing times."""
+    g = Grid(0.0, 1.0, n_cells)
+    init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
+    dt = 0.37 * g.h
+    cfg = SolverConfig(dt=dt, t_end=n_steps * dt)
+    s_th_times = []
+    forcing = None
+    if forced:
+        def s_th(x, t):
+            s_th_times.append(t.ravel().tolist())
+            return 0.5 * (1.0 + t) * (1.0 + np.cos(np.pi * x))
+
+        forcing = (lambda x, t: t * np.sin(np.pi * x), s_th)
+    stepper = _Counted(LimitStepper(g, MAT, cfg, forcing=forcing))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(state, "BLOCK_VALUES", rows * g.n_nodes)
+        traj = run_simulation(stepper, init, MAT, cfg, g,
+                              recorder=lambda s, r: seen.append(stepper.calls))
+        blocks = list(traj.blocks(1, n_steps + 1))
+    assert all(hi - lo <= rows for lo, hi in blocks)
+    assert seen == [0] + [hi - 1 for lo, hi in blocks for _ in range(lo, hi)]
+    closing = [[(k - 1) * dt + dt for k in range(lo, hi)] for lo, hi in blocks]
+    assert s_th_times == (closing if forced else [])
+
+
 @pytest.mark.parametrize("n_cells, dt_factor, n_steps",
                          [(64, 0.3, 8), (64, 0.1, 40), (37, 0.37, 25), (4096, 0.1, 12)])
-def test_forcing_evaluates_only_the_opening_rows_it_reads(n_cells, dt_factor, n_steps):
+def test_forcing_evaluates_only_the_opening_rows_it_reads(n_cells, dt_factor, n_steps,
+                                                          monkeypatch):
     """S_v is evaluated at every closing time, and at an opening time only
     where it differs from the previous closing time, or opens a chunk."""
     from thermoelast1d.experiments import Manufactured
@@ -514,6 +564,8 @@ def test_forcing_evaluates_only_the_opening_rows_it_reads(n_cells, dt_factor, n_
     init = make_state(0.0, ref.v(x, 0.0), ref.u(x, 0.0), ref.theta(x, 0.0))
     dt = dt_factor * g.h
     cfg = SolverConfig(dt=dt, t_end=n_steps * dt)
+    if n_cells == 4096:  # 3-row tables, so that a table holds a mismatch
+        monkeypatch.setattr(state, "BLOCK_VALUES", 3 * g.n_nodes)
     run_limit(init, MAT, cfg, g, forcing=(counted_s_v, s_th))
     chunk = block_rows(g.n_nodes)
     opens = range(1, n_steps + 1, chunk)
@@ -579,7 +631,7 @@ def test_run_frees_its_store_without_the_cycle_collector(scheme):
     run = run_limit if scheme == "limit" else run_eps
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stepping, "CHUNK_VALUES", 4 * g.n_nodes)
+        mp.setattr(state, "BLOCK_VALUES", 4 * g.n_nodes)
         gc.collect()
         gc.disable()
         try:

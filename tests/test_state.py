@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoelast1d import stepping
+from thermoelast1d import state, stepping
 from thermoelast1d.diagnostics import compute_record
 from thermoelast1d.grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Field, Grid
 from thermoelast1d.materials import identity_material
@@ -116,6 +116,6 @@ def test_kept_steps_picks_the_times_of_the_stored_states(n_steps, record_every, 
     x = g.nodes
     init = make_state(0.0, np.sin(np.pi * x), 0.1 * np.sin(np.pi * x),
                       1.0 + 0.2 * np.cos(np.pi * x))
-    with mock.patch.object(stepping, "chunk_steps", lambda n_nodes: chunk):
+    with mock.patch.object(state, "BLOCK_VALUES", chunk * g.n_nodes):
         traj = stepping.run_limit(init, identity_material(), cfg, g, record_every=record_every)
     assert [s.t for s in traj.states] == [k * cfg.dt for k in rule]
