@@ -287,9 +287,8 @@ class Trajectory:
 
     def blocks(self, start: int, stop: int) -> Iterator[Tuple[int, int]]:
         """``(lo, hi)`` bounds splitting ``range(start, stop)`` of the stored
-        states (or of the steps of a run's chunks) into blocks of at most
-        :attr:`block_size`; :meth:`gather` reads such a block with all three
-        fields."""
+        states into blocks of at most :attr:`block_size`; :meth:`gather`
+        reads such a block with all three fields."""
         for lo in range(start, stop, self.block_size):
             yield lo, min(lo + self.block_size, stop)
 

@@ -16,8 +16,8 @@ exactly.
 Each step of :func:`run_simulation` only advances (:class:`LimitStepper`
 carries its closing half-kick into the next step's opening one) and copies
 the stepper's raw (v, u, Theta) into its slot of the chunk's ``(C, 3, N)``
-stack.  The rest is done per chunk ``traj.blocks(1, n_steps + 1)`` of
-C = :func:`~thermoelast1d.state.block_rows` steps (248 at N = 33, 15 at
+stack.  The rest is done per chunk of C =
+:func:`~thermoelast1d.state.block_rows` steps (248 at N = 33, 15 at
 N = 513, 1 from N = 4097 on), in one pass over the rows written: the
 finite and Theta >= -positivity_tol tests as array reductions
 (:func:`check_step` builds the message of the first failing step), the
@@ -382,10 +382,9 @@ def run_simulation(
     """March ``init`` to t_end with ``stepper`` (``advance`` and ``label``),
     streaming per-step diagnostics.
 
-    The steps are checked, pinned, kept and given their rows per chunk
-    ``traj.blocks(1, n_steps + 1)`` of C =
-    :func:`~thermoelast1d.state.block_rows` steps, so stepping goes on for
-    up to C - 1 steps past a failing one; those steps are discarded.
+    The steps are checked, pinned, kept and given their rows per chunk of
+    C = :func:`~thermoelast1d.state.block_rows` steps, so stepping goes on
+    for up to C - 1 steps past a failing one; those steps are discarded.
     ``recorder(state, record)`` is called once per step, in step order: for
     t = 0 before step 1, then for each step when its chunk ends (at most one
     chunk late).  It may keep any state it is given, as no block is reused;
@@ -421,6 +420,7 @@ def run_simulation(
 
     n = grid.n_nodes
     dt, floor = cfg.dt, -cfg.positivity_tol
+    size = block_rows(n)
     # one slot per step after t = 0 that kept_steps keeps: ceil(n_steps / record_every)
     store = np.empty((-(-n_steps // record_every), 3, n))
     slot = 0
@@ -471,12 +471,12 @@ def run_simulation(
 
     v, u, th = init.block.copy()
     try:
-        for first, stop in traj.blocks(1, n_steps + 1):
+        for first in range(1, n_steps + 1, size):
             # fresh per chunk: a recorder may keep any state, so no block is reused
-            stack = np.empty((stop - first, 3, n))
+            stack = np.empty((min(size, n_steps + 1 - first), 3, n))
             m = 0
             try:
-                for k in range(first, stop):
+                for k in range(first, first + len(stack)):
                     v, u, th = stepper.advance(v, u, th, (k - 1) * dt)
                     stack[m] = v, u, th
                     m += 1

@@ -548,8 +548,8 @@ def test_block_size_bounds_states_and_values():
     undershoot=st.booleans(),
 )
 # the time factors square by multiplication: on a scalar, ``** 2`` is libm pow,
-# which misrounds here at time 45 of 92, while the array path's is x * x
-@example(n=177, count=(1, 0), seed=228, mat=MATERIALS[1], undershoot=False)
+# which misrounds here at time 2 of 46, while the array path's is x * x
+@example(n=177, count=(1, 0), seed=676, mat=MATERIALS[1], undershoot=False)
 def test_blocked_diagnostics_equal_loop_references_bitwise(n, count, seed, mat,
                                                            undershoot):
     g = Grid(-0.5, 1.5, n)
