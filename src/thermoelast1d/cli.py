@@ -157,15 +157,15 @@ def _cmd_run(args) -> int:
     outdir = args.output_dir or os.path.join(_output_root(), cfg.output.directory)
     make_output_dir(outdir)  # an unusable path fails before any step is taken
 
-    # the kept states go to a writer process as the run makes them (or, with
-    # no writer, are formatted after the run)
-    record_every = cfg.output.record_every
-    writer = snapshot_writer(outdir, cfg.output.formats, grid, solver_cfg.n_steps(),
-                             record_every)
+    # the kept states go to a writer process as the run makes them, so the
+    # trajectory keeps only its end states; with no writer they are kept and
+    # formatted after the run
+    n_steps, record_every = solver_cfg.n_steps(), cfg.output.record_every
+    writer = snapshot_writer(outdir, cfg.output.formats, grid, n_steps, record_every)
     try:
         run = run_eps if solver_cfg.epsilon > 0.0 else run_limit
         traj = run(init, material, solver_cfg, grid, recorder=writer,
-                   record_every=record_every)
+                   record_every=record_every if writer is None else n_steps)
         written = export_trajectory(traj, outdir, cfg.output.formats, snapshots=writer)
     finally:
         if writer is not None:

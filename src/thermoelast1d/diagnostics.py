@@ -18,7 +18,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,6 +31,12 @@ from .state import DiagnosticsRecord, State, Trajectory
 
 #: bc kinds of the rows (v, u, Theta) of a state block
 _STATE_BCS = (BC_HINGED, BC_DIRICHLET, BC_NEUMANN)
+#: a row is built as :func:`~.state.state_on` builds a State: ``object.__new__``,
+#: then each slot's ``__set__`` in field order, which skips the 14
+#: ``object.__setattr__`` calls of the frozen dataclass ``__init__``
+_new_record = object.__new__
+_RECORD_SETTERS = tuple(getattr(DiagnosticsRecord, f.name).__set__
+                        for f in fields(DiagnosticsRecord))
 
 
 def compute_record(
@@ -105,9 +111,11 @@ def chunk_records(
             eps_diss = prev.eps_dissipation_accum + epsilon * half_dt * (
                 (prev.vxx_l2sq + prev.uxx_l2sq) + (vxx_sq + uxx_sq)
             )
-        prev = DiagnosticsRecord(
-            t, 0.5 * v_sq + 0.5 * ux_sq + mass, mass, theta_min[j], th_max[j], y, ok,
-            thx_sq, thxx_sq, vx_sq, vxx_sq, uxx_sq, diss, eps_diss)
+        prev = _new_record(DiagnosticsRecord)
+        for set_field, value in zip(_RECORD_SETTERS, (
+                t, 0.5 * v_sq + 0.5 * ux_sq + mass, mass, theta_min[j], th_max[j], y, ok,
+                thx_sq, thxx_sq, vx_sq, vxx_sq, uxx_sq, diss, eps_diss)):
+            set_field(prev, value)
         records.append(prev)
     return records
 
@@ -336,9 +344,17 @@ def weak_form_residual(
     nodes = grid.nodes
     for tf in test_bank:
         _validate_test_function(tf, grid, t_end)
-    space = [(tf.X(nodes), tf.Xp(nodes)) for tf in test_bank]
+    space = np.array([tf.X(nodes) for tf in test_bank])
+    space_p = np.array([tf.Xp(nodes) for tf in test_bank])
+    # the members of each target, with their X and X' as (members, 1, N)
+    groups = []
+    for target in ("wu", "wt"):
+        idx = [i for i, tf in enumerate(test_bank) if tf.target == target]
+        if idx:
+            groups.append((target, idx, space[idx, None], space_p[idx, None]))
     # per member and state: the spatial integrals the identity pairs with
-    # its time factors ("wu" fills three, "wt" four)
+    # its time factors ("wu" fills three, "wt" four), each pairing formed
+    # for all members of a target by one broadcast product
     proj = np.empty((len(test_bank), 4, len(times)))
     for lo, hi in traj.blocks(0, len(times)):
         v, u, th = traj.gather(lo, hi).transpose(1, 0, 2)
@@ -348,18 +364,18 @@ def weak_form_residual(
         fp_thx = fp_kernel(material, th_pos) * thx
         fp_thx_v = fp_thx * v
         fv_v = f_kernel(material, th_pos) * v
-        for i, (tf, (X, Xp)) in enumerate(zip(test_bank, space)):
-            if tf.target == "wu":
+        for target, idx, X, Xp in groups:
+            if target == "wu":
                 pairs = ((u, X), (ux, Xp), (fp_thx, X))
             else:
                 pairs = ((th, X), (thx, Xp), (fp_thx_v, X), (fv_v, Xp))
             for k, (field_values, x_factor) in enumerate(pairs):
-                proj[i, k, lo:hi] = np.vecdot(field_values * x_factor, w)
+                proj[idx, k, lo:hi] = np.vecdot(field_values * x_factor, w)
 
     s0 = traj.states[0]
     r_wu = []
     r_wt = []
-    for tf, (X, _), p in zip(test_bank, space, proj):
+    for tf, X, p in zip(test_bank, space, proj):
         T, Tp, Tpp = (np.broadcast_to(fn(times), times.shape)
                       for fn in (tf.T, tf.Tp, tf.Tpp))
         # cumsum keeps the sequential left-to-right sum of the time rule

@@ -12,9 +12,11 @@ as a ``%.17g`` string never contains ``%``.  Write failures name the path.
 
 The snapshot files of ``thermoelast1d run`` are formatted while the run
 steps, by a :class:`SnapshotWriter` in a forked process, through the same
-routine as the export after a run (:func:`_write_snapshots`);
-diagnostics.csv is written after the run, in the run's process, by
-:func:`export_trajectory`.
+routine as the export after a run (:func:`_write_snapshots`).  The writer
+picks the states of its own ``record_every`` from every step it is handed,
+so such a run keeps only its t = 0 and final states, and its memory does
+not grow with the states it writes.  diagnostics.csv is written after the
+run, in the run's process, by :func:`export_trajectory`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, Thermoelast1dError
-from .state import DiagnosticsRecord, Trajectory, kept_steps
+from .state import DiagnosticsRecord, Trajectory, kept_count, kept_steps
 
 #: diagnostics.csv header, as in FORMATS.md
 DIAG_COLUMNS = tuple(
@@ -40,9 +42,10 @@ DIAG_COLUMNS = tuple(
 )
 
 _G = "%.17g"
-#: most rows formatted by one ``%`` (one write).  Small on purpose: on run-large,
-#: 64 or more rows per block stranded a finished run's freed states (13 MiB) in
-#: the C heap and raised the next run's peak RSS; 16 or 32 rows, as fast, did not.
+#: most rows formatted by one ``%`` (one write): 16 or 32 rows format as fast
+#: as larger blocks and keep each block's template and value tuple small.
+#: (Larger blocks once stranded a finished run's freed state store, 13 MiB on
+#: run-large, in the C heap; only a run without a writer process keeps one.)
 ROW_BLOCK = 32
 #: the formats of :func:`export_trajectory`
 FORMATS = ("csv", "json_lines")
@@ -118,13 +121,24 @@ def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("cs
 
     With ``snapshots``, the writer that was the run's recorder, the snapshot
     files are those it formatted during the run: after diagnostics.csv this
-    waits for it and moves its files into ``directory``.
+    waits for it and moves its files into ``directory``.  The writer keeps
+    the states of its own ``record_every``, whatever ``traj`` stored; it
+    must have been handed every step of ``traj.records`` and have forwarded
+    each state its rule keeps of them, else a ContractError names both
+    counts before anything is written.
 
     Returns the list of written paths.
     """
     for f in formats:
         if f not in FORMATS:
             raise ContractError(f"unknown export format {f!r}")
+    if snapshots is not None:
+        want = (tuple(formats), len(traj.records), snapshots.n_kept)
+        if (snapshots.formats, snapshots.handed, snapshots.count) != want:
+            raise ContractError(f"the writer was handed {snapshots.handed} steps and forwarded "
+                                f"{snapshots.count} states in formats {snapshots.formats}; "
+                                f"the export has {len(traj.records)} steps and "
+                                f"{snapshots.n_kept} states to write in {tuple(formats)}")
     make_output_dir(directory)
 
     diag_path = os.path.join(directory, "diagnostics.csv")
@@ -133,10 +147,6 @@ def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("cs
         _write_columns(fh, [traj.record_series(f.name) for f in fields(DiagnosticsRecord)], ",")
 
     if snapshots is not None:
-        if (snapshots.formats, snapshots.count) != (tuple(formats), len(traj.states)):
-            raise ContractError(f"the writer has {snapshots.count} states in formats "
-                                f"{snapshots.formats}, the export {len(traj.states)} "
-                                f"in {tuple(formats)}")
         return [diag_path] + snapshots.publish()
     # one format at a time: every CSV is written before snapshots.jsonl is
     # opened, so a failing CSV path leaves no snapshots.jsonl behind
@@ -206,9 +216,10 @@ class SnapshotWriter:
     run steps.
 
     Passed to ``run_eps``/``run_limit`` as ``recorder``: of the states it is
-    given it forwards those the trajectory keeps (:func:`~.state.kept_steps`)
-    over a one-way pipe, each as one message of raw float64 bytes: t, then
-    the ``(3, N)`` block; an empty message ends the feed.  The process
+    given it forwards those a trajectory of its ``record_every`` keeps
+    (:func:`~.state.kept_steps`), whatever the run keeps, over a one-way
+    pipe, each as one message of raw float64 bytes: t, then the ``(3, N)``
+    block; an empty message ends the feed.  The process
     starts with the first state (t = 0), so the fork and the import of
     :mod:`multiprocessing` fall in the run's first step; it writes into a
     hidden staging directory under ``directory``.  :func:`export_trajectory`
@@ -219,16 +230,17 @@ class SnapshotWriter:
                  record_every: int):
         self.directory = directory
         self.formats = tuple(formats)
+        self.handed = 0  # states given
         self.count = 0  # states forwarded
+        self._steps = n_steps, record_every
+        self.n_kept = kept_count(n_steps, record_every)  # states a full run forwards
         self._x = grid.nodes
         # the message of a state: t, then its block's values
         self._message = np.empty(1 + 3 * grid.n_nodes)
-        self._steps = n_steps, record_every
-        self._step = 0
         self._proc = self._staging = None
 
     def __call__(self, state, record) -> None:
-        if kept_steps(self._step, 1, *self._steps):
+        if kept_steps(self.handed, 1, *self._steps):
             if self._proc is None:
                 self._start()
             message = self._message
@@ -236,7 +248,7 @@ class SnapshotWriter:
             message[1:].reshape(state.block.shape)[...] = state.block
             self._send(message)
             self.count += 1
-        self._step += 1
+        self.handed += 1
 
     def _start(self) -> None:
         import fcntl

@@ -253,6 +253,12 @@ def kept_steps(first: int, m: int, n_steps: int, record_every: int) -> List[int]
     return keep
 
 
+def kept_count(n_steps: int, record_every: int) -> int:
+    """How many states :func:`kept_steps` keeps of a run of ``n_steps``
+    steps: t = 0, then ceil(n_steps / record_every)."""
+    return 1 - (-n_steps // record_every)
+
+
 class Trajectory:
     """Recorded run: per-step diagnostics plus state snapshots.
 

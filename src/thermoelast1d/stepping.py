@@ -44,8 +44,8 @@ from .errors import ContractError, PositivityError, SchemeError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
 # eval_f is unused here; bench/probes.py patches it by name
 from .materials import Material, eval_f, f_kernel  # noqa: F401
-from .state import (EPS_MIN_CELLS, SolverConfig, State, Trajectory, block_rows, kept_steps,
-                    make_state, state_on)
+from .state import (EPS_MIN_CELLS, SolverConfig, State, Trajectory, block_rows, kept_count,
+                    kept_steps, make_state, state_on)
 
 #: (S_v, S_theta): each maps the node array and a ``(C, 1)`` column of times
 #: to a ``(C, N)`` array, one row per time
@@ -421,8 +421,8 @@ def run_simulation(
     n = grid.n_nodes
     dt, floor = cfg.dt, -cfg.positivity_tol
     size = block_rows(n)
-    # one slot per step after t = 0 that kept_steps keeps: ceil(n_steps / record_every)
-    store = np.empty((-(-n_steps // record_every), 3, n))
+    # one slot per step after t = 0 that kept_steps keeps
+    store = np.empty((kept_count(n_steps, record_every) - 1, 3, n))
     slot = 0
 
     def finish(first, stack):

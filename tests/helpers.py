@@ -9,10 +9,14 @@ fact rather than a quadrature accident.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
+import thermoelast1d
 from thermoelast1d.bounds import RangeBounds
 from thermoelast1d.diagnostics import (
     DifferenceNorms,
@@ -37,6 +41,17 @@ def record_bits(rec) -> bytes:
     """Every field of a DiagnosticsRecord as float64 bytes (None as nan), so
     that equality is bit for bit, signs of zero included."""
     return np.array([np.nan if x is None else x for x in dataclasses.astuple(rec)]).tobytes()
+
+
+def child_maxrss_kib(code: str) -> int:
+    """The peak RSS (``ru_maxrss``, KiB on Linux) of a fresh interpreter that
+    runs ``code`` with this package on its path, read as the code ends."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thermoelast1d.__file__)))
+    script = code + ("\nimport resource\n"
+                     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    done = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    return int(done.stdout.split()[-1])
 
 
 def pl_l2_sq(vals: np.ndarray, h: float) -> float:

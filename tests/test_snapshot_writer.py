@@ -11,10 +11,11 @@ import time
 import numpy as np
 import pytest
 
+from helpers import child_maxrss_kib
 from thermoelast1d import cli, output, stepping
 from thermoelast1d.cli import main
 from thermoelast1d.config import parse_config
-from thermoelast1d.errors import Thermoelast1dError
+from thermoelast1d.errors import ContractError, Thermoelast1dError
 from thermoelast1d.grid import Grid
 from thermoelast1d.output import SnapshotWriter, export_trajectory, snapshot_writer
 from thermoelast1d.state import make_state
@@ -100,6 +101,106 @@ def test_run_writes_the_bytes_of_an_export_after_the_run(tmp_path, capsys, strea
     written = export_trajectory(traj, tmp_path / "after", formats)
     assert _files(tmp_path / "streamed") == _files(tmp_path / "after")
     assert f"  wrote {len(written)} files under {tmp_path / 'streamed'}\n" in out
+
+
+@pytest.mark.parametrize("formats", FORMATS)
+@pytest.mark.parametrize("record_every", [1, 7])  # every state; a remainder of 3 steps
+def test_a_run_keeping_its_end_states_writes_the_bytes_of_a_full_export(tmp_path, capsys,
+                                                                        streamed, formats,
+                                                                        record_every):
+    assert main(_run_argv(tmp_path, tmp_path / "streamed", 0.0, formats, record_every)) == 0
+    out = capsys.readouterr().out
+    _, traj = _trajectory(_config_text(0.0, formats, record_every))
+    written = export_trajectory(traj, tmp_path / "after", formats)
+    got, want = _files(tmp_path / "streamed"), _files(tmp_path / "after")
+    assert sorted(got) == sorted(want)
+    assert got == want
+    assert f"  wrote {len(written)} files under {tmp_path / 'streamed'}\n" in out
+
+
+def test_a_streamed_run_exports_only_its_end_states(tmp_path, streamed, monkeypatch):
+    exported = []
+    export = cli.export_trajectory
+
+    def keeping(traj, *args, **kwargs):
+        exported.append(traj)
+        return export(traj, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "export_trajectory", keeping)
+    assert main(_run_argv(tmp_path, tmp_path / "out", record_every=1)) == 0
+    (traj,) = exported
+    _, full = _trajectory(_config_text(0.0, ("csv", "json_lines"), 1))
+    assert len(full.states) == len(traj.records) == 25
+    assert len(traj.states) == 2
+    for kept, state in zip(traj.states, (full.states[0], full.states[-1])):
+        assert kept.t == state.t and kept.block.tobytes() == state.block.tobytes()
+
+
+@pytest.mark.parametrize("writer_steps, fed, formats", [
+    (24, 0, ("csv", "json_lines")),   # never started
+    (24, 20, ("csv", "json_lines")),  # its feed stopped short
+    (24, 24, ("csv", "json_lines")),  # one step short
+    (30, 25, ("csv", "json_lines")),  # a writer of a longer run
+    (24, 25, ("csv",)),               # another format set
+])
+def test_a_writer_short_of_its_states_refuses_to_publish(tmp_path, writer_steps, fed, formats):
+    text = _config_text(0.0, ("csv", "json_lines"), 5)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    for name, data in OLD_FILES.items():
+        (outdir / name).write_bytes(data)
+    writer = SnapshotWriter(str(outdir), formats, parse_config(text).build_grid(),
+                            writer_steps, 5)
+
+    def feed(state, record):
+        if writer.handed < fed:
+            writer(state, record)
+
+    try:
+        _, traj = _trajectory(text, recorder=feed)
+        message = (f"the writer was handed {fed} steps and forwarded {writer.count} states "
+                   f"in formats {formats}; the export has 25 steps and {writer.n_kept} states")
+        with pytest.raises(ContractError, match=re.escape(message)):
+            export_trajectory(traj, str(outdir), ("csv", "json_lines"), snapshots=writer)
+    finally:
+        writer.close()
+    assert _files(outdir) == OLD_FILES
+
+
+#: a child process: a streamed ``run`` of t_end / dt steps at N = 2049 that
+#: writes every state, with the snapshot files stubbed out (the writer drains
+#: its feed and publishes an empty snapshots.jsonl), so that only the memory
+#: counts
+_STREAMED_RUN = """
+import contextlib, io
+from thermoelast1d import cli, output
+write = output._write_snapshots
+def drain(directory, formats, x, states):
+    for _ in states:
+        pass
+    write(directory, formats, x, ())
+output._write_snapshots = drain
+cli.snapshot_writer = output.SnapshotWriter
+with open({config!r}, "w") as fh:
+    fh.write("[grid]\\nn_cells = 2048\\n[material]\\nkind = identity\\n"
+             "[solver]\\nepsilon = 0.0\\ndt = {dt!r}\\nt_end = {t_end!r}\\n"
+             "[initial_data]\\nkind = random_smooth\\nseed = 4\\n"
+             "[output]\\nrecord_every = 1\\nformats = json_lines\\n")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["run", "--config", {config!r}, "--output-dir", {outdir!r}]) == 0
+"""
+
+
+def test_a_streamed_runs_peak_rss_does_not_grow_with_its_steps(tmp_path):
+    dt = 2.0 ** -13  # h / 4 at N = 2049
+    peak = {}
+    for n_steps in (256, 1024):
+        peak[n_steps] = 1024 * child_maxrss_kib(_STREAMED_RUN.format(
+            config=str(tmp_path / f"run{n_steps}.cfg"), outdir=str(tmp_path / f"out{n_steps}"),
+            dt=dt, t_end=n_steps * dt))
+    # a store of every kept state grows by one (3, N) block per step
+    store_growth = (1024 - 256) * 3 * 2049 * 8
+    assert peak[1024] - peak[256] < store_growth / 4, (peak, store_growth)
 
 
 @pytest.mark.parametrize("formats", FORMATS)

@@ -16,7 +16,7 @@ from thermoelast1d.grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Field, Grid
 from thermoelast1d.materials import identity_material
 from thermoelast1d.output import DIAG_COLUMNS, export_trajectory, read_diagnostics_csv
 from thermoelast1d.state import (DiagnosticsRecord, SolverConfig, State, Trajectory,
-                                 kept_steps, make_state)
+                                 kept_count, kept_steps, make_state)
 
 FIELDS = (("v", 0, BC_HINGED), ("u", 1, BC_DIRICHLET), ("theta", 2, BC_NEUMANN))
 
@@ -119,3 +119,11 @@ def test_kept_steps_picks_the_times_of_the_stored_states(n_steps, record_every, 
     with mock.patch.object(state, "BLOCK_VALUES", chunk * g.n_nodes):
         traj = stepping.run_limit(init, identity_material(), cfg, g, record_every=record_every)
     assert [s.t for s in traj.states] == [k * cfg.dt for k in rule]
+
+
+@given(n_steps=st.integers(1, 10 ** 4), record_every=st.integers(1, 2 * 10 ** 4))
+def test_kept_count_counts_the_kept_steps(n_steps, record_every):
+    """The store of a run and the states a snapshot writer forwards are
+    sized by this count."""
+    assert kept_count(n_steps, record_every) == len(kept_steps(0, n_steps + 1, n_steps,
+                                                               record_every))
