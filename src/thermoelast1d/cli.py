@@ -176,7 +176,7 @@ def _cmd_run(args) -> int:
     print(f"run complete: {len(traj.records) - 1} steps to t = {last.t:g}")
     print(f"  E(0) = {first.energy:.12g}   E(T) = {last.energy:.12g}   "
           f"drift = {last.energy - first.energy:+.3e}")
-    print(f"  min Theta = {min(r.theta_min for r in traj.records):.6g}   "
+    print(f"  min Theta = {min(traj.record_series('theta_min').tolist()):.6g}   "
           f"int_0^T |Theta_x|^2 = {last.dissipation_accum:.6g}")
     print(f"  wrote {len(written)} files under {outdir}")
     return 0

@@ -6,19 +6,20 @@ Conventions
 * All spatial integrals use the trapezoid rule on the run's grid.
 * All time integrals over trajectories use the trapezoid rule on the
   recorded time grid.
-* Trajectory diagnostics gather each block of stored states once, into a
-  C-contiguous ``(block, 3, N)`` array (:meth:`~.state.Trajectory.gather`),
-  and read v, u and Theta as its rows; ``np.vecdot(rows, w)`` equals
-  ``w @ row`` per row bit for bit there (numpy 2.4/OpenBLAS; a dgemv
-  ``rows @ w`` is not), and time sums stay sequential: every value equals
-  the one-state loop's.
+* Trajectory diagnostics read each block of stored states as a
+  C-contiguous ``(block, 3, N)`` slice of the store
+  (:meth:`~.state.Trajectory.gather`), v, u and Theta as its rows;
+  ``np.vecdot(rows, w)`` equals ``w @ row`` per row bit for bit there
+  (numpy 2.4/OpenBLAS; a dgemv ``rows @ w`` is not), and time sums stay
+  sequential: every value equals the one-state loop's.
 * Quantities whose displays are squared norms are reported squared; the
   CSV/report headers say so.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -27,16 +28,15 @@ from .errors import ContractError, StructuralError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_rows, dxx_rows, trapezoid_weights
 # eval_f and eval_fp are unused here; bench/probes.py patches them by name
 from .materials import Material, eval_f, eval_fp, f_kernel, fp_kernel  # noqa: F401
-from .state import DiagnosticsRecord, State, Trajectory
+from .state import RECORD_FIELDS, DiagnosticsRecord, State, Trajectory, record_on
 
 #: bc kinds of the rows (v, u, Theta) of a state block
 _STATE_BCS = (BC_HINGED, BC_DIRICHLET, BC_NEUMANN)
-#: a row is built as :func:`~.state.state_on` builds a State: ``object.__new__``,
-#: then each slot's ``__set__`` in field order, which skips the 14
-#: ``object.__setattr__`` calls of the frozen dataclass ``__init__``
-_new_record = object.__new__
-_RECORD_SETTERS = tuple(getattr(DiagnosticsRecord, f.name).__set__
-                        for f in fields(DiagnosticsRecord))
+#: the columns of a row
+(_T, _E, _MASS, _MIN, _MAX, _Y, _VALID, _THX, _THXX, _VX, _VXX, _UXX, _DISS,
+ _EPS) = range(len(RECORD_FIELDS))
+#: fewest rows whose scalars :func:`chunk_records` forms as columns
+COLUMN_ROWS = 8
 
 
 def compute_record(
@@ -49,11 +49,16 @@ def compute_record(
     """One diagnostics row; accumulators continue from ``prev`` by trapezoid.
 
     The one-state call of :func:`chunk_records`, on a view of the state's
-    ``(3, N)`` block."""
+    ``(3, N)`` block, into a fresh row after a copy of ``prev``'s."""
     if state.n_nodes != grid.n_nodes:
         raise StructuralError(f"state has {state.n_nodes} nodes, grid {grid.n_nodes}")
-    return chunk_records(state.block[None], [state.t], [float(state.block[2].min())],
-                         material, grid, epsilon, prev)[0]
+    out = np.empty((1 + (prev is not None), len(RECORD_FIELDS)))
+    if prev is not None:
+        out[0] = prev.row
+    chunk_records(state.block[None], [state.t], [float(state.block[2].min())], material, grid,
+                  epsilon, out)
+    out.flags.writeable = False
+    return record_on(out[-1])
 
 
 def chunk_records(
@@ -63,19 +68,25 @@ def chunk_records(
     material: Material,
     grid: Grid,
     epsilon: float,
-    prev: Optional[DiagnosticsRecord],
-) -> List[DiagnosticsRecord]:
+    out: np.ndarray,
+) -> np.ndarray:
     """The diagnostics rows of C consecutive states in one pass over the
-    C-contiguous ``(C, 3, N)`` stack of their blocks; the accumulators of
-    row j continue from row j - 1 (row 0 from ``prev``) by trapezoid.
+    C-contiguous ``(C, 3, N)`` stack of their blocks, written into the last
+    C rows of ``out`` (C or C + 1 rows) and returned; the accumulators of
+    row j continue from row j - 1 by trapezoid (row 0 from ``out[0]`` if
+    there are C + 1 rows, else from 0).  ``times`` and ``theta_min`` give
+    each state's t and min Theta.
 
     dx and dxx of the 3C rows in two stacked passes, every integral from
     one ``np.vecdot`` over a C-contiguous stack of integrands, the material
     kernels once over the states whose min Theta is at least the rho floor,
-    max Theta by one axis reduction, then the scalars of each row in step
-    order.  ``times`` and ``theta_min`` give each state's t and min Theta."""
+    max Theta by one axis reduction.  Then the scalars, in the operation
+    order of one row: from :data:`COLUMN_ROWS` rows on by column, the
+    accumulators by the sequential ``np.add.accumulate``; below, where a
+    numpy call per column costs more, row by row in Python floats."""
     c, _, n = stack.shape
     w = trapezoid_weights(grid)
+    rows_out = out[-c:]
     valid = [not m < material.rho_floor for m in theta_min]
     # integrands, (3, C, 3, N): the squares of dx and of dxx of each state's
     # (v, u, Theta), then v^2, Theta and, while rho is defined, rho(Theta) Theta_x^2
@@ -96,28 +107,48 @@ def chunk_records(
         # the unchecked kernels apply
         th_v = th[sel]
         rows[2, sel, 2] = fp_kernel(material, th_v) / f_kernel(material, th_v) * rows[0, sel, 2]
-    ints = np.vecdot(rows, w).transpose(1, 0, 2).tolist()
-    th_max = th.max(axis=1).tolist()
+    # (3, C, 3): (|v_x|^2, |u_x|^2, |Theta_x|^2), the same of dxx, then
+    # (|v|^2, int Theta, int rho Theta_x^2)
+    ints = np.vecdot(rows, w)
+    th_max = th.max(axis=1)
 
-    records = []
-    for j, t in enumerate(times):
-        (vx_sq, ux_sq, thx_sq), (vxx_sq, uxx_sq, thxx_sq), (v_sq, mass, rho_sq) = ints[j]
-        ok = valid[j]
-        y = 1.0 + 0.5 * vx_sq + 0.5 * uxx_sq + 0.5 * rho_sq if ok else None
-        diss = eps_diss = 0.0
-        if prev is not None:
-            half_dt = 0.5 * (t - prev.t)
-            diss = prev.dissipation_accum + half_dt * (prev.thetax_l2sq + thx_sq)
-            eps_diss = prev.eps_dissipation_accum + epsilon * half_dt * (
-                (prev.vxx_l2sq + prev.uxx_l2sq) + (vxx_sq + uxx_sq)
-            )
-        prev = _new_record(DiagnosticsRecord)
-        for set_field, value in zip(_RECORD_SETTERS, (
-                t, 0.5 * v_sq + 0.5 * ux_sq + mass, mass, theta_min[j], th_max[j], y, ok,
-                thx_sq, thxx_sq, vx_sq, vxx_sq, uxx_sq, diss, eps_diss)):
-            set_field(prev, value)
-        records.append(prev)
-    return records
+    if c < COLUMN_ROWS:
+        prev = out[0].tolist() if len(out) > c else None
+        for j, (t, th_lo, ((vx_sq, ux_sq, thx_sq), (vxx_sq, uxx_sq, thxx_sq), (v_sq, mass, rho_sq)),
+                ok, th_hi) in enumerate(zip(times, theta_min, ints.transpose(1, 0, 2).tolist(),
+                                            valid, th_max.tolist())):
+            diss = eps_diss = 0.0
+            if prev is not None:
+                half_dt = 0.5 * (t - prev[_T])
+                diss = prev[_DISS] + half_dt * (prev[_THX] + thx_sq)
+                eps_diss = prev[_EPS] + epsilon * half_dt * (
+                    (prev[_VXX] + prev[_UXX]) + (vxx_sq + uxx_sq))
+            prev = rows_out[j] = (
+                t, 0.5 * v_sq + 0.5 * ux_sq + mass, mass, th_lo, th_hi,
+                1.0 + 0.5 * vx_sq + 0.5 * uxx_sq + 0.5 * rho_sq if ok else math.nan, ok,
+                thx_sq, thxx_sq, vx_sq, vxx_sq, uxx_sq, diss, eps_diss)
+        return rows_out
+
+    ints = ints.transpose(0, 2, 1)  # (3, 3, C)
+    half = 0.5 * ints
+    rows_out[:, _T] = times
+    rows_out[:, _E] = half[2, 0] + half[0, 1] + ints[2, 1]
+    rows_out[:, _MASS] = ints[2, 1]
+    rows_out[:, _MIN] = theta_min
+    rows_out[:, _MAX] = th_max
+    rows_out[:, _Y] = np.where(valid, 1.0 + half[0, 0] + half[1, 1] + half[2, 2], np.nan)
+    rows_out[:, _VALID] = valid
+    rows_out[:, _THX:_THX + 2] = ints[:2, 2].T  # |Theta_x|^2, |Theta_xx|^2
+    rows_out[:, _VX:_VX + 2] = ints[:2, 0].T  # |v_x|^2, |v_xx|^2
+    rows_out[:, _UXX] = ints[1, 1]
+    if len(out) == c:
+        out[0, _DISS:] = 0.0
+    half_dt = 0.5 * (out[1:, _T] - out[:-1, _T])
+    thx, curv = out[:, _THX], out[:, _VXX] + out[:, _UXX]
+    out[1:, _DISS] = half_dt * (thx[:-1] + thx[1:])
+    out[1:, _EPS] = epsilon * half_dt * (curv[:-1] + curv[1:])
+    np.add.accumulate(out[:, _DISS:], axis=0, out=out[:, _DISS:])
+    return rows_out
 
 
 def energy_identity_residual(traj: Trajectory) -> np.ndarray:

@@ -369,12 +369,10 @@ def exp_time_shift(
 
 
 def _restrict(traj: Trajectory, coarse: Grid, space_stride: int) -> Trajectory:
-    """Sample a fine trajectory onto a coarser grid (node subset)."""
-    out = Trajectory(coarse, traj.epsilon, traj.scheme)
-    out.records = traj.records
-    for s in traj.states:
-        out.states.append(make_state(s.t, *s.block[:, ::space_stride]))
-    return out
+    """Sample a fine trajectory onto a coarser grid (node subset): one
+    strided copy of the store, C-contiguous; the rows are shared."""
+    store = np.ascontiguousarray(traj.store[:, :, ::space_stride])
+    return Trajectory.of_arrays(coarse, traj.epsilon, traj.scheme, traj.times, store, traj.rows)
 
 
 def exp_rough_data(
@@ -405,7 +403,7 @@ def exp_rough_data(
         series[f"N{n}"] = {"t": traj.record_times, "energy_residual": r}
         e_resid.append(drift)
         diss.append(traj.records[-1].dissipation_accum)
-        th_min.append(min(rec.theta_min for rec in traj.records))
+        th_min.append(min(traj.record_series("theta_min").tolist()))
 
     report = ExperimentReport(
         name="rough-data",

@@ -27,13 +27,12 @@ import shutil
 import signal
 import tempfile
 from contextlib import contextmanager, nullcontext
-from dataclasses import fields
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractError, Thermoelast1dError
-from .state import DiagnosticsRecord, Trajectory, kept_count, kept_steps
+from .state import Trajectory, kept_count, kept_steps
 
 #: diagnostics.csv header, as in FORMATS.md
 DIAG_COLUMNS = tuple(
@@ -144,7 +143,7 @@ def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("cs
     diag_path = os.path.join(directory, "diagnostics.csv")
     with _writing(diag_path) as fh:
         fh.write(",".join(DIAG_COLUMNS) + "\n")
-        _write_columns(fh, [traj.record_series(f.name) for f in fields(DiagnosticsRecord)], ",")
+        _write_columns(fh, traj.rows.T, ",")
 
     if snapshots is not None:
         return [diag_path] + snapshots.publish()
@@ -357,7 +356,7 @@ def write_gnuplot(traj: Trajectory, directory) -> list:
     dat = os.path.join(directory, "series.dat")
     with _writing(dat) as fh:
         fh.write("# " + " ".join(DIAG_COLUMNS) + "\n")
-        _write_columns(fh, [traj.record_series(f.name) for f in fields(DiagnosticsRecord)], " ")
+        _write_columns(fh, traj.rows.T, " ")
     gp = os.path.join(directory, "plot.gp")
     with _writing(gp) as fh:
         fh.write(

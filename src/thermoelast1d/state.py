@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -18,7 +19,19 @@ SCHEMES = (SCHEME_IMEX1, SCHEME_IMEX2)
 _CFL_SLACK = 1 + 1e-12
 
 
-class State:
+class _Frozen:
+    """Slotted and immutable: assigning or deleting an attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class State(_Frozen):
     """Time-stamped nodal triple (v ~ u_t, u, Theta).
 
     A thin, immutable view of one read-only ``(3, N)`` block with rows v, u
@@ -43,12 +56,6 @@ class State:
         block.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "block", block)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return f"State(t={self.t!r}, n_nodes={self.n_nodes})"
@@ -199,8 +206,15 @@ def cfl_dt(grid: Grid, t_end: float, cfl_safety: float = 0.5) -> float:
     return t_end / n
 
 
-@dataclass(frozen=True, slots=True)
-class DiagnosticsRecord:
+#: the fields of a :class:`DiagnosticsRecord`, in the order of the
+#: diagnostics.csv columns: the columns of a :class:`Trajectory`'s rows
+RECORD_FIELDS = ("t", "energy", "theta_mass", "theta_min", "theta_max", "hfunc",
+                 "hfunc_valid", "thetax_l2sq", "thetaxx_l2sq", "vx_l2sq", "vxx_l2sq",
+                 "uxx_l2sq", "dissipation_accum", "eps_dissipation_accum")
+_HFUNC, _VALID = 5, 6
+
+
+class DiagnosticsRecord(_Frozen):
     """Per-step scalars tracked along every run.
 
     ``energy``  E = 1/2 |v|^2 + 1/2 |u_x|^2 + int Theta
@@ -210,22 +224,70 @@ class DiagnosticsRecord:
     ``dissipation_accum``      int_0^t |Theta_x|^2
     ``eps_dissipation_accum``  eps int_0^t (|v_xx|^2 + |u_xx|^2)
     both accumulated by the trapezoid rule over the recorded steps.
-    """
 
-    t: float
-    energy: float
-    theta_mass: float
-    theta_min: float
-    theta_max: float
-    hfunc: Optional[float]
-    hfunc_valid: bool
-    thetax_l2sq: float
-    thetaxx_l2sq: float
-    vx_l2sq: float
-    vxx_l2sq: float
-    uxx_l2sq: float
-    dissipation_accum: float
-    eps_dissipation_accum: float
+    A thin, immutable view of one read-only row of 14 doubles (:attr:`row`),
+    a :data:`RECORD_FIELDS` column each, with ``hfunc`` nan and
+    ``hfunc_valid`` 0.0 where y is undefined; fields read as Python floats
+    (``hfunc_valid`` a bool).  ``DiagnosticsRecord(t, energy, ...)`` copies
+    the values into a fresh row; :func:`record_on` views a row as it is."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, t, energy, theta_mass, theta_min, theta_max, hfunc, hfunc_valid,
+                 thetax_l2sq, thetaxx_l2sq, vx_l2sq, vxx_l2sq, uxx_l2sq, dissipation_accum,
+                 eps_dissipation_accum):
+        if (hfunc is None) == bool(hfunc_valid):
+            raise ContractError(f"hfunc is None exactly when hfunc_valid is false, got "
+                                f"{hfunc!r} and {hfunc_valid!r}")
+        row = np.array((t, energy, theta_mass, theta_min, theta_max,
+                        math.nan if hfunc is None else hfunc, hfunc_valid, thetax_l2sq,
+                        thetaxx_l2sq, vx_l2sq, vxx_l2sq, uxx_l2sq, dissipation_accum,
+                        eps_dissipation_accum), dtype=float)
+        row.flags.writeable = False
+        object.__setattr__(self, "row", row)
+
+    def _values(self) -> tuple:
+        values = self.row.tolist()
+        values[_HFUNC:_VALID + 1] = self.hfunc, self.hfunc_valid
+        return tuple(values)
+
+    def __eq__(self, other):
+        if type(other) is not DiagnosticsRecord:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "DiagnosticsRecord(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(RECORD_FIELDS, self._values())) + ")"
+
+    def __reduce__(self):
+        return DiagnosticsRecord, self._values()
+
+    @property
+    def hfunc(self) -> Optional[float]:
+        return self.row.item(_HFUNC) if self.row.item(_VALID) else None
+
+    @property
+    def hfunc_valid(self) -> bool:
+        return self.row.item(_VALID) != 0.0
+
+
+for _k, _name in enumerate(RECORD_FIELDS):
+    if _name not in vars(DiagnosticsRecord):
+        setattr(DiagnosticsRecord, _name, property(lambda record, k=_k: record.row.item(k)))
+
+_new_record, _set_row = object.__new__, DiagnosticsRecord.row.__set__
+
+
+def record_on(row: np.ndarray) -> DiagnosticsRecord:
+    """The DiagnosticsRecord of ``row`` as it is: no copy or check (a run
+    passes read-only rows of its trajectory)."""
+    record = _new_record(DiagnosticsRecord)
+    _set_row(record, row)
+    return record
 
 
 #: most values per field in one block of C = :func:`block_rows` rows, so in a
@@ -259,28 +321,60 @@ def kept_count(n_steps: int, record_every: int) -> int:
     return 1 - (-n_steps // record_every)
 
 
+class _Views(Sequence):
+    """A read-only sequence whose item i is ``make(i)``, built when read."""
+
+    __slots__ = ("_make", "_range")
+
+    def __init__(self, make, n: int):
+        self._make, self._range = make, range(n)
+
+    def __len__(self):
+        return len(self._range)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._make, self._range[i]))
+        return self._make(self._range[i])
+
+
 class Trajectory:
-    """Recorded run: per-step diagnostics plus state snapshots.
+    """Recorded run as read-only arrays: ``rows``, one row of
+    :data:`RECORD_FIELDS` per time step (t = 0 included), and the
+    ``times`` and C-contiguous ``(n_kept, 3, N)`` ``store`` of the states
+    kept (every ``record_every``-th step and the last, t = 0 in slot 0).
+    ``records`` and ``states`` are read-only sequences of their views,
+    built when read.  ``Trajectory(grid, epsilon, scheme, states, records)``
+    copies lists; :meth:`of_arrays` takes the arrays as they are."""
 
-    ``records`` has one entry per time step (including t=0); ``states``
-    holds snapshots at every ``record_every``-th step plus the final one.
-    Stored states are immutable and safe to share across threads.
-    """
+    def __init__(self, grid: Grid, epsilon: float, scheme: str,
+                 states: Sequence[State] = (), records: Sequence[DiagnosticsRecord] = ()):
+        if any(s.n_nodes != grid.n_nodes for s in states):
+            raise StructuralError("states do not live on the trajectory's grid")
+        self._set(grid, epsilon, scheme, np.array([s.t for s in states], dtype=float),
+                  np.array([s.block for s in states], dtype=float).reshape(-1, 3, grid.n_nodes),
+                  np.array([r.row for r in records], dtype=float).reshape(-1, len(RECORD_FIELDS)))
 
-    def __init__(self, grid: Grid, epsilon: float, scheme: str):
-        self.grid = grid
-        self.epsilon = float(epsilon)
-        self.scheme = scheme
-        self.states: List[State] = []
-        self.records: List[DiagnosticsRecord] = []
+    @classmethod
+    def of_arrays(cls, grid: Grid, epsilon: float, scheme: str, times: np.ndarray,
+                  store: np.ndarray, rows: np.ndarray) -> Trajectory:
+        """The trajectory of the arrays as they are, set read-only."""
+        traj = cls.__new__(cls)
+        traj._set(grid, epsilon, scheme, times, store, rows)
+        return traj
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+    def _set(self, grid, epsilon, scheme, times, store, rows):
+        self.grid, self.epsilon, self.scheme = grid, float(epsilon), scheme
+        for a in (times, store, rows):
+            a.flags.writeable = False
+        self.times, self.store, self.rows = times, store, rows
+        # the views hold the arrays, not the trajectory: no reference cycle
+        self.states = _Views(lambda i: state_on(times.item(i), store[i]), len(times))
+        self.records = _Views(lambda i: record_on(rows[i]), len(rows))
 
     @property
     def record_times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        return self.record_series("t")
 
     @property
     def final_state(self) -> State:
@@ -299,14 +393,15 @@ class Trajectory:
             yield lo, min(lo + self.block_size, stop)
 
     def gather(self, start: int, stop: int) -> np.ndarray:
-        """The blocks of ``states[start:stop]`` as one C-contiguous
-        ``(stop - start, 3, N)`` array, copied in one pass: its ``[:, 0]``,
-        ``[:, 1]`` and ``[:, 2]`` are the v, u and Theta rows."""
-        return np.array([s.block for s in self.states[start:stop]])
+        """``states[start:stop]`` as one C-contiguous ``(stop - start, 3, N)``
+        view of the store: its ``[:, 0]``, ``[:, 1]`` and ``[:, 2]`` are the
+        v, u and Theta rows."""
+        return self.store[start:stop]
 
     def record_series(self, name: str) -> np.ndarray:
-        vals = [getattr(r, name) for r in self.records]
-        return np.array([np.nan if v is None else v for v in vals], dtype=float)
+        """A copy of the column ``name`` of the rows (``hfunc`` nan where
+        undefined, ``hfunc_valid`` 1.0 or 0.0)."""
+        return self.rows[:, RECORD_FIELDS.index(name)].copy()
 
     def __len__(self):
-        return len(self.states)
+        return len(self.times)

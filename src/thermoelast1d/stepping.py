@@ -18,22 +18,24 @@ carries its closing half-kick into the next step's opening one) and copies
 the stepper's raw (v, u, Theta) into its slot of the chunk's ``(C, 3, N)``
 stack.  The rest is done per chunk of C =
 :func:`~thermoelast1d.state.block_rows` steps (248 at N = 33, 15 at
-N = 513, 1 from N = 4097 on), in one pass over the rows written: the
-finite and Theta >= -positivity_tol tests as array reductions
-(:func:`check_step` builds the message of the first failing step), the
-pins of the v and u ends, one indexed copy of the kept states into the
-run's one ``(n_kept, 3, N)`` store, the rows by one
+N = 513, 1 from N = 4097 on), whose opening times the stepper gets first
+(``open_chunk``), in one pass over the rows written: the finite and
+Theta >= -positivity_tol tests as array reductions (:func:`check_step`
+builds the message of the first failing step), the pins of the v and u
+ends, one indexed copy of the kept states into the run's one
+``(n_kept, 3, N)`` store, the chunk's rows of the run's one
+``(n_steps + 1, 14)`` array by one
 :func:`~thermoelast1d.diagnostics.chunk_records` pass, and the recorder,
-once per step in step order, at most one chunk late.  So stepping may run
-up to C - 1 steps past a failing step; those are discarded, and the steps
-before it are recorded first.  Every value is as in a chain of fresh
-single steps.
+once per step in step order, at most one chunk late, with views.  So
+stepping may run up to C - 1 steps past a failing step; those are
+discarded, and the steps before it are recorded first.  Every value is as
+in a chain of fresh single steps.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,8 +46,8 @@ from .errors import ContractError, PositivityError, SchemeError
 from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
 # eval_f is unused here; bench/probes.py patches it by name
 from .materials import Material, eval_f, f_kernel  # noqa: F401
-from .state import (EPS_MIN_CELLS, SolverConfig, State, Trajectory, block_rows, kept_count,
-                    kept_steps, make_state, state_on)
+from .state import (EPS_MIN_CELLS, RECORD_FIELDS, SolverConfig, State, Trajectory, block_rows,
+                    kept_steps, make_state, record_on, state_on)
 
 #: (S_v, S_theta): each maps the node array and a ``(C, 1)`` column of times
 #: to a ``(C, N)`` array, one row per time
@@ -185,7 +187,12 @@ class Imex2Stepper(_Stepper):
     """Second-order Strang arrangement for the regularized system of
     :class:`ImexStepper`: half Crank-Nicolson diffusion, full explicit
     coupling step with the constitutive terms at the half level, half
-    Crank-Nicolson diffusion."""
+    Crank-Nicolson diffusion.
+
+    No positivity guarantee for Theta with grid-scale structure: each
+    Crank-Nicolson half multiplies Theta by I + (dt/4) D2, which has
+    nonnegative entries only for dt <= 2 h^2, far below the wave CFL dt; a
+    Theta0 >= 0 with node-to-node jumps can go negative in one step."""
 
     label = "imex2"
 
@@ -243,12 +250,12 @@ class LimitStepper(_Stepper):
     are never written by the step that reads them.  So a stepper is not
     reentrant; the arrays it returns are fresh.
 
-    A forcing is evaluated once per chunk of :func:`run_simulation` (at most
-    :func:`~thermoelast1d.state.block_rows` steps): S_v and S_theta at the
-    closing times (k - 1) dt + dt, formed as :func:`run_simulation` forms
-    them, and S_v at the opening times (k - 1) dt only where one differs
-    from the previous closing time (and at the chunk's first).  A t off
-    that grid is one row."""
+    A forcing is evaluated once per chunk of :func:`run_simulation`, at the
+    opening times (k - 1) dt it hands to :meth:`open_chunk`: S_v and
+    S_theta at the closing times (k - 1) dt + dt, and S_v at the opening
+    times only where one differs from the previous closing time (and at the
+    chunk's first).  A step at a t the tables do not open next (a single
+    step) tabulates that one row."""
 
     label = "limit"
 
@@ -277,29 +284,33 @@ class LimitStepper(_Stepper):
         self._turn = 0
         self._h2, self._two_h, self._half_dt = grid.h * grid.h, 2.0 * grid.h, 0.5 * cfg.dt
 
+    def open_chunk(self, t_open: Sequence[float]) -> None:
+        """Tabulate the forcing for the next steps, opening at the times
+        ``t_open`` (:func:`run_simulation` hands over each chunk's)."""
+        if self.forcing is None:
+            return
+        (s_v, s_th), x = self.forcing, self.nodes
+        t_open = np.array(t_open, dtype=float)[:, None]
+        t_close = t_open + self.cfg.dt
+        # an opening time equal to the previous closing time reuses that S_v row
+        fresh = np.append(True, t_open[1:, 0] != t_close[:-1, 0])
+        s_v_close = s_v(x, t_close)
+        s_v_open = np.empty_like(s_v_close)
+        s_v_open[1:] = s_v_close[:-1]
+        s_v_open[fresh] = s_v(x, t_open[fresh])
+        self._times = t_open.ravel().tolist()
+        self._tables = s_v_open, s_v_close, s_th(x, t_close)
+        self._row = -1
+
     def _sources(self, t):
-        """S_v(t), S_v(t + dt) and S_theta(t + dt); 0.0 without forcing."""
+        """S_v(t), S_v(t + dt) and S_theta(t + dt): the next row of the
+        tables, or one tabulated at t where that row does not open at t;
+        0.0 without forcing."""
         if self.forcing is None:
             return 0.0, 0.0, 0.0
         i = self._row + 1
         if i >= len(self._times) or self._times[i] != t:
-            dt = self.cfg.dt
-            k = round(t / dt)
-            if k * dt == t:  # t_k = k dt: tabulate the steps left, up to a block
-                rows = max(1, min(block_rows(self.grid.n_nodes), round(self.cfg.t_end / dt) - k))
-                t_open = np.arange(k, k + rows, dtype=float)[:, None] * dt
-            else:
-                t_open = np.array([[t]])
-            (s_v, s_th), x = self.forcing, self.nodes
-            t_close = t_open + dt
-            # an opening time equal to the previous closing time reuses that S_v row
-            fresh = np.append(True, t_open[1:, 0] != t_close[:-1, 0])
-            s_v_close = s_v(x, t_close)
-            s_v_open = np.empty_like(s_v_close)
-            s_v_open[1:] = s_v_close[:-1]
-            s_v_open[fresh] = s_v(x, t_open[fresh])
-            self._times = t_open.ravel().tolist()
-            self._tables = s_v_open, s_v_close, s_th(x, t_close)
+            self.open_chunk([t])
             i = 0
         self._row = i
         s_v, s_v1, s_th1 = self._tables
@@ -379,15 +390,16 @@ def run_simulation(
     record_every: int = 1,
     recorder=None,
 ) -> Trajectory:
-    """March ``init`` to t_end with ``stepper`` (``advance`` and ``label``),
-    streaming per-step diagnostics.
+    """March ``init`` to t_end with ``stepper`` (``advance``, ``label`` and,
+    if it has one, ``open_chunk``), streaming per-step diagnostics.
 
     The steps are checked, pinned, kept and given their rows per chunk of
     C = :func:`~thermoelast1d.state.block_rows` steps, so stepping goes on
     for up to C - 1 steps past a failing one; those steps are discarded.
     ``recorder(state, record)`` is called once per step, in step order: for
     t = 0 before step 1, then for each step when its chunk ends (at most one
-    chunk late).  It may keep any state it is given, as no block is reused;
+    chunk late).  It may keep any state or record (a view of the step's
+    row) it is given, as no block is reused;
     but a state the trajectory does not keep is a view of its chunk's
     ``(C, 3, N)`` stack, which it then keeps alive whole (C times the
     state's size), so a recorder that keeps such states should keep copies
@@ -411,19 +423,20 @@ def run_simulation(
     cfg.check_cfl(grid)
     n_steps = cfg.n_steps()
 
-    traj = Trajectory(grid, cfg.epsilon, stepper.label)
-    rec = compute_record(init, material, grid, cfg.epsilon, None)
-    traj.records.append(rec)
-    traj.states.append(init)
-    if recorder is not None:
-        recorder(init, rec)
-
     n = grid.n_nodes
     dt, floor = cfg.dt, -cfg.positivity_tol
     size = block_rows(n)
-    # one slot per step after t = 0 that kept_steps keeps
-    store = np.empty((kept_count(n_steps, record_every) - 1, 3, n))
-    slot = 0
+    # the states kept_steps keeps, t = 0 in slot 0, and one row per step
+    times = np.array([k * dt for k in kept_steps(0, n_steps + 1, n_steps, record_every)])
+    store = np.empty((len(times), 3, n))
+    rows = np.empty((n_steps + 1, len(RECORD_FIELDS)))
+    store[0] = init.block
+    rec = compute_record(init, material, grid, cfg.epsilon, None)
+    rows[0] = rec.row
+    if recorder is not None:
+        recorder(init, rec)
+    slot, last = 1, 0
+    open_chunk = getattr(stepper, "open_chunk", None)
 
     def finish(first, stack):
         """Check the steps first, first + 1, ... whose raw (v, u, Theta) are
@@ -444,40 +457,43 @@ def run_simulation(
     # cell, a cycle that keeps the run's store alive until gc collects it
     def record(first, stack, th_min):
         """Pin, keep and record the checked steps of ``stack``."""
-        nonlocal rec, slot
+        nonlocal slot, last
         m = len(stack)
         stack[:, :2, 0] = 0.0
         stack[:, :2, -1] = 0.0
         stack.flags.writeable = False
-        times = [k * dt for k in range(first, first + m)]
-        rows = chunk_records(stack, times, th_min.tolist(), material, grid, cfg.epsilon, rec)
+        t = [k * dt for k in range(first, first + m)]
+        done = chunk_records(stack, t, th_min.tolist(), material, grid, cfg.epsilon,
+                             rows[first - 1:first + m])
         keep = kept_steps(first, m, n_steps, record_every)
         blocks = store[slot:slot + len(keep)]
-        slot += len(keep)
         np.take(stack, keep, axis=0, out=blocks, mode="clip")
         blocks.flags.writeable = False
-        kept = [state_on(times[j], block) for j, block in zip(keep, blocks)]
-        traj.records.extend(rows)
-        traj.states.extend(kept)
-        rec = rows[-1]
+        slot += len(keep)
+        last = first + m - 1
         if recorder is not None:
-            states = kept
-            if len(kept) < m:
-                states = [state_on(t, block) for t, block in zip(times, stack)]
-                for j, state in zip(keep, kept):
-                    states[j] = state
-            for state, row in zip(states, rows):
-                recorder(state, row)
+            done.flags.writeable = False
+            views = blocks  # the blocks of kept steps are the store's
+            if len(keep) < m:
+                views = list(stack)
+                for j, block in zip(keep, blocks):
+                    views[j] = block
+            states = list(map(state_on, t, views))
+            for state, record in zip(states, list(map(record_on, done))):
+                recorder(state, record)
 
     v, u, th = init.block.copy()
     try:
         for first in range(1, n_steps + 1, size):
             # fresh per chunk: a recorder may keep any state, so no block is reused
             stack = np.empty((min(size, n_steps + 1 - first), 3, n))
+            t_open = [(k - 1) * dt for k in range(first, first + len(stack))]
+            if open_chunk is not None:
+                open_chunk(t_open)
             m = 0
             try:
-                for k in range(first, first + len(stack)):
-                    v, u, th = stepper.advance(v, u, th, (k - 1) * dt)
+                for t in t_open:
+                    v, u, th = stepper.advance(v, u, th, t)
                     stack[m] = v, u, th
                     m += 1
             except Exception:  # the steps before it are checked first
@@ -485,9 +501,10 @@ def run_simulation(
                 raise
             finish(first, stack)
     except (SchemeError, PositivityError) as exc:
-        exc.last_record = rec
+        rows.flags.writeable = False
+        exc.last_record = record_on(rows[last])
         raise
-    return traj
+    return Trajectory.of_arrays(grid, cfg.epsilon, stepper.label, times, store, rows)
 
 
 #: the eps > 0 stepper of each ``cfg.scheme``

@@ -7,7 +7,6 @@ rigorously for such interpolants, which makes slack >= 0 a mathematical
 fact rather than a quadrature accident.
 """
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -28,6 +27,7 @@ from thermoelast1d.errors import DomainError, StructuralError
 from thermoelast1d.grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, dx, dx_values, dxx,
                                 dxx_values, integrate, l2_norm_sq)
 from thermoelast1d.materials import eval_f, eval_fp, eval_fpp, rho
+from thermoelast1d.state import RECORD_FIELDS
 from thermoelast1d.stepping import heat_system
 
 
@@ -40,7 +40,8 @@ def float_bits(a) -> list:
 def record_bits(rec) -> bytes:
     """Every field of a DiagnosticsRecord as float64 bytes (None as nan), so
     that equality is bit for bit, signs of zero included."""
-    return np.array([np.nan if x is None else x for x in dataclasses.astuple(rec)]).tobytes()
+    values = (getattr(rec, name) for name in RECORD_FIELDS)
+    return np.array([np.nan if x is None else x for x in values]).tobytes()
 
 
 def child_maxrss_kib(code: str) -> int:

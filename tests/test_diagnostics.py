@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -42,10 +41,12 @@ from thermoelast1d.solver_eps import run_eps
 from thermoelast1d.solver_limit import run_limit
 from thermoelast1d.state import (
     BLOCK_VALUES,
+    RECORD_FIELDS,
     DiagnosticsRecord,
     SolverConfig,
     Trajectory,
     make_state,
+    record_on,
 )
 
 MAT = identity_material()
@@ -184,10 +185,9 @@ def test_difference_norms_self_is_zero():
 
 def test_difference_norms_vs_zero_gives_self_norms():
     g, cfg, traj = small_run(n=32, t_end=0.1, dt=1e-3)
-    zero = Trajectory(g, 0.0, "limit")
     n = g.n_nodes
-    for s in traj.states:
-        zero.states.append(make_state(s.t, np.zeros(n), np.zeros(n), np.zeros(n)))
+    zero = Trajectory(g, 0.0, "limit", states=[
+        make_state(s.t, np.zeros(n), np.zeros(n), np.zeros(n)) for s in traj.states])
     d = difference_norms(traj, zero)
     from thermoelast1d.grid import dx, l2_norm_sq
 
@@ -202,12 +202,12 @@ def test_difference_norms_symmetry_and_triangle():
 
     def synth(seed):
         r = np.random.default_rng(seed)
-        traj = Trajectory(g, 0.0, "limit")
+        states = []
         for t in times:
             vals = [r.normal(size=g.n_nodes) for _ in range(3)]
             th = np.abs(vals[2])
-            traj.states.append(make_state(t, vals[0], vals[1], th))
-        return traj
+            states.append(make_state(t, vals[0], vals[1], th))
+        return Trajectory(g, 0.0, "limit", states=states)
 
     a, b, c = synth(1), synth(2), synth(3)
     dab = difference_norms(a, b)
@@ -321,7 +321,8 @@ def composed_row(state, material, grid, epsilon, prev):
 
 
 def _bits(rec):
-    return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(rec)]
+    return [x.hex() if isinstance(x, float) else x
+            for x in (getattr(rec, name) for name in RECORD_FIELDS)]
 
 
 _XI = np.linspace(0.0, 3.0, 7)
@@ -375,7 +376,8 @@ def test_chunk_records_equal_compute_record_chained(c, n, n_low, low, seed, mat,
                                                     chained):
     """The rows of a ``(C, 3, N)`` stack, n_low of its states with a node
     below the rho floor (at any place in the chunk), equal compute_record
-    chained state by state, bit for bit, from ``prev`` or from None."""
+    chained state by state, bit for bit, from ``prev`` (the row before the
+    C written) or from None (C rows only); the row before is not written."""
     g = Grid(-0.5, 1.5, n)
     rng = np.random.default_rng(seed)
     k = g.n_nodes
@@ -388,7 +390,13 @@ def test_chunk_records_equal_compute_record_chained(c, n, n_low, low, seed, mat,
     prev = None
     if chained:
         prev = compute_record(make_state(0.0, *rng.normal(size=(3, k))), mat, g, epsilon)
-    got = chunk_records(stack, times, stack[:, 2].min(axis=1).tolist(), mat, g, epsilon, prev)
+    out = np.empty((c + chained, len(RECORD_FIELDS)))
+    if chained:
+        out[0] = prev.row
+    written = chunk_records(stack, times, stack[:, 2].min(axis=1).tolist(), mat, g, epsilon, out)
+    assert written.base is out and written.shape == (c, len(RECORD_FIELDS))
+    assert not chained or out[0].tobytes() == prev.row.tobytes()
+    got = [record_on(row) for row in written]
     ref = []
     for t, block in zip(times, stack):
         prev = compute_record(make_state(t, *block), mat, g, epsilon, prev)
@@ -491,15 +499,15 @@ def test_per_step_fields_and_weights_are_fixed(monkeypatch, epsilon):
 
 
 def _random_trajectory(g, times, rng, undershoot):
-    traj = Trajectory(g, 0.0, "limit")
     k = g.n_nodes
+    states = []
     for t in times:
         theta = 0.5 + np.abs(rng.normal(scale=0.4, size=k))
         if undershoot:
             # undershoot nodes take the np.maximum(Theta, 0) path
             theta[rng.integers(k, size=2)] = -1e-3
-        traj.states.append(make_state(t, rng.normal(size=k), rng.normal(size=k), theta))
-    return traj
+        states.append(make_state(t, rng.normal(size=k), rng.normal(size=k), theta))
+    return Trajectory(g, 0.0, "limit", states=states)
 
 
 def _scalar_time_factor_bank(g, t_end):

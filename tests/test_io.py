@@ -212,21 +212,18 @@ def test_roundtrip_randomized(a, width, n_cells, eps, t_end, scheme, rec, seed):
 
 def _tiny_traj(n_records=3):
     g = Grid(0.0, 1.0, 8)
-    traj = Trajectory(g, 0.0, "limit")
     rng = np.random.default_rng(5)
     from thermoelast1d.diagnostics import compute_record
 
     m = identity_material()
-    prev = None
+    states, records = [], []
     for k in range(n_records):
         vals = rng.normal(size=g.n_nodes)
         s = make_state(k * 0.1, vals, rng.normal(size=g.n_nodes),
                        np.abs(rng.normal(size=g.n_nodes)) + 0.5)
-        rec = compute_record(s, m, g, 0.0, prev)
-        prev = rec
-        traj.states.append(s)
-        traj.records.append(rec)
-    return g, traj
+        records.append(compute_record(s, m, g, 0.0, records[-1] if records else None))
+        states.append(s)
+    return g, Trajectory(g, 0.0, "limit", states, records)
 
 
 def test_export_empty_trajectory_header_only(tmp_path):
@@ -275,11 +272,9 @@ def test_export_flags_invalid_hfunc(tmp_path):
 
     g = Grid(0.0, 1.0, 8)
     m = identity_material()
-    traj = Trajectory(g, 0.0, "limit")
     zero = make_state(0.0, np.zeros(g.n_nodes), np.zeros(g.n_nodes),
                       np.zeros(g.n_nodes))  # theta below the rho floor
-    traj.states.append(zero)
-    traj.records.append(compute_record(zero, m, g, 0.0, None))
+    traj = Trajectory(g, 0.0, "limit", [zero], [compute_record(zero, m, g, 0.0, None)])
     export_trajectory(traj, tmp_path)
     diag = read_diagnostics_csv(tmp_path / "diagnostics.csv")
     assert np.isnan(diag["y"][0])
@@ -403,11 +398,10 @@ def _report(series):
 def test_block_writers_equal_per_value_references(n_nodes, n_states, n_records, a, seed):
     rng = np.random.default_rng(seed)
     g = Grid(a, a + 1.7, n_nodes - 1)
-    traj = Trajectory(g, 0.0, "limit")
-    for k in range(n_states):
-        traj.states.append(make_state(float(_values(rng, 1)[0]), *_values(rng, (3, n_nodes))))
+    states = [make_state(float(_values(rng, 1)[0]), *_values(rng, (3, n_nodes)))
+              for _ in range(n_states)]
     times = np.sort(_values(rng, n_records))
-    traj.records.extend(_record(rng, float(t)) for t in times)
+    traj = Trajectory(g, 0.0, "limit", states, [_record(rng, float(t)) for t in times])
     table = {"t": times, "int": rng.integers(-5, 5, size=n_records // 2),
              "flag": list(rng.random(n_records % 7) < 0.5), "empty": np.array([]),
              "scalar": 2.5, "vals": _values(rng, n_records)}

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import record_bits
+from helpers import float_bits, record_bits
 from thermoelast1d import state, stepping
 from thermoelast1d.diagnostics import compute_record, energy_identity_residual
 from thermoelast1d.errors import ConfigError, ContractError, PositivityError, SchemeError
@@ -341,7 +341,9 @@ def test_recorder_keeps_states_of_one_read_only_store(n_cells, n_steps, record_e
                                                       scheme, material):
     """Every (state, record) a recorder keeps still equals the chain of fresh
     single steps after the run.  The stored states are read-only views of
-    one store; the states not stored share no memory with it."""
+    one ``(n_kept, 3, N)`` store, t = 0 in slot 0, and the records of one
+    ``(n_steps + 1, 14)`` block of rows; of the states the recorder was
+    given, those not stored share no memory with the store."""
     g = Grid(0.0, 1.0, n_cells)
     init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
     kept = []
@@ -360,17 +362,21 @@ def test_recorder_keeps_states_of_one_read_only_store(n_cells, n_steps, record_e
     assert [record_bits(r) for _, r in kept] == [record_bits(r) for r in records]
     _assert_run_equals_chain(traj, (states, records), record_every)
 
-    assert traj.states[0] is init and kept[0][0] is init
-    stored = traj.states[1:]
-    assert len(stored) == -(-n_steps // record_every)
-    store = stored[0].block.base
-    assert store.shape == (len(stored), 3, g.n_nodes)
-    assert all(s.block.base is store and np.shares_memory(s.block, store) for s in stored)
-    stored_ids = {id(s) for s in stored}
-    for s, _ in kept[1:]:
-        assert (id(s) in stored_ids) == np.shares_memory(s.block, store)
-        with pytest.raises(ValueError, match="read-only"):
-            s.block[2, 0] = 1.0
+    assert kept[0][0] is init and _state_bits(traj.states[0]) == _state_bits(init)
+    stored = traj.states
+    assert len(stored) == 1 - (-n_steps // record_every)
+    store = traj.store
+    assert store.shape == (len(stored), 3, g.n_nodes) and store.flags.c_contiguous
+    assert all(s.block.base is store and not s.block.flags.writeable for s in stored)
+    assert traj.rows.shape == (n_steps + 1, len(state.RECORD_FIELDS))
+    assert all(r.row.base is traj.rows and not r.row.flags.writeable for r in traj.records)
+    stored_steps = {k for k in range(n_steps + 1) if k % record_every == 0 or k == n_steps}
+    for k, (s, r) in enumerate(kept[1:], start=1):
+        assert (k in stored_steps) == np.shares_memory(s.block, store)
+        assert np.shares_memory(r.row, traj.rows)
+        for array in (s.block, r.row):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 class _FailAt:
@@ -485,7 +491,7 @@ def test_chunked_run_equals_chain_of_single_steps(n_cells, chunk, n_steps, recor
         if fail is None or fail[0] > n_steps or error is None:
             traj = run_simulation(stepper, init, material, cfg, g, record_every, recorder)
             _assert_run_equals_chain(traj, (states, records), record_every)
-            ends = [s.block[:2, [0, -1]] for s in traj.states + [s for s, _, _ in seen]]
+            ends = [s.block[:2, [0, -1]] for s in [*traj.states, *(s for s, _, _ in seen)]]
             assert not np.any(ends)
             n_seen = n_steps + 1
         else:
@@ -499,10 +505,15 @@ def test_chunked_run_equals_chain_of_single_steps(n_cells, chunk, n_steps, recor
 
 
 class _Counted:
-    """``stepper`` with a count of its ``advance`` calls."""
+    """``stepper`` with a count of its ``advance`` calls and a list of the
+    opening times each chunk hands over."""
 
     def __init__(self, stepper):
-        self.stepper, self.label, self.calls = stepper, stepper.label, 0
+        self.stepper, self.label, self.calls, self.opened = stepper, stepper.label, 0, []
+
+    def open_chunk(self, t_open):
+        self.opened.append(list(t_open))
+        self.stepper.open_chunk(t_open)
 
     def advance(self, v, u, th, t):
         self.calls += 1
@@ -516,8 +527,10 @@ def test_chunks_and_forcing_tables_are_the_blocks_of_the_trajectory(n_cells, row
                                                                     forced):
     """With BLOCK_VALUES = rows * N, the run loop's chunks are the blocks
     ``traj.blocks(1, n_steps + 1)``: the recorder sees the steps of a block
-    only after the advance of its last step.  The forced limit stepper
-    evaluates S_theta once per block, at that block's closing times."""
+    only after the advance of its last step.  The run loop hands the
+    stepper each block's opening times (k - 1) dt before its first advance,
+    and the forced limit stepper evaluates S_theta once per block, at that
+    block's closing times."""
     g = Grid(0.0, 1.0, n_cells)
     init = standing_wave(g, amplitude=0.3, theta_amplitude=0.2)
     dt = 0.37 * g.h
@@ -539,6 +552,8 @@ def test_chunks_and_forcing_tables_are_the_blocks_of_the_trajectory(n_cells, row
         blocks = list(traj.blocks(1, n_steps + 1))
     assert all(hi - lo <= rows for lo, hi in blocks)
     assert seen == [0] + [hi - 1 for lo, hi in blocks for _ in range(lo, hi)]
+    opening = [[(k - 1) * dt for k in range(lo, hi)] for lo, hi in blocks]
+    assert [float_bits(t) for t in stepper.opened] == [float_bits(t) for t in opening]
     closing = [[(k - 1) * dt + dt for k in range(lo, hi)] for lo, hi in blocks]
     assert s_th_times == (closing if forced else [])
 
