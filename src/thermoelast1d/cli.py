@@ -23,7 +23,7 @@ from .errors import ConfigError, ContractError, Thermoelast1dError
 from .grid import Grid, gn_constants
 from .initial_data import ROUGH_KINDS
 from .materials import KIND_TABULATED, KINDS, make_material
-from .output import (export_trajectory, make_output_dir, snapshot_writer, write_gnuplot,
+from .output import (SnapshotWriter, export_trajectory, make_output_dir, write_gnuplot,
                      write_report, write_svg_series)
 from .state import SolverConfig, eps_grid_problem, whole_steps
 from .stepping import run_eps, run_limit
@@ -157,19 +157,16 @@ def _cmd_run(args) -> int:
     outdir = args.output_dir or os.path.join(_output_root(), cfg.output.directory)
     make_output_dir(outdir)  # an unusable path fails before any step is taken
 
-    # the kept states go to a writer process as the run makes them, so the
-    # trajectory keeps only its end states; with no writer they are kept and
-    # formatted after the run
-    n_steps, record_every = solver_cfg.n_steps(), cfg.output.record_every
-    writer = snapshot_writer(outdir, cfg.output.formats, grid, n_steps, record_every)
+    # the writer formats the kept states as the run makes them, so the
+    # trajectory keeps only its end states
+    n_steps = solver_cfg.n_steps()
+    writer = SnapshotWriter(outdir, cfg.output.formats, grid, n_steps, cfg.output.record_every)
     try:
         run = run_eps if solver_cfg.epsilon > 0.0 else run_limit
-        traj = run(init, material, solver_cfg, grid, recorder=writer,
-                   record_every=record_every if writer is None else n_steps)
+        traj = run(init, material, solver_cfg, grid, recorder=writer, record_every=n_steps)
         written = export_trajectory(traj, outdir, cfg.output.formats, snapshots=writer)
     finally:
-        if writer is not None:
-            writer.close()
+        writer.close()
     written += _maybe_plot(args, traj, outdir)
     last = traj.records[-1]
     first = traj.records[0]

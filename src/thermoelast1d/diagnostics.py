@@ -8,7 +8,7 @@ Conventions
   recorded time grid.
 * Trajectory diagnostics read each block of stored states as a
   C-contiguous ``(block, 3, N)`` slice of the store
-  (:meth:`~.state.Trajectory.gather`), v, u and Theta as its rows;
+  (:attr:`~.state.Trajectory.store`), v, u and Theta as its rows;
   ``np.vecdot(rows, w)`` equals ``w @ row`` per row bit for bit there
   (numpy 2.4/OpenBLAS; a dgemv ``rows @ w`` is not), and time sums stay
   sequential: every value equals the one-state loop's.
@@ -172,7 +172,7 @@ def mass_identity_residual(traj: Trajectory, material: Material) -> np.ndarray:
     mass = np.empty(times.shape)
     source = np.empty(times.shape)
     for lo, hi in traj.blocks(0, len(times)):
-        v, _, th = traj.gather(lo, hi).transpose(1, 0, 2)
+        v, _, th = traj.store[lo:hi].transpose(1, 0, 2)
         mass[lo:hi] = np.vecdot(th, w)
         integrand = (
             fp_kernel(material, np.maximum(th, 0.0))
@@ -388,7 +388,7 @@ def weak_form_residual(
     # for all members of a target by one broadcast product
     proj = np.empty((len(test_bank), 4, len(times)))
     for lo, hi in traj.blocks(0, len(times)):
-        v, u, th = traj.gather(lo, hi).transpose(1, 0, 2)
+        v, u, th = traj.store[lo:hi].transpose(1, 0, 2)
         thx = dx_rows(th, grid.h, BC_NEUMANN)
         ux = dx_rows(u, grid.h, BC_DIRICHLET)
         th_pos = np.maximum(th, 0.0)
@@ -453,8 +453,8 @@ def squared_differences(traj_a: Trajectory, traj_b: Trajectory, lo: int, hi: int
     the difference."""
     w = trapezoid_weights(traj_a.grid)
     h = traj_a.grid.h
-    va, ua, tha = traj_a.gather(lo + shift, hi + shift).transpose(1, 0, 2)
-    vb, ub, thb = traj_b.gather(lo, hi).transpose(1, 0, 2)
+    va, ua, tha = traj_a.store[lo + shift:hi + shift].transpose(1, 0, 2)
+    vb, ub, thb = traj_b.store[lo:hi].transpose(1, 0, 2)
     dux = dx_rows(ua, h, BC_DIRICHLET) - dx_rows(ub, h, BC_DIRICHLET)
     dthx = dx_rows(tha, h, BC_NEUMANN) - dx_rows(thb, h, BC_NEUMANN)
     return (np.vecdot((va - vb) ** 2, w), np.vecdot(dux ** 2, w),

@@ -223,7 +223,7 @@ def _run_bound_quantities(traj: Trajectory, grid: Grid) -> Tuple[float, float, f
     Kept as separate sups so the caller can bound mixed-time pairings
     (velocity at one time against temperature at another)."""
     w = trapezoid_weights(grid)  # sqrt is monotone: sqrt of the sup of the squares
-    sup_v = math.sqrt(max(float(np.vecdot(traj.gather(lo, hi)[:, 0] ** 2, w).max())
+    sup_v = math.sqrt(max(float(np.vecdot(traj.store[lo:hi, 0] ** 2, w).max())
                           for lo, hi in traj.blocks(0, len(traj))))
     sup_th1 = float(np.max(np.abs(traj.record_series("theta_mass"))))
     diss = traj.records[-1].dissipation_accum

@@ -11,12 +11,13 @@ its t (formatted once per file) and x (once per grid) as literal text, safe
 as a ``%.17g`` string never contains ``%``.  Write failures name the path.
 
 The snapshot files of ``thermoelast1d run`` are formatted while the run
-steps, by a :class:`SnapshotWriter` in a forked process, through the same
-routine as the export after a run (:func:`_write_snapshots`).  The writer
-picks the states of its own ``record_every`` from every step it is handed,
-so such a run keeps only its t = 0 and final states, and its memory does
-not grow with the states it writes.  diagnostics.csv is written after the
-run, in the run's process, by :func:`export_trajectory`.
+steps by a :class:`SnapshotWriter`, in a forked process or in the run's,
+through the per-state routine of the export after a run
+(:func:`_snapshot_files`).  The writer picks the states of its own
+``record_every`` from every step it is handed, so a run keeps only its
+t = 0 and final states, and its memory does not grow with the states it
+writes.  diagnostics.csv is written after the run by
+:func:`export_trajectory`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import os
 import shutil
 import signal
 import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
+from itertools import count
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -43,8 +45,6 @@ DIAG_COLUMNS = tuple(
 _G = "%.17g"
 #: most rows formatted by one ``%`` (one write): 16 or 32 rows format as fast
 #: as larger blocks and keep each block's template and value tuple small.
-#: (Larger blocks once stranded a finished run's freed state store, 13 MiB on
-#: run-large, in the C heap; only a run without a writer process keeps one.)
 ROW_BLOCK = 32
 #: the formats of :func:`export_trajectory`
 FORMATS = ("csv", "json_lines")
@@ -158,7 +158,7 @@ def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("cs
 
 
 # ---------------------------------------------------------------------------
-# snapshot files formatted in a writer process during a run
+# snapshot files formatted during a run
 # ---------------------------------------------------------------------------
 
 #: bytes asked of the writer's pipe (Linux ``F_SETPIPE_SZ``; 1 MiB is the
@@ -167,20 +167,32 @@ def export_trajectory(traj: Trajectory, directory, formats: Sequence[str] = ("cs
 PIPE_BYTES = 1 << 20
 
 
-def _write_snapshots(directory, formats: Sequence[str], x, states) -> None:
-    """The snapshot files of the ``(t, block)`` items of ``states``, each
-    written as it comes: the writer process and :func:`export_trajectory`
-    run this."""
+def _snapshot_files(directory, formats: Sequence[str], x):
+    """A generator that writes the snapshot files of each ``(t, block)``
+    sent to it as it comes, started by ``next``; ``close()`` closes
+    snapshots.jsonl.  Both transports of :class:`SnapshotWriter` and
+    :func:`export_trajectory` run it."""
     x_rows = _csv_x_rows(x)
     jsonl = (_writing(os.path.join(directory, "snapshots.jsonl")) if "json_lines" in formats
              else nullcontext())
     with jsonl as fh:
-        for idx, (t, block) in enumerate(states):
+        for idx in count():
+            t, block = yield
             if "csv" in formats:
                 _write_snapshot_csv(os.path.join(directory, f"snapshot_{idx:06d}.csv"),
                                     t, block, x_rows)
             if fh is not None:
                 fh.write(_snapshot_line(t, block))
+
+
+def _write_snapshots(directory, formats: Sequence[str], x, states) -> None:
+    """The snapshot files of the ``(t, block)`` items of ``states``, each
+    written as it comes."""
+    files = _snapshot_files(directory, formats, x)
+    next(files)
+    for state in states:
+        files.send(state)
+    files.close()
 
 
 def _received(feed, n_nodes: int):
@@ -211,19 +223,19 @@ def _serve(feed, reply, directory, formats, x, parent_ends) -> None:
 
 
 class SnapshotWriter:
-    """The snapshot files of a run, formatted in a forked process while the
-    run steps.
+    """The snapshot files of a run, formatted while the run steps.
 
     Passed to ``run_eps``/``run_limit`` as ``recorder``: of the states it is
-    given it forwards those a trajectory of its ``record_every`` keeps
-    (:func:`~.state.kept_steps`), whatever the run keeps, over a one-way
-    pipe, each as one message of raw float64 bytes: t, then the ``(3, N)``
-    block; an empty message ends the feed.  The process
-    starts with the first state (t = 0), so the fork and the import of
-    :mod:`multiprocessing` fall in the run's first step; it writes into a
-    hidden staging directory under ``directory``.  :func:`export_trajectory`
-    with ``snapshots=`` calls :meth:`publish`; :meth:`close` stops the
-    writer and removes what it staged, and leaves the files published."""
+    given it writes those a trajectory of its ``record_every`` keeps
+    (:func:`~.state.kept_steps`), whatever the run keeps, into a hidden
+    staging directory under ``directory``.  At the first state (t = 0) it
+    picks its transport: with ``fork`` and 2 CPUs or more in the affinity
+    set, a forked process (importing :mod:`multiprocessing`) formats them
+    while the run steps, each sent over a one-way pipe as raw float64
+    bytes, t then the ``(3, N)`` block, up to an empty message; else this
+    process formats each as it comes.  :func:`export_trajectory` with
+    ``snapshots=`` calls :meth:`publish`; :meth:`close` stops the writer
+    and removes what it staged, and leaves the files published."""
 
     def __init__(self, directory, formats: Sequence[str], grid, n_steps: int,
                  record_every: int):
@@ -234,30 +246,33 @@ class SnapshotWriter:
         self._steps = n_steps, record_every
         self.n_kept = kept_count(n_steps, record_every)  # states a full run forwards
         self._x = grid.nodes
-        # the message of a state: t, then its block's values
-        self._message = np.empty(1 + 3 * grid.n_nodes)
-        self._proc = self._staging = None
+        self._proc = self._files = self._staging = None
 
     def __call__(self, state, record) -> None:
         if kept_steps(self.handed, 1, *self._steps):
-            if self._proc is None:
+            if self._staging is None:
                 self._start()
-            message = self._message
-            message[0] = state.t
-            message[1:].reshape(state.block.shape)[...] = state.block
-            self._send(message)
+            if self._files is not None:
+                self._files.send((state.t, state.block))
+            else:  # the message of a state: t, then its block's values
+                self._send(np.append(state.t, state.block))
             self.count += 1
         self.handed += 1
 
     def _start(self) -> None:
-        import fcntl
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
         try:
             self._staging = tempfile.mkdtemp(prefix=".snapshots-", dir=self.directory)
         except OSError as exc:
             raise Thermoelast1dError(f"failed writing {self.directory}: {exc}") from exc
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if not hasattr(os, "fork") or (cpus or 1) < 2:
+            self._files = _snapshot_files(self._staging, self.formats, self._x)
+            next(self._files)
+            return
+        import fcntl
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
         feed_out, self._feed = ctx.Pipe(duplex=False)
         self._reply, reply_in = ctx.Pipe(duplex=False)
         try:
@@ -279,7 +294,7 @@ class SnapshotWriter:
             raise
 
     def _outcome(self) -> None:
-        """Wait for the writer to end; raise the error that stopped it."""
+        """Wait for the writer process to end; raise the error that stopped it."""
         try:
             error = self._reply.recv()
         except EOFError:  # it ended without a word
@@ -290,14 +305,17 @@ class SnapshotWriter:
                                      f"{self._proc.exitcode}")
 
     def publish(self) -> list:
-        """Wait for the writer, then move its files into ``directory`` in
-        export order; their paths.  An error names the file."""
+        """Finish the files, then move them into ``directory`` in export
+        order; their paths.  An error names the file."""
         written = []
-        if self._proc is None:
+        if self._staging is None:
             return written
-        self._send(b"")
-        self._feed.close()
-        self._outcome()
+        if self._files is not None:
+            self._files.close()
+        else:
+            self._send(b"")
+            self._feed.close()
+            self._outcome()
         for name in _snapshot_names(self.formats, self.count):
             path = os.path.join(self.directory, name)
             try:
@@ -309,27 +327,19 @@ class SnapshotWriter:
         return written
 
     def close(self) -> None:
-        """Stop the writer if it runs, wait for it and remove its staging
-        directory; safe to call more than once."""
+        """Stop the writer, wait for it and remove its staging directory;
+        safe to call more than once."""
         if self._proc is not None:
             self._feed.close()
             if self._proc.is_alive():
                 self._proc.terminate()
             self._proc.join()
             self._reply.close()
+        if self._files is not None:
+            with suppress(Thermoelast1dError):  # what it staged goes anyway
+                self._files.close()
         if self._staging is not None:
             shutil.rmtree(self._staging, ignore_errors=True)
-
-
-def snapshot_writer(directory, formats: Sequence[str], grid, n_steps: int,
-                    record_every: int) -> Optional[SnapshotWriter]:
-    """A :class:`SnapshotWriter` for a run, or None where the snapshots are
-    formatted after the run in this process: where there is no ``fork`` or
-    fewer than 2 CPUs are available to this process."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if not hasattr(os, "fork") or (cpus or 1) < 2:
-        return None
-    return SnapshotWriter(directory, formats, grid, n_steps, record_every)
 
 
 def read_snapshot_csv(path) -> Dict[str, np.ndarray]:

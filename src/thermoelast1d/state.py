@@ -387,16 +387,9 @@ class Trajectory:
 
     def blocks(self, start: int, stop: int) -> Iterator[Tuple[int, int]]:
         """``(lo, hi)`` bounds splitting ``range(start, stop)`` of the stored
-        states into blocks of at most :attr:`block_size`; :meth:`gather`
-        reads such a block with all three fields."""
+        states into blocks of at most :attr:`block_size`."""
         for lo in range(start, stop, self.block_size):
             yield lo, min(lo + self.block_size, stop)
-
-    def gather(self, start: int, stop: int) -> np.ndarray:
-        """``states[start:stop]`` as one C-contiguous ``(stop - start, 3, N)``
-        view of the store: its ``[:, 0]``, ``[:, 1]`` and ``[:, 2]`` are the
-        v, u and Theta rows."""
-        return self.store[start:stop]
 
     def record_series(self, name: str) -> np.ndarray:
         """A copy of the column ``name`` of the rows (``hfunc`` nan where

@@ -1,5 +1,6 @@
-"""`thermoelast1d run` formats its snapshot files in a writer process while
-the run steps: the same bytes, paths and failures as an export after the run."""
+"""`thermoelast1d run` formats its snapshot files while the run steps, in a
+writer process or in its own: the same bytes, paths and failures as an
+export after the run."""
 
 import multiprocessing
 import os
@@ -17,7 +18,7 @@ from thermoelast1d.cli import main
 from thermoelast1d.config import parse_config
 from thermoelast1d.errors import ContractError, Thermoelast1dError
 from thermoelast1d.grid import Grid
-from thermoelast1d.output import SnapshotWriter, export_trajectory, snapshot_writer
+from thermoelast1d.output import SnapshotWriter, export_trajectory
 from thermoelast1d.state import make_state
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -60,14 +61,18 @@ def _trajectory(text, **kwargs):
     return cfg, traj
 
 
-@pytest.fixture
-def streamed(monkeypatch):
-    """Every run streams its snapshots, whatever the CPU count."""
-    monkeypatch.setattr(cli, "snapshot_writer", SnapshotWriter)
+#: the affinity sets that pick each transport of the writer; the fork's id is
+#: hidden, so the fork variants carry the plain test names
+TRANSPORTS = [pytest.param({0, 1}, id=pytest.HIDDEN_PARAM),
+              pytest.param({0}, id="in_process")]
 
 
-def _after_the_run(*args):
-    return None
+@pytest.fixture(params=TRANSPORTS)
+def streamed(request, monkeypatch):
+    """The affinity set this process reports, so that every writer formats
+    its snapshots in a forked process (2 CPUs) or in this one (1 CPU)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: request.param, raising=False)
+    return request.param
 
 
 def _fail_at(monkeypatch, stepper, step, theta=None, exc=None):
@@ -143,7 +148,8 @@ def test_a_streamed_run_exports_only_its_end_states(tmp_path, streamed, monkeypa
     (30, 25, ("csv", "json_lines")),  # a writer of a longer run
     (24, 25, ("csv",)),               # another format set
 ])
-def test_a_writer_short_of_its_states_refuses_to_publish(tmp_path, writer_steps, fed, formats):
+def test_a_writer_short_of_its_states_refuses_to_publish(tmp_path, streamed, writer_steps, fed,
+                                                          formats):
     text = _config_text(0.0, ("csv", "json_lines"), 5)
     outdir = tmp_path / "out"
     outdir.mkdir()
@@ -167,20 +173,15 @@ def test_a_writer_short_of_its_states_refuses_to_publish(tmp_path, writer_steps,
     assert _files(outdir) == OLD_FILES
 
 
-#: a child process: a streamed ``run`` of t_end / dt steps at N = 2049 that
-#: writes every state, with the snapshot files stubbed out (the writer drains
-#: its feed and publishes an empty snapshots.jsonl), so that only the memory
-#: counts
+#: a child process: a ``run`` of t_end / dt steps at N = 2049 that writes
+#: every state, with this process's affinity set reported as ``cpus`` and
+#: the snapshot lines stubbed out (snapshots.jsonl is published empty), so
+#: that only the memory counts
 _STREAMED_RUN = """
-import contextlib, io
+import contextlib, io, os
 from thermoelast1d import cli, output
-write = output._write_snapshots
-def drain(directory, formats, x, states):
-    for _ in states:
-        pass
-    write(directory, formats, x, ())
-output._write_snapshots = drain
-cli.snapshot_writer = output.SnapshotWriter
+os.sched_getaffinity = lambda pid: {cpus!r}
+output._snapshot_line = lambda t, block: ""
 with open({config!r}, "w") as fh:
     fh.write("[grid]\\nn_cells = 2048\\n[material]\\nkind = identity\\n"
              "[solver]\\nepsilon = 0.0\\ndt = {dt!r}\\nt_end = {t_end!r}\\n"
@@ -191,20 +192,23 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
-def test_a_streamed_runs_peak_rss_does_not_grow_with_its_steps(tmp_path):
+def test_a_streamed_runs_peak_rss_does_not_grow_with_its_steps(tmp_path, streamed):
+    """On either transport, the run keeps only its end states: a store of
+    every state would add 36.5 MiB from 256 to 1,024 steps."""
     dt = 2.0 ** -13  # h / 4 at N = 2049
     peak = {}
     for n_steps in (256, 1024):
         peak[n_steps] = 1024 * child_maxrss_kib(_STREAMED_RUN.format(
-            config=str(tmp_path / f"run{n_steps}.cfg"), outdir=str(tmp_path / f"out{n_steps}"),
-            dt=dt, t_end=n_steps * dt))
+            cpus=streamed, config=str(tmp_path / f"run{n_steps}.cfg"),
+            outdir=str(tmp_path / f"out{n_steps}"), dt=dt, t_end=n_steps * dt))
     # a store of every kept state grows by one (3, N) block per step
     store_growth = (1024 - 256) * 3 * 2049 * 8
     assert peak[1024] - peak[256] < store_growth / 4, (peak, store_growth)
 
 
 @pytest.mark.parametrize("formats", FORMATS)
-def test_streamed_export_returns_the_paths_of_an_export_after_the_run(tmp_path, formats):
+def test_streamed_export_returns_the_paths_of_an_export_after_the_run(tmp_path, streamed,
+                                                                      formats):
     text = _config_text(0.0, formats, 5)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     os.mkdir(a)
@@ -225,36 +229,41 @@ def test_streamed_export_returns_the_paths_of_an_export_after_the_run(tmp_path, 
 @pytest.mark.parametrize("theta, message", [(np.nan, "error: non-finite theta at step 13, "),
                                             (-1.0, "error: theta reached -1.000e+00 ")])
 def test_a_run_failing_mid_run_leaves_the_output_dir_as_it_was(tmp_path, capsys, monkeypatch,
-                                                               epsilon, theta, message):
+                                                               streamed, epsilon, theta,
+                                                               message):
+    """It fails with the error of a run that keeps every state."""
     _fail_at(monkeypatch, STEPPERS[epsilon], 13, theta=theta)
-    seen = []
-    for mode, factory in (("streamed", SnapshotWriter), ("after", _after_the_run)):
-        monkeypatch.setattr(cli, "snapshot_writer", factory)
-        outdir = tmp_path / mode
-        outdir.mkdir()
-        for name, data in OLD_FILES.items():
-            (outdir / name).write_bytes(data)
-        rc = main(_run_argv(tmp_path, outdir, epsilon))
-        err = capsys.readouterr().err
-        assert rc == 1 and err.startswith(message), err
-        assert _files(outdir) == OLD_FILES
-        seen.append(err.replace(str(outdir), "<out>"))
-    assert seen[0] == seen[1]
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    for name, data in OLD_FILES.items():
+        (outdir / name).write_bytes(data)
+    rc = main(_run_argv(tmp_path, outdir, epsilon))
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith(message), err
+    assert _files(outdir) == OLD_FILES
+    with pytest.raises(Thermoelast1dError) as kept_every_state:
+        _trajectory(_config_text(epsilon, ("csv", "json_lines"), 1))
+    assert err == f"error: {kept_every_state.value}\n"
 
 
-def test_a_snapshot_path_that_is_a_directory_fails_as_after_the_run(tmp_path, capsys,
-                                                                    monkeypatch):
+def test_a_snapshot_path_that_is_a_directory_fails_as_after_the_run(tmp_path, capsys, streamed):
+    """It fails as the export of a run that keeps every state does, and
+    leaves the same files."""
     left = {}
-    for mode, factory in (("streamed", SnapshotWriter), ("after", _after_the_run)):
-        monkeypatch.setattr(cli, "snapshot_writer", factory)
+    for mode in ("streamed", "after"):
         outdir = tmp_path / mode
         (outdir / "snapshot_000003.csv").mkdir(parents=True)
-        rc = main(_run_argv(tmp_path, outdir))
-        err = capsys.readouterr().err
-        path = os.path.join(str(outdir), "snapshot_000003.csv")
-        assert rc == 1 and err.startswith(f"error: failed writing {path}: "), err
+    assert main(_run_argv(tmp_path, tmp_path / "streamed")) == 1
+    errors = {"streamed": capsys.readouterr().err}
+    _, traj = _trajectory(_config_text(0.0, ("csv", "json_lines"), 2))
+    with pytest.raises(Thermoelast1dError) as after:
+        export_trajectory(traj, str(tmp_path / "after"), ("csv", "json_lines"))
+    errors["after"] = f"error: {after.value}\n"
+    for mode, err in errors.items():
+        path = os.path.join(str(tmp_path / mode), "snapshot_000003.csv")
+        assert err.startswith(f"error: failed writing {path}: "), err
         assert "Traceback" not in err
-        left[mode] = _files(outdir)
+        left[mode] = _files(tmp_path / mode)
     assert sorted(left["streamed"]) == ["diagnostics.csv", "snapshot_000000.csv",
                                         "snapshot_000001.csv", "snapshot_000002.csv",
                                         "snapshot_000003.csv"]
@@ -279,7 +288,7 @@ def test_an_error_in_the_writer_process_is_the_error_of_the_run(tmp_path, capsys
     assert not [name for name in os.listdir(outdir) if name.startswith(".")]
 
 
-def test_a_send_to_a_stopped_writer_raises_its_error(tmp_path, monkeypatch):
+def test_a_send_to_a_stopped_writer_raises_its_error(tmp_path, streamed, monkeypatch):
     def failing(path, *args):
         raise Thermoelast1dError(f"failed writing {path}: disk full")
 
@@ -320,18 +329,54 @@ def test_an_interrupted_run_stops_its_writer(tmp_path, streamed, monkeypatch):
     assert _files(outdir) == OLD_FILES
 
 
-def test_snapshots_are_formatted_after_the_run_without_fork_or_a_second_cpu(tmp_path,
-                                                                            monkeypatch):
-    args = (str(tmp_path), ("csv",), Grid(0.0, 1.0, 8), 10, 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert snapshot_writer(*args) is None
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert isinstance(snapshot_writer(*args), SnapshotWriter)
-    monkeypatch.delattr(os, "fork")
-    assert snapshot_writer(*args) is None
+def test_the_writer_forks_only_with_fork_and_a_second_cpu(tmp_path, monkeypatch):
+    """Its transport follows ``os.fork`` and the affinity set; both write
+    the same files."""
+    grid = Grid(0.0, 1.0, 8)
+    state = make_state(0.0, np.zeros(9), np.zeros(9), np.ones(9))
+    published = {}
+    for name, cpus, fork in (("two", {0, 1}, True), ("one", {0}, True),
+                             ("no_fork", {0, 1}, False)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        outdir = tmp_path / name
+        outdir.mkdir()
+        writer = SnapshotWriter(str(outdir), ("csv", "json_lines"), grid, 1, 1)
+        try:
+            writer(state, None)
+            forked = [p.name for p in multiprocessing.active_children()]
+            writer(state, None)
+            published[name] = [os.path.basename(p) for p in writer.publish()]
+        finally:
+            writer.close()
+        assert forked == (["snapshot-writer"] if name == "two" else []), name
+    assert published["two"] == published["one"] == published["no_fork"] == [
+        "snapshot_000000.csv", "snapshot_000001.csv", "snapshots.jsonl"]
 
 
-def test_importing_the_cli_leaves_multiprocessing_unimported():
+#: a child process: a one-step ``run`` with this process's affinity set
+#: reported as ``cpus``; it prints whether multiprocessing was imported
+_IMPORTS_RUN = """
+import contextlib, io, os, sys
+import thermoelast1d.cli
+os.sched_getaffinity = lambda pid: {cpus!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert thermoelast1d.cli.main(["run", "--config", {config!r}, "--output-dir", {outdir!r}]) == 0
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported(tmp_path):
+    """As does a run on one CPU; the writer process imports it."""
     code = "import sys, thermoelast1d.cli; assert 'multiprocessing' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": SRC})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text(0.0, ("csv", "json_lines"), 1))
+    for cpus, imported in (({0}, "False"), ({0, 1}, "True")):
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORTS_RUN.format(
+                cpus=cpus, config=str(cfg), outdir=str(tmp_path / f"out{len(cpus)}"))],
+            check=True, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert done.stdout.split() == [imported], (cpus, done.stdout)

@@ -233,6 +233,6 @@ def test_a_hand_built_trajectory_copies_its_states_onto_its_grid():
     assert traj.times.tolist() == [s.t for s in states] and len(traj.records) == 0
     for got, s in zip(traj.states, states):
         assert (got.t, got.block.tobytes()) == (s.t, s.block.tobytes())
-    assert np.shares_memory(traj.gather(1, 3), traj.store)
+    assert np.shares_memory(traj.states[1].block, traj.store)
     with pytest.raises(StructuralError, match="grid"):
         Trajectory(Grid(0.0, 1.0, 12), 0.0, "limit", states)
