@@ -445,33 +445,74 @@ class DifferenceNorms:
         return self.sup_v_l2 + self.sup_ux_l2 + self.sup_theta_l2 + self.thetax_l2l2
 
 
-def squared_differences(traj_a: Trajectory, traj_b: Trajectory, lo: int, hi: int,
-                        shift: int = 0) -> Tuple[np.ndarray, ...]:
-    """Squared trapezoid norms of ``traj_a.states[j + shift]`` minus
-    ``traj_b.states[j]`` for ``j`` in ``[lo, hi)``, one row per j:
-    (|dv|^2, |d u_x|^2, |dTheta|^2, |dTheta_x|^2), derivatives taken before
-    the difference."""
-    w = trapezoid_weights(traj_a.grid)
-    h = traj_a.grid.h
-    va, ua, tha = traj_a.store[lo + shift:hi + shift].transpose(1, 0, 2)
-    vb, ub, thb = traj_b.store[lo:hi].transpose(1, 0, 2)
+def squared_differences(grid: Grid, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Squared trapezoid norms of each state of the ``(m, 3, N)`` stack ``a``
+    minus that of ``b``, one row per state: (|dv|^2, |d u_x|^2, |dTheta|^2,
+    |dTheta_x|^2), derivatives taken before the difference."""
+    w = trapezoid_weights(grid)
+    h = grid.h
+    va, ua, tha = a.transpose(1, 0, 2)
+    vb, ub, thb = b.transpose(1, 0, 2)
     dux = dx_rows(ua, h, BC_DIRICHLET) - dx_rows(ub, h, BC_DIRICHLET)
     dthx = dx_rows(tha, h, BC_NEUMANN) - dx_rows(thb, h, BC_NEUMANN)
     return (np.vecdot((va - vb) ** 2, w), np.vecdot(dux ** 2, w),
             np.vecdot((tha - thb) ** 2, w), np.vecdot(dthx ** 2, w))
 
 
-def difference_norms(traj_a: Trajectory, traj_b: Trajectory) -> DifferenceNorms:
-    ga, gb = traj_a.grid, traj_b.grid
-    if (ga.a, ga.b, ga.n_cells) != (gb.a, gb.b, gb.n_cells):
-        raise StructuralError("trajectories live on different grids")
-    ta, tb = traj_a.times, traj_b.times
-    if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=0.0, atol=1e-12):
-        raise StructuralError("trajectories were recorded at different times")
+class DifferenceAccumulator:
+    """The :class:`DifferenceNorms` of the stored trajectory ``ref`` against a
+    run fed from t = 0 on, as its ``recorder`` (which keeps the states and
+    compares them per block of ``ref``) or by :meth:`feed`: its step j * ``every``
+    on every ``stride``-th node against ``ref``'s state j, within 1e-12 in time."""
 
-    sq = np.empty((4, len(ta)))
-    for lo, hi in traj_a.blocks(0, len(ta)):
-        sq[:, lo:hi] = squared_differences(traj_a, traj_b, lo, hi)
-    sup_v, sup_ux, sup_th = (float(x) for x in sq[:3].max(axis=1, initial=0.0))
-    return DifferenceNorms(sup_v_l2=sup_v, sup_ux_l2=sup_ux, sup_theta_l2=sup_th,
-                           thetax_l2l2=float(np.trapezoid(sq[3], ta)))
+    def __init__(self, ref: Trajectory, every: int = 1, stride: int = 1):
+        self.ref, self.every, self.stride, self._block = ref, every, stride, ref.block_size
+        # squared differences, states fed, reference states compared, the recorder's kept states
+        self._sq, self._fed, self._done, self._kept = np.empty((4, len(ref))), 0, 0, []
+
+    def __call__(self, state: State, record: Optional[DiagnosticsRecord] = None) -> None:
+        self._fed += 1
+        if not (self._fed - 1) % self.every:
+            self._kept.append(state)
+            if len(self._kept) >= min(self._block, len(self.ref) - self._done):  # or past its end
+                kept = self._kept
+                blocks = [s.block[:, ::self.stride] for s in kept]  # only the nodes compared
+                self._compare(np.array([s.t for s in kept]), np.array(blocks))
+
+    def feed(self, times: np.ndarray, stack: np.ndarray) -> None:
+        """Feed the run's next states: their times and ``(m, 3, N)`` stack."""
+        sel = slice(-self._fed % self.every, None, self.every)
+        self._fed += len(times)
+        self._compare(times[sel], stack[sel, :, ::self.stride])
+
+    def _compare(self, times: np.ndarray, fed: np.ndarray) -> None:
+        ref, lo, hi = self.ref, self._done, self._done + len(times)
+        if fed.shape[2] != ref.grid.n_nodes:
+            raise StructuralError(f"states have {fed.shape[2]} nodes at stride {self.stride}, "
+                                  f"the reference {ref.grid.n_nodes}")
+        ref_t = np.append(ref.times[lo:hi], [np.inf] * (hi - len(ref)))  # inf past the end
+        close = np.abs(times - ref_t) <= 1e-12
+        if not close.all():
+            j = int(np.argmin(close))
+            raise StructuralError(f"step {(lo + j) * self.every} at t = {times[j].item()!r} is "
+                                  f"off its reference time {ref_t[j].item()!r} by more than 1e-12")
+        self._sq[:, lo:hi] = squared_differences(ref.grid, ref.store[lo:hi], fed)
+        self._done, self._kept = hi, []
+
+    def result(self) -> DifferenceNorms:
+        """Sups by ``max(..., initial=0.0)``, the time integral by ``np.trapezoid``."""
+        if self._done < len(self.ref):
+            raise ContractError(f"the run reached {self._done + len(self._kept)} of the "
+                                f"reference's {len(self.ref)} times")
+        sups = self._sq[:3].max(axis=1, initial=0.0).tolist()
+        return DifferenceNorms(*sups, float(np.trapezoid(self._sq[3], self.ref.times)))
+
+
+def difference_norms(traj_a: Trajectory, traj_b: Trajectory) -> DifferenceNorms:
+    """The :class:`DifferenceAccumulator` of ``traj_a`` fed ``traj_b``'s store."""
+    if traj_a.grid != traj_b.grid:  # the same (a, b, n_cells)
+        raise StructuralError("trajectories live on different grids")
+    acc = DifferenceAccumulator(traj_a)
+    for lo, hi in traj_b.blocks(0, len(traj_b)):
+        acc.feed(traj_b.times[lo:hi], traj_b.store[lo:hi])
+    return acc.result()

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bounds
-from .diagnostics import (difference_norms, energy_identity_residual,
+from .diagnostics import (DifferenceAccumulator, difference_norms, energy_identity_residual,
                           squared_differences)
 from .errors import ContractError
 from .grid import Grid, gn_constants, l2_norm_sq, trapezoid_weights
@@ -249,17 +249,17 @@ def exp_eps_cauchy(
     grid = Grid(*OMEGA, n_cells)
     init = _wave_data(grid)
 
-    trajs = []
+    # each run is compared with the one before while it steps: two stored at most
+    prev, distances = None, []
     for eps in eps_ladder:
         cfg = _half_cfl_config(grid, t_end, epsilon=eps, scheme=EPS_SCHEME)
-        trajs.append(run_eps(init, material, cfg, grid))
+        pair = None if prev is None else DifferenceAccumulator(prev)
+        prev = run_eps(init, material, cfg, grid, recorder=pair)
+        if pair is not None:
+            distances.append(_triple_distance(pair.result()))
     cfg0 = _half_cfl_config(grid, t_end)
-    limit_traj = run_limit(init, material, cfg0, grid)
-
-    distances = [
-        _triple_distance(difference_norms(trajs[i], trajs[i + 1]))
-        for i in range(len(trajs) - 1)
-    ]
+    to_limit = None if prev is None else DifferenceAccumulator(prev)
+    run_limit(init, material, cfg0, grid, recorder=to_limit, record_every=cfg0.n_steps())
     report = ExperimentReport(
         name="eps-cauchy",
         params=dict(eps_ladder=list(eps_ladder), n_cells=n_cells, t_end=t_end,
@@ -281,7 +281,7 @@ def exp_eps_cauchy(
             _check_le("final pair <= 1/4 of first pair", distances[-1],
                       0.25 * distances[0])
         )
-        d_limit = _triple_distance(difference_norms(trajs[-1], limit_traj))
+        d_limit = _triple_distance(to_limit.result())
         report.series["limit"] = {
             "eps": np.array([eps_ladder[-1]]),
             "distance_to_limit": np.array([d_limit]),
@@ -332,7 +332,7 @@ def exp_time_shift(
 
     def triple_sq(lo, hi, k):
         """|(v, u_x, Theta)(t_{j+k}) - (v, u_x, Theta)(t_j)|^2 for j in [lo, hi)."""
-        dv, dux, dth, _ = squared_differences(traj, traj, lo, hi, shift=k)
+        dv, dux, dth, _ = squared_differences(grid, traj.store[lo + k:hi + k], traj.store[lo:hi])
         return dv + dux + dth
 
     report = ExperimentReport(
@@ -368,13 +368,6 @@ def exp_time_shift(
 # ---------------------------------------------------------------------------
 
 
-def _restrict(traj: Trajectory, coarse: Grid, space_stride: int) -> Trajectory:
-    """Sample a fine trajectory onto a coarser grid (node subset): one
-    strided copy of the store, C-contiguous; the rows are shared."""
-    store = np.ascontiguousarray(traj.store[:, :, ::space_stride])
-    return Trajectory.of_arrays(coarse, traj.epsilon, traj.scheme, traj.times, store, traj.rows)
-
-
 def exp_rough_data(
     kind: str = "step_strain",
     n_levels: Sequence[int] = (256, 512, 1024),
@@ -388,17 +381,21 @@ def exp_rough_data(
     material = material or identity_material()
     if any(n2 != 2 * n1 for n1, n2 in zip(n_levels, n_levels[1:])):
         raise ContractError("n_levels must double at each refinement")
-    runs, e_resid, diss, th_min = [], [], [], []
+    prev, dists, e_resid, diss, th_min = None, [], [], [], []
     series: Dict[str, Dict[str, np.ndarray]] = {}
-    # level l takes the coarse dt / 2**l (exact), so its step count doubles
-    # and its record_every = 2**l snapshots fall on the coarse times
+    # level l takes dt / 2**l (exact) and is compared with the stored l - 1 as it steps
     dt = cfl_dt(Grid(*OMEGA, n_levels[0]), t_end)
     for lvl, n in enumerate(n_levels):
         grid = Grid(*OMEGA, n)
         cfg = SolverConfig(dt=dt / 2 ** lvl, t_end=t_end)
         init = prepare_rough_data(kind, grid, **data_params)
-        traj = run_limit(init, material, cfg, grid, record_every=2 ** lvl)
-        runs.append(traj)
+        pair = None if prev is None else DifferenceAccumulator(prev, every=2 ** lvl, stride=2)
+        keep = len(n_levels) >= 3 and lvl < len(n_levels) - 1  # a later pair reads it
+        traj = run_limit(init, material, cfg, grid, recorder=pair,
+                         record_every=2 ** lvl if keep else cfg.n_steps())
+        if pair is not None:
+            dists.append(_triple_distance(pair.result()))
+        prev = traj if keep else None
         r, drift = _energy_drift(traj)
         series[f"N{n}"] = {"t": traj.record_times, "energy_residual": r}
         e_resid.append(drift)
@@ -426,14 +423,6 @@ def exp_rough_data(
         _check_ge("min Theta over all runs", min(th_min), -1e-12)
     )
     if len(n_levels) >= 3:
-        # snapshot times align across levels (record_every doubles with N),
-        # and each coarse node set is a subset of the finer one
-        dists = []
-        for i in range(len(runs) - 1):
-            fine_on_coarse = _restrict(runs[i + 1], runs[i].grid, 2)
-            dists.append(
-                _triple_distance(difference_norms(runs[i], fine_on_coarse))
-            )
         report.series["refinement"] = {
             "pair": np.arange(len(dists), dtype=float),
             "distance": np.array(dists),

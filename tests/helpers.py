@@ -24,11 +24,14 @@ from thermoelast1d.diagnostics import (
     _validate_test_function,
 )
 from thermoelast1d.errors import DomainError, StructuralError
-from thermoelast1d.grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, dx, dx_values, dxx,
+from thermoelast1d.experiments import (OMEGA, ExperimentReport, _check_ge, _check_le,
+                                       _energy_drift, _triple_distance)
+from thermoelast1d.grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx, dx_values, dxx,
                                 dxx_values, integrate, l2_norm_sq)
-from thermoelast1d.materials import eval_f, eval_fp, eval_fpp, rho
-from thermoelast1d.state import RECORD_FIELDS
-from thermoelast1d.stepping import heat_system
+from thermoelast1d.initial_data import prepare_rough_data
+from thermoelast1d.materials import eval_f, eval_fp, eval_fpp, identity_material, rho
+from thermoelast1d.state import RECORD_FIELDS, SolverConfig, Trajectory, cfl_dt
+from thermoelast1d.stepping import heat_system, run_limit
 
 
 def float_bits(a) -> list:
@@ -44,12 +47,25 @@ def record_bits(rec) -> bytes:
     return np.array([np.nan if x is None else x for x in values]).tobytes()
 
 
+#: the child's peak RSS in KiB: ``VmHWM``, its own memory's high-water mark;
+#: ``ru_maxrss`` where there is no /proc, which on Linux also counts the
+#: parent's RSS at the fork, so there a child reads at least the test process
+_PEAK_KIB = """
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    import resource
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak)
+"""
+
+
 def child_maxrss_kib(code: str) -> int:
-    """The peak RSS (``ru_maxrss``, KiB on Linux) of a fresh interpreter that
-    runs ``code`` with this package on its path, read as the code ends."""
+    """The peak RSS (KiB) of a fresh interpreter that runs ``code`` with
+    this package on its path, read as the code ends (:data:`_PEAK_KIB`)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(thermoelast1d.__file__)))
-    script = code + ("\nimport resource\n"
-                     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    script = code + _PEAK_KIB
     done = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     return int(done.stdout.split()[-1])
@@ -258,6 +274,13 @@ def difference_norms_loop(traj_a, traj_b):
     )
 
 
+def _restrict(traj, coarse, space_stride):
+    """Sample a fine trajectory onto a coarser grid (node subset): one
+    strided copy of the store, C-contiguous; the rows are shared."""
+    store = np.ascontiguousarray(traj.store[:, :, ::space_stride])
+    return Trajectory.of_arrays(coarse, traj.epsilon, traj.scheme, traj.times, store, traj.rows)
+
+
 def squared_differences_loop(traj_a, traj_b, lo, hi, shift=0):
     """The rows of ``diagnostics.squared_differences`` one state pair at a
     time: (|dv|^2, |d u_x|^2, |dTheta|^2, |dTheta_x|^2) of
@@ -273,6 +296,54 @@ def squared_differences_loop(traj_a, traj_b, lo, hi, shift=0):
             dx(sa.theta, g).values - dx(sb.theta, g).values,
         )])
     return tuple(np.array(rows).reshape(-1, 4).T)
+
+
+def rough_data_stored(kind, n_levels, t_end, material=None, **data_params):
+    """``experiments.exp_rough_data`` with every level's states stored: the
+    refinement distances from each finer level restricted onto the coarser
+    one after the runs, by :func:`difference_norms_loop`."""
+    material = material or identity_material()
+    runs, e_resid, diss, th_min = [], [], [], []
+    series = {}
+    dt = cfl_dt(Grid(*OMEGA, n_levels[0]), t_end)
+    for lvl, n in enumerate(n_levels):
+        grid = Grid(*OMEGA, n)
+        cfg = SolverConfig(dt=dt / 2 ** lvl, t_end=t_end)
+        traj = run_limit(prepare_rough_data(kind, grid, **data_params), material, cfg, grid,
+                         record_every=2 ** lvl)
+        runs.append(traj)
+        r, drift = _energy_drift(traj)
+        series[f"N{n}"] = {"t": traj.record_times, "energy_residual": r}
+        e_resid.append(drift)
+        diss.append(traj.records[-1].dissipation_accum)
+        th_min.append(min(traj.record_series("theta_min").tolist()))
+    report = ExperimentReport(
+        name="rough-data",
+        params=dict(kind=kind, n_levels=list(n_levels), t_end=t_end,
+                    material=material.kind, **data_params),
+        series=series,
+    )
+    report.series["by_level"] = {
+        "n_cells": np.array(list(n_levels), dtype=float),
+        "energy_residual": np.array(e_resid),
+        "thetax_dissipation": np.array(diss),
+        "theta_min": np.array(th_min),
+    }
+    mid = min(1, len(n_levels) - 1)
+    report.checks.append(_check_le(f"energy identity at N={n_levels[mid]}", e_resid[mid], 1e-2))
+    if len(n_levels) >= 2:
+        change = abs(diss[-1] - diss[-2]) / max(diss[-2], 1e-300)
+        report.checks.append(_check_le("dissipation stabilization (top pair)", change, 0.10))
+    report.checks.append(_check_ge("min Theta over all runs", min(th_min), -1e-12))
+    if len(n_levels) >= 3:
+        dists = [_triple_distance(difference_norms_loop(
+            coarse, _restrict(fine, coarse.grid, 2))) for coarse, fine in zip(runs, runs[1:])]
+        report.series["refinement"] = {
+            "pair": np.arange(len(dists), dtype=float),
+            "distance": np.array(dists),
+        }
+        report.checks.append(_check_le("refinement distances decreasing", dists[-1], dists[0]))
+    return report
 
 
 # ---------------------------------------------------------------------------

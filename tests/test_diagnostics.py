@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _restrict,
     difference_norms_loop,
     energy,
     float_bits,
@@ -16,6 +18,7 @@ from helpers import (
     weak_form_residual_loop,
 )
 from thermoelast1d.diagnostics import (
+    DifferenceAccumulator,
     DifferenceNorms,
     SpaceTimeTestFunction,
     chunk_records,
@@ -28,7 +31,7 @@ from thermoelast1d.diagnostics import (
     weak_form_residual,
 )
 from thermoelast1d.errors import ContractError, StructuralError
-from thermoelast1d.experiments import Manufactured, _restrict
+from thermoelast1d.experiments import Manufactured
 from thermoelast1d.grid import Field, Grid, dx, dxx, integrate, l2_norm_sq
 from thermoelast1d.initial_data import equilibrium, random_l2_theta, random_smooth, standing_wave
 from thermoelast1d.materials import (
@@ -234,6 +237,40 @@ def test_difference_norms_timeline_mismatch():
     _, _, tb = small_run(n=32, t_end=0.1, dt=5e-4)
     with pytest.raises(StructuralError):
         difference_norms(ta, tb)
+
+
+def test_difference_accumulator_refuses_a_state_off_its_reference_time():
+    """Fed as the recorder of a run at half the reference's dt."""
+    g, _, ref = small_run(n=32, t_end=0.01, dt=1e-3)
+    cfg = SolverConfig(dt=5e-4, t_end=0.01)
+    with pytest.raises(StructuralError,
+                       match=r"step 1 at t = 0\.0005 is off its reference time 0\.001 by "
+                             r"more than 1e-12"):
+        run_limit(standing_wave(g, amplitude=0.3, theta_amplitude=0.2), MAT, cfg, g,
+                  recorder=DifferenceAccumulator(ref))
+
+
+def test_difference_accumulator_refuses_a_node_count_off_the_reference_after_its_stride():
+    _, _, ref = small_run(n=32, t_end=0.01, dt=1e-3)
+    _, _, fine = small_run(n=64, t_end=0.01, dt=1e-3)
+    for stride, nodes in ((1, 65), (3, 22)):
+        acc = DifferenceAccumulator(ref, stride=stride)
+        with pytest.raises(StructuralError, match=f"{nodes} nodes at stride {stride}, "
+                                                  "the reference 33"):
+            acc.feed(fine.times, fine.store)
+
+
+def test_difference_accumulator_needs_every_reference_time_matched():
+    _, _, ref = small_run(n=32, t_end=0.02, dt=1e-3)
+    _, _, short = small_run(n=32, t_end=0.01, dt=1e-3)
+    acc = DifferenceAccumulator(ref)
+    acc.feed(short.times, short.store)
+    with pytest.raises(ContractError, match="the run reached 11 of the reference's 21 times"):
+        acc.result()
+    # a state past the reference's last time has none to meet
+    with pytest.raises(StructuralError, match=r"step 11 at t = 0\.011 is off its reference "
+                                              r"time inf"):
+        DifferenceAccumulator(short).feed(ref.times, ref.store)
 
 
 def test_state_rejects_wrong_bc_kinds():
@@ -602,7 +639,7 @@ def test_gathered_diagnostics_of_runs_equal_loop_references_bitwise(
         n_cells, scheme, n_steps, record_every, restrict, kind, mat, seed, shift):
     """The trajectory diagnostics of run_limit and run_eps trajectories,
     whose stored states after t = 0 are views of the run's store, and of
-    their ``experiments._restrict``ion to every second node, equal the loop
+    their ``helpers._restrict``ion to every second node, equal the loop
     references bit for bit; so do the rows of ``squared_differences`` with
     ``shift`` over the blocks exp_time_shift reads."""
     g = Grid(0.0, 1.0, n_cells)
@@ -629,6 +666,51 @@ def test_gathered_diagnostics_of_runs_equal_loop_references_bitwise(
     n_states = len(traj_a)
     if shift < n_states:
         for lo, hi in [(0, 1), *traj_a.blocks(1, n_states - shift)]:
-            got = squared_differences(traj_a, traj_a, lo, hi, shift=shift)
+            got = squared_differences(traj_a.grid, traj_a.store[lo + shift:hi + shift],
+                                      traj_a.store[lo:hi])
             ref = squared_differences_loop(traj_a, traj_a, lo, hi, shift)
             assert [float_bits(a) for a in got] == [float_bits(a) for a in ref]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # N = 2101 and every second of its nodes: 3 and 7 states per block
+    n_cells=st.sampled_from([8, 40, 130, 2100]),
+    scheme=st.sampled_from(["limit", "imex1", "imex2"]),
+    every=st.integers(1, 3),
+    n_kept=st.integers(1, 8),
+    stride=st.sampled_from([1, 2]),
+    feed=st.integers(1, 5),
+    kind=st.sampled_from(sorted(_RUN_DATA)),
+    mat=st.sampled_from(MATERIALS),
+    seed=st.integers(0, 1000),
+)
+def test_difference_accumulator_equals_the_loop_reference_bitwise(
+        n_cells, scheme, every, n_kept, stride, feed, kind, mat, seed):
+    """The accumulator of a stored run kept every ``every``-th step and
+    restricted to every ``stride``-th node, fed a second run as its
+    recorder (a run that keeps only its end states) and fed that run's
+    stored states ``feed`` at a time, equals
+    ``difference_norms_loop`` of the reference and the second run kept and
+    restricted alike, bit for bit."""
+    g = Grid(0.0, 1.0, n_cells)
+    coarse = Grid(0.0, 1.0, n_cells // stride)
+    epsilon = 0.0 if scheme == "limit" else 1e-2
+    n_steps = every * n_kept
+    cfg = SolverConfig(dt=0.4 * g.h, t_end=n_steps * 0.4 * g.h, epsilon=epsilon,
+                       scheme="imex1" if scheme == "limit" else scheme)
+    run = run_eps if epsilon > 0.0 else run_limit
+    ref = _restrict(run(_RUN_DATA[kind](g, seed=seed + 1), mat, cfg, g, record_every=every),
+                   coarse, stride)
+    by_recorder = DifferenceAccumulator(ref, every=every, stride=stride)
+    # the recorder gets views of the run loop's chunks, as the last rough-data level's does
+    run(_RUN_DATA[kind](g, seed=seed), mat, cfg, g, recorder=by_recorder, record_every=n_steps)
+    traj = run(_RUN_DATA[kind](g, seed=seed), mat, cfg, g)
+    by_blocks = DifferenceAccumulator(ref, every=every, stride=stride)
+    for lo in range(0, len(traj), feed):
+        by_blocks.feed(traj.times[lo:lo + feed], traj.store[lo:lo + feed])
+    kept = Trajectory.of_arrays(g, epsilon, traj.scheme, traj.times[::every],
+                                traj.store[::every], traj.rows)
+    want = difference_norms_loop(ref, _restrict(kept, coarse, stride))
+    for got in (by_recorder.result(), by_blocks.result()):
+        assert float_bits(dataclasses.astuple(got)) == float_bits(dataclasses.astuple(want))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import mms_s_th_scalar, mms_s_v_scalar
+from helpers import (child_maxrss_kib, float_bits, mms_s_th_scalar, mms_s_v_scalar,
+                     rough_data_stored)
 from thermoelast1d.errors import ContractError
 from thermoelast1d.experiments import (
     _run_bound_quantities,
@@ -17,7 +18,7 @@ from thermoelast1d.experiments import (
     exp_time_shift,
 )
 from thermoelast1d.grid import Grid, dx, l2_norm_sq
-from thermoelast1d.initial_data import standing_wave
+from thermoelast1d.initial_data import ROUGH_KINDS, standing_wave
 from thermoelast1d.materials import (
     identity_material,
     log1p_material,
@@ -58,6 +59,12 @@ def test_eps_cauchy_single_rung_vacuous():
     rep = exp_eps_cauchy(eps_ladder=(1e-2,), n_cells=32, t_end=0.125)
     assert rep.series["ladder"]["distance"].size == 0
     assert rep.passed  # nothing to violate
+
+
+def test_eps_cauchy_empty_ladder_vacuous():
+    """No eps run to compare the limit run with: no checks, no limit series."""
+    rep = exp_eps_cauchy(eps_ladder=(), n_cells=32, t_end=0.125)
+    assert rep.checks == [] and set(rep.series) == {"ladder"}
 
 
 def test_eps_cauchy_requires_decreasing():
@@ -161,6 +168,35 @@ def test_rough_data_sawtooth_runs():
     )
     assert "by_level" in rep.series
     assert min(rep.series["by_level"]["theta_min"]) >= -1e-12
+
+
+@pytest.mark.parametrize("kind", ROUGH_KINDS)
+@pytest.mark.parametrize("n_levels", [(8, 16), (8, 16, 32), (8, 16, 32, 64)])
+def test_rough_data_equals_its_stored_trajectory_reference(kind, n_levels):
+    """Levels compared while they step, each keeping its states only while
+    a later pair reads them, give the report of the stored levels
+    (``helpers.rough_data_stored``): the same repr, series bytes and check
+    values."""
+    got = exp_rough_data(kind=kind, n_levels=n_levels, t_end=0.125)
+    ref = rough_data_stored(kind, n_levels, 0.125)
+    assert repr(got) == repr(ref)
+    assert {name: {col: a.tobytes() for col, a in table.items()}
+            for name, table in got.series.items()} == {
+        name: {col: a.tobytes() for col, a in table.items()}
+        for name, table in ref.series.items()}
+    assert [(c.name, c.passed, float_bits([c.value, c.threshold])) for c in got.checks] == [
+        (c.name, c.passed, float_bits([c.value, c.threshold])) for c in ref.checks]
+
+
+def test_rough_data_at_its_defaults_peaks_at_most_16_mib_above_the_import():
+    """The finer levels are compared with the stored coarser ones while
+    they step, so no more than levels 0 and 1 keep states (3.2 and 6.3 MB)
+    and nothing is restricted; with all three levels and two restricted
+    copies stored (31.6 MB) it peaked 35 MiB above the import."""
+    code = "from thermoelast1d.experiments import exp_rough_data\n"
+    imported = child_maxrss_kib(code)
+    ran = child_maxrss_kib(code + "exp_rough_data()\n")
+    assert ran - imported <= 16 * 1024, (ran, imported)
 
 
 def test_mms_zero_manufactured_solution():
