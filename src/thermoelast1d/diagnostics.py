@@ -18,7 +18,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -35,8 +34,6 @@ _STATE_BCS = (BC_HINGED, BC_DIRICHLET, BC_NEUMANN)
 #: the columns of a row
 (_T, _E, _MASS, _MIN, _MAX, _Y, _VALID, _THX, _THXX, _VX, _VXX, _UXX, _DISS,
  _EPS) = range(len(RECORD_FIELDS))
-#: fewest rows whose scalars :func:`chunk_records` forms as columns
-COLUMN_ROWS = 8
 
 
 def compute_record(
@@ -80,10 +77,10 @@ def chunk_records(
     dx and dxx of the 3C rows in two stacked passes, every integral from
     one ``np.vecdot`` over a C-contiguous stack of integrands, the material
     kernels once over the states whose min Theta is at least the rho floor,
-    max Theta by one axis reduction.  Then the scalars, in the operation
-    order of one row: from :data:`COLUMN_ROWS` rows on by column, the
-    accumulators by the sequential ``np.add.accumulate``; below, where a
-    numpy call per column costs more, row by row in Python floats."""
+    max Theta by one axis reduction.  Then the scalars by column, each in the
+    operation order of the one-row formula, the accumulators by the
+    sequential ``np.add.accumulate``; a chunk of one row (every chunk from
+    N = 4097 on, and :func:`compute_record`) takes the same path."""
     c, _, n = stack.shape
     w = trapezoid_weights(grid)
     rows_out = out[-c:]
@@ -98,44 +95,23 @@ def chunk_records(
     np.square(stack[:, 0], out=rows[2, :, 0])
     th = stack[:, 2]
     rows[2, :, 1] = th
-    all_valid = all(valid)
-    if not all_valid:
-        rows[2, np.logical_not(valid), 2] = 0.0
-    if all_valid or any(valid):
-        sel = slice(None) if all_valid else np.array(valid)
-        # Theta >= rho_floor > 0 there, so f(max(Theta, 0)) is f(Theta) and
-        # the unchecked kernels apply
-        th_v = th[sel]
-        rows[2, sel, 2] = fp_kernel(material, th_v) / f_kernel(material, th_v) * rows[0, sel, 2]
-    # (3, C, 3): (|v_x|^2, |u_x|^2, |Theta_x|^2), the same of dxx, then
-    # (|v|^2, int Theta, int rho Theta_x^2)
-    ints = np.vecdot(rows, w)
-    th_max = th.max(axis=1)
-
-    if c < COLUMN_ROWS:
-        prev = out[0].tolist() if len(out) > c else None
-        for j, (t, th_lo, ((vx_sq, ux_sq, thx_sq), (vxx_sq, uxx_sq, thxx_sq), (v_sq, mass, rho_sq)),
-                ok, th_hi) in enumerate(zip(times, theta_min, ints.transpose(1, 0, 2).tolist(),
-                                            valid, th_max.tolist())):
-            diss = eps_diss = 0.0
-            if prev is not None:
-                half_dt = 0.5 * (t - prev[_T])
-                diss = prev[_DISS] + half_dt * (prev[_THX] + thx_sq)
-                eps_diss = prev[_EPS] + epsilon * half_dt * (
-                    (prev[_VXX] + prev[_UXX]) + (vxx_sq + uxx_sq))
-            prev = rows_out[j] = (
-                t, 0.5 * v_sq + 0.5 * ux_sq + mass, mass, th_lo, th_hi,
-                1.0 + 0.5 * vx_sq + 0.5 * uxx_sq + 0.5 * rho_sq if ok else math.nan, ok,
-                thx_sq, thxx_sq, vx_sq, vxx_sq, uxx_sq, diss, eps_diss)
-        return rows_out
-
-    ints = ints.transpose(0, 2, 1)  # (3, 3, C)
+    sel = slice(None)
+    if not all(valid):
+        sel = np.array(valid)
+        rows[2, ~sel, 2] = 0.0
+    # Theta >= rho_floor > 0 in the valid states, so f(max(Theta, 0)) is
+    # f(Theta) and the unchecked kernels apply
+    th_v = th[sel]
+    rows[2, sel, 2] = fp_kernel(material, th_v) / f_kernel(material, th_v) * rows[0, sel, 2]
+    # (3, 3, C): (|v_x|^2, |u_x|^2, |Theta_x|^2), the same of dxx, then
+    # (|v|^2, int Theta, int rho Theta_x^2), one column per state
+    ints = np.vecdot(rows, w).transpose(0, 2, 1)
     half = 0.5 * ints
     rows_out[:, _T] = times
     rows_out[:, _E] = half[2, 0] + half[0, 1] + ints[2, 1]
     rows_out[:, _MASS] = ints[2, 1]
     rows_out[:, _MIN] = theta_min
-    rows_out[:, _MAX] = th_max
+    rows_out[:, _MAX] = th.max(axis=1)
     rows_out[:, _Y] = np.where(valid, 1.0 + half[0, 0] + half[1, 1] + half[2, 2], np.nan)
     rows_out[:, _VALID] = valid
     rows_out[:, _THX:_THX + 2] = ints[:2, 2].T  # |Theta_x|^2, |Theta_xx|^2
@@ -169,6 +145,8 @@ def mass_identity_residual(traj: Trajectory, material: Material) -> np.ndarray:
     grid = traj.grid
     w = trapezoid_weights(grid)
     times = traj.times
+    if not len(times):
+        raise StructuralError("the mass identity residual needs a stored state, got 0")
     mass = np.empty(times.shape)
     source = np.empty(times.shape)
     for lo, hi in traj.blocks(0, len(times)):
@@ -360,12 +338,12 @@ def weak_form_residual(
     The displacement identity tests u (twice integrated by parts in time),
     the temperature identity tests Theta with the advective flux terms.
     """
+    if len(traj) < 2:
+        raise StructuralError(f"weak-form residuals need at least two snapshots, got {len(traj)}")
     grid = traj.grid
     w = trapezoid_weights(grid)
     times = traj.times
     t_end = float(times[-1])
-    if len(traj.states) < 2:
-        raise StructuralError("weak-form residuals need at least two snapshots")
 
     wt_time = np.diff(times)
     tw = np.zeros_like(times)

@@ -14,8 +14,8 @@ The array kernels :func:`dx_values` / :func:`dxx_values` (one field, or a
 stack ``(N, ...)`` with the nodes along the first axis) and
 :func:`dx_rows` / :func:`dxx_rows` (an ``(m, N)`` stack of rows, closed by
 one bc kind or by a repeating sequence of kinds) share one copy of the
-interior stencils and of the boundary closures; they serve :func:`dx` /
-:func:`dxx`, the time steppers and the diagnostics.
+interior stencils (:func:`dx_interior`, :func:`dxx_interior`) and of the
+boundary closures, serving :func:`dx`/:func:`dxx`, steppers and diagnostics.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -24,6 +24,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,8 +56,14 @@ class Grid:
         problems = []
         if not 0.0 < self.b - self.a < math.inf:  # a, b and b - a finite, a < b
             problems.append(f"grid: requires finite a < b, got a={self.a}, b={self.b}")
-        if not (self.n_cells >= 2 and float(self.n_cells).is_integer()):
+        try:
+            cells = operator.index(self.n_cells)
+        except TypeError:
+            cells = 0
+        if cells < 2:
             problems.append(f"grid.n_cells must be an integer >= 2, got {self.n_cells}")
+        elif cells >= sys.maxsize:  # n_nodes must be an array length
+            problems.append(f"grid.n_cells must be < sys.maxsize = {sys.maxsize}, got {cells}")
         if problems:
             raise ContractError("; ".join(problems))
 
@@ -179,12 +186,12 @@ def dx_values(f: np.ndarray, h: float, bc_kind: str,
     into ``out`` if given (f's shape, sharing no memory with ``f``)."""
     if out is None:
         out = np.empty_like(f)
-    _dx_interior(out, f, h)
+    dx_interior(out, f, h)
     _dx_ends(out, f, h, bc_kind)
     return out
 
 
-def _dx_interior(out: np.ndarray, f: np.ndarray, h: float) -> None:
+def dx_interior(out: np.ndarray, f: np.ndarray, h: float) -> None:
     # (f[2:] - f[:-2]) / (2h), formed in place
     o = np.subtract(f[2:], f[:-2], out=out[1:-1])
     o /= 2.0 * h
@@ -213,12 +220,12 @@ def dxx_values(f: np.ndarray, h: float, bc_kind: str,
     h2 = h * h
     if out is None:
         out = np.empty_like(f)
-    _dxx_interior(out, f, h2)
+    dxx_interior(out, f, h2)
     _dxx_ends(out, f, h2, bc_kind)
     return out
 
 
-def _dxx_interior(out: np.ndarray, f: np.ndarray, h2: float) -> None:
+def dxx_interior(out: np.ndarray, f: np.ndarray, h2: float) -> None:
     # (f[:-2] - 2 f[1:-1] + f[2:]) / h2, formed in place in that order
     o = np.multiply(f[1:-1], 2.0, out=out[1:-1])
     np.subtract(f[:-2], o, out=o)
@@ -279,12 +286,12 @@ def dx_rows(f: np.ndarray, h: float, bc, out: np.ndarray | None = None) -> np.nd
     """:func:`dx_values` of each row of an ``(m, N)`` stack, as a C-contiguous
     array (``out`` if given); ``bc`` is one kind for every row or a sequence
     of k kinds, the i-th for the rows i, i + k, ... (k divides m)."""
-    return _rows_kernel(_dx_interior, _dx_ends, f, h, bc, out)
+    return _rows_kernel(dx_interior, _dx_ends, f, h, bc, out)
 
 
 def dxx_rows(f: np.ndarray, h: float, bc, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`dxx_values` of each row of a ``(k, N)`` stack (see :func:`dx_rows`)."""
-    return _rows_kernel(_dxx_interior, _dxx_ends, f, h * h, bc, out)
+    return _rows_kernel(dxx_interior, _dxx_ends, f, h * h, bc, out)
 
 
 def dx(field: Field, grid: Grid) -> Field:

@@ -48,6 +48,8 @@ _G = "%.17g"
 ROW_BLOCK = 32
 #: the formats of :func:`export_trajectory`
 FORMATS = ("csv", "json_lines")
+#: size in pixels of the plot of :func:`write_svg_series`
+SVG_WIDTH, SVG_HEIGHT = 900, 600
 
 
 def make_output_dir(directory) -> None:
@@ -391,11 +393,10 @@ def _unit_map(lo: float, hi: float):
     return lambda v: (v * s - lo_s) / span
 
 
-def write_svg_series(series: Dict[str, np.ndarray], t: np.ndarray, path,
-                     width: int = 900, height: int = 600) -> str:
+def write_svg_series(series: Dict[str, np.ndarray], t: np.ndarray, path) -> str:
     """Standalone SVG line plot of named series against t (no dependencies)."""
     t = np.asarray(t, float)
-    margin = 50.0
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 50.0
     finite_vals = np.concatenate(
         [np.asarray(v, float)[np.isfinite(np.asarray(v, float))] for v in series.values()]
     )

@@ -9,9 +9,9 @@ factorizations cached per (grid, dt, epsilon); the wave/constitutive
 coupling is explicit under the CFL-type restriction dt <= cfl_safety * h.
 
 The steppers work on raw arrays with the stencil kernels of :mod:`.grid`
-(the ones behind the public ``dx``/``dxx``), so no Field is built in the hot
-loop and the summation-by-parts cancellations the diagnostics rely on hold
-exactly.
+(the ones behind the public ``dx``/``dxx``; the leapfrog's wave parts with
+its interior kernels alone), so no Field is built in the hot loop and the
+summation-by-parts cancellations the diagnostics rely on hold exactly.
 
 Each step of :func:`run_simulation` only advances (:class:`LimitStepper`
 carries its closing half-kick into the next step's opening one) and copies
@@ -43,7 +43,8 @@ from scipy.sparse.linalg import splu
 
 from .diagnostics import chunk_records, compute_record
 from .errors import ContractError, PositivityError, SchemeError
-from .grid import BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_values, dxx_values
+from .grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx_interior, dx_values,
+                   dxx_interior, dxx_values)
 # eval_f is unused here; bench/probes.py patches it by name
 from .materials import Material, eval_f, f_kernel  # noqa: F401
 from .state import (EPS_MIN_CELLS, RECORD_FIELDS, SolverConfig, State, Trajectory, block_rows,
@@ -126,19 +127,17 @@ def _pin(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _f_of(material: Material, th: np.ndarray) -> np.ndarray:
+def _f_of(material: Material, th: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # undershoots within the positivity tolerance are evaluated as f(0) = 0,
-    # so the kernel's argument is >= 0 by construction
-    return f_kernel(material, np.maximum(th, 0.0))
+    # so the kernel's argument (in ``out`` if given) is >= 0 by construction
+    return f_kernel(material, np.maximum(th, 0.0, out=out))
 
 
-def _wave(material: Material, u: np.ndarray, th: np.ndarray, h: float,
-          work: Optional[np.ndarray] = None):
-    """u_xx - (f(Theta))_x on the pinned/zero-flux closures, and f(Theta);
-    (f(Theta))_x goes into ``work`` if given."""
+def _wave(material: Material, u: np.ndarray, th: np.ndarray, h: float):
+    """u_xx - (f(Theta))_x on the pinned/zero-flux closures, and f(Theta)."""
     fth = _f_of(material, th)
     wave = dxx_values(u, h, BC_DIRICHLET)
-    wave -= dx_values(fth, h, BC_NEUMANN, out=work)
+    wave -= dx_values(fth, h, BC_NEUMANN)
     return wave, fth
 
 
@@ -243,12 +242,12 @@ class LimitStepper(_Stepper):
     reuses them if it gets the same u and Theta arrays back; with forcing at
     another t (an ulp off), the opening force is the kept wave part + S_v(t).
 
-    v_half, its hinged dx, the heat right-hand side and the Neumann dx of
-    f(Theta) are formed in one ``(3, N)`` scratch array of the stepper, and
-    the closing wave part, force and max(Theta, 0) (f(Theta) itself for the
-    identity) in two buffer sets of the stepper, used in turn: the kept ones
-    are never written by the step that reads them.  So a stepper is not
-    reentrant; the arrays it returns are fresh.
+    v_half, its hinged dx and the heat right-hand side are formed in a
+    scratch array, and each wave part (the opening one where the carry
+    misses, and the closing one) by :meth:`_wave_part` into the next of two
+    buffer sets, used in turn: the kept set is never written by the step
+    that reads it, so a step that raises part way leaves the carry whole.  A
+    stepper is not reentrant; the arrays it returns are fresh.
 
     A forcing is evaluated once per chunk of :func:`run_simulation`, at the
     opening times (k - 1) dt it hands to :meth:`open_chunk`: S_v and
@@ -265,31 +264,27 @@ class LimitStepper(_Stepper):
             raise ContractError(f"limit integrator requires epsilon = 0, got {cfg.epsilon}")
         super().__init__(grid, material, cfg)
         self.forcing = forcing
-        self.nodes = grid.nodes
         # (u, Theta, t, wave part, force, f(Theta)) of the last closing half-kick
         self._carry = None
         # opening times of the chunk, its S_v, S_v(+dt), S_theta(+dt) tables, last row
         self._times, self._tables, self._row = [], None, -1
-        # v_half, g = its dx, the heat right-hand side or a dx of f(Theta)
-        # (the closing one in its interior)
-        self._scratch = tuple(np.empty((3, grid.n_nodes)))
-        self._rhs_inner = self._scratch[2][1:-1]
-        # two sets of (wave part, force, max(Theta, 0), wave part's interior)
-        # of a closing half-kick, filled in turn.  The wave part's ends are
-        # always -0.0: D2 u1 there is -2 * 0.0 / h^2 (u1 is pinned), less a
-        # Neumann dx end of 0.0
+        # v_half, g = its dx, the heat right-hand side, and a wave part's
+        # Neumann dx of f(Theta), whose ends stay 0.0
+        scratch = np.empty((4, grid.n_nodes))
+        scratch[3, [0, -1]] = 0.0
+        self._scratch, self._dfth = tuple(scratch[:3]), scratch[3]
+        # two sets of (wave part, force, max(Theta, 0)), filled in turn; a wave
+        # part's ends stay -0.0, _wave's for pinned u (v_half and v1 are pinned)
         sets = np.empty((2, 3, grid.n_nodes))
-        sets[:, 0, 0] = sets[:, 0, -1] = -0.0
-        self._sets = [(wave, force, pos, wave[1:-1]) for wave, force, pos in sets]
-        self._turn = 0
-        self._h2, self._two_h, self._half_dt = grid.h * grid.h, 2.0 * grid.h, 0.5 * cfg.dt
+        sets[:, 0, [0, -1]] = -0.0
+        self._sets, self._turn, self._half_dt = [tuple(s) for s in sets], 0, 0.5 * cfg.dt
 
     def open_chunk(self, t_open: Sequence[float]) -> None:
         """Tabulate the forcing for the next steps, opening at the times
         ``t_open`` (:func:`run_simulation` hands over each chunk's)."""
         if self.forcing is None:
             return
-        (s_v, s_th), x = self.forcing, self.nodes
+        (s_v, s_th), x = self.forcing, self.grid.nodes
         t_open = np.array(t_open, dtype=float)[:, None]
         t_close = t_open + self.cfg.dt
         # an opening time equal to the previous closing time reuses that S_v row
@@ -316,8 +311,20 @@ class LimitStepper(_Stepper):
         s_v, s_v1, s_th1 = self._tables
         return s_v[i], s_v1[i], s_th1[i]
 
+    def _wave_part(self, u, th, s_v):
+        """The wave part u_xx - (f(Theta))_x of (u, Theta) by grid's interior
+        kernels, as :func:`_wave` forms it, + S_v and f(Theta), in the next set."""
+        wave, force, pos = self._sets[self._turn]
+        self._turn ^= 1
+        h = self.grid.h
+        fth = _f_of(self.material, th, out=pos)
+        dxx_interior(wave, u, h * h)
+        dx_interior(self._dfth, fth, h)
+        np.subtract(wave, self._dfth, wave)
+        return wave, np.add(wave, s_v, force), fth
+
     def advance(self, v, u, th, t):
-        dt, h, half_dt = self.cfg.dt, self.grid.h, self._half_dt
+        dt, half_dt = self.cfg.dt, self._half_dt
         v_half, g, rhs = self._scratch
         s_v, s_v1, s_th1 = self._sources(t)
         carry = self._carry
@@ -326,33 +333,20 @@ class LimitStepper(_Stepper):
             if self.forcing is not None and carry[2] != t:
                 force = wave + s_v
         else:
-            wave, fth = _wave(self.material, u, th, h, rhs)
-            force = wave + s_v
+            wave, force, fth = self._wave_part(u, th, s_v)
         # v_half = v + dt/2 force; u1 = u + dt v_half
         np.multiply(force, half_dt, v_half)
         _pin(np.add(v, v_half, v_half))
         u1 = np.multiply(v_half, dt)
         _pin(np.add(u, u1, u1))
-        dx_values(v_half, h, BC_HINGED, out=g)
+        dx_values(v_half, self.grid.h, BC_HINGED, out=g)
         # th + dt (S_theta - f g), equal bit for bit to th + dt (-f g + S_theta)
         np.multiply(fth, g, rhs)
         np.subtract(s_th1, rhs, rhs)
         rhs *= dt
         th1 = self.f["lu_th"].solve(np.add(th, rhs, rhs))
         u1.flags.writeable = th1.flags.writeable = False
-        # the closing wave part D2 u1 - D1 f(Theta1), as _wave forms it, into
-        # the set the carry does not hold
-        wave1, force1, pos, inner = self._sets[self._turn]
-        self._turn ^= 1
-        fth1 = f_kernel(self.material, np.maximum(th1, 0.0, out=pos))
-        np.multiply(u1[1:-1], 2.0, inner)
-        np.subtract(u1[:-2], inner, inner)
-        np.add(inner, u1[2:], inner)
-        np.divide(inner, self._h2, inner)
-        d = np.subtract(fth1[2:], fth1[:-2], self._rhs_inner)
-        np.divide(d, self._two_h, d)
-        np.subtract(inner, d, inner)
-        np.add(wave1, s_v1, force1)
+        wave1, force1, fth1 = self._wave_part(u1, th1, s_v1)
         self._carry = (u1, th1, t + dt, wave1, force1, fth1)
         v1 = np.multiply(force1, half_dt)
         return _pin(np.add(v_half, v1, v1)), u1, th1

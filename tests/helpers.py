@@ -30,7 +30,8 @@ from thermoelast1d.grid import (BC_DIRICHLET, BC_HINGED, BC_NEUMANN, Grid, dx, d
                                 dxx_values, integrate, l2_norm_sq)
 from thermoelast1d.initial_data import prepare_rough_data
 from thermoelast1d.materials import eval_f, eval_fp, eval_fpp, identity_material, rho
-from thermoelast1d.state import RECORD_FIELDS, SolverConfig, Trajectory, cfl_dt
+from thermoelast1d.state import (RECORD_FIELDS, DiagnosticsRecord, SolverConfig, Trajectory,
+                                 cfl_dt)
 from thermoelast1d.stepping import heat_system, run_limit
 
 
@@ -148,6 +149,38 @@ def hfunc(state, material, grid):
     return 1.0 + 0.5 * vx2 + 0.5 * uxx2 + 0.5 * weighted
 
 
+def composed_row(state, material, grid, epsilon, prev):
+    """The diagnostics row composed from the public operators."""
+    th = state.theta.values
+    thx_sq = l2_norm_sq(dx(state.theta, grid).values, grid)
+    vxx_sq = l2_norm_sq(dxx(state.v, grid).values, grid)
+    uxx_sq = l2_norm_sq(dxx(state.u, grid).values, grid)
+    y = hfunc(state, material, grid)
+    diss = eps_diss = 0.0
+    if prev is not None:
+        half_dt = 0.5 * (state.t - prev.t)
+        diss = prev.dissipation_accum + half_dt * (prev.thetax_l2sq + thx_sq)
+        eps_diss = prev.eps_dissipation_accum + epsilon * half_dt * (
+            (prev.vxx_l2sq + prev.uxx_l2sq) + (vxx_sq + uxx_sq)
+        )
+    return DiagnosticsRecord(
+        t=state.t,
+        energy=energy(state, grid),
+        theta_mass=integrate(th, grid),
+        theta_min=float(th.min()),
+        theta_max=float(th.max()),
+        hfunc=y,
+        hfunc_valid=y is not None,
+        thetax_l2sq=thx_sq,
+        thetaxx_l2sq=l2_norm_sq(dxx(state.theta, grid).values, grid),
+        vx_l2sq=l2_norm_sq(dx(state.v, grid).values, grid),
+        vxx_l2sq=vxx_sq,
+        uxx_l2sq=uxx_sq,
+        dissipation_accum=diss,
+        eps_dissipation_accum=eps_diss,
+    )
+
+
 def empirical_range_bounds(traj, material) -> RangeBounds:
     """The two-sided constitutive bounds measured along a recorded run:
     extrema of f, f', |f''| over 512 samples of [min Theta, max Theta]."""
@@ -193,12 +226,12 @@ def mass_identity_residual_loop(traj, material):
 
 
 def weak_form_residual_loop(traj, material, test_bank):
+    if len(traj.states) < 2:
+        raise StructuralError("weak-form residuals need at least two snapshots")
     grid = traj.grid
     w = grid.quad_weights()
     times = traj.times
     t_end = float(times[-1])
-    if len(traj.states) < 2:
-        raise StructuralError("weak-form residuals need at least two snapshots")
 
     wt_time = np.diff(times)
     tw = np.zeros_like(times)

@@ -98,13 +98,15 @@ _G = Grid(0.0, 1.0, 16)
     (lambda: SolverConfig(dt=1e-10, t_end=1e300).n_steps(), "not an integer multiple"),
     (lambda: Grid(-INF, 1.0, 16), "grid: requires finite a < b, got a=-inf, b=1.0"),
     (lambda: Grid(0.0, INF, 16), "grid: requires finite a < b, got a=0.0, b=inf"),
+    (lambda: Grid(0.0, 1.0, 4.0), "grid.n_cells must be an integer >= 2, got 4.0"),
+    (lambda: Grid(0, 1, 10**400), "grid.n_cells must be < sys.maxsize"),
     (lambda: initial_data.random_smooth(_G, theta_floor=-1.0), "theta_floor"),
     (lambda: initial_data.random_smooth(_G, theta_amplitude=-5.0), "theta_amplitude"),
     (lambda: initial_data.equilibrium(_G, theta_bar=NAN), "non-finite theta"),
     (lambda: initial_data.step_strain(_G, theta_bar=NAN), "non-finite theta"),
 ], ids=["epsilon-nan", "t_end-inf", "epsilon-inf", "cfl_safety-inf", "positivity_tol-inf",
-        "steps-overflow", "a-minus-inf", "b-inf", "theta_floor", "theta_amplitude",
-        "equilibrium-nan", "step_strain-nan"])
+        "steps-overflow", "a-minus-inf", "b-inf", "n_cells-float", "n_cells-overflow",
+        "theta_floor", "theta_amplitude", "equilibrium-nan", "step_strain-nan"])
 def test_refused_from_the_api(build, message):
     with pytest.raises(ContractError, match=message.replace(".", r"\.")):
         build()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     _restrict,
+    composed_row,
     difference_norms_loop,
     energy,
     float_bits,
@@ -32,7 +33,7 @@ from thermoelast1d.diagnostics import (
 )
 from thermoelast1d.errors import ContractError, StructuralError
 from thermoelast1d.experiments import Manufactured
-from thermoelast1d.grid import Field, Grid, dx, dxx, integrate, l2_norm_sq
+from thermoelast1d.grid import Field, Grid, l2_norm_sq
 from thermoelast1d.initial_data import equilibrium, random_l2_theta, random_smooth, standing_wave
 from thermoelast1d.materials import (
     identity_material,
@@ -45,7 +46,6 @@ from thermoelast1d.solver_limit import run_limit
 from thermoelast1d.state import (
     BLOCK_VALUES,
     RECORD_FIELDS,
-    DiagnosticsRecord,
     SolverConfig,
     Trajectory,
     make_state,
@@ -126,7 +126,21 @@ def test_mass_residual_refines():
     assert out[1] <= out[0] / 1.7  # order >= ~1
 
 
+def test_mass_residual_refuses_an_empty_trajectory():
+    traj = Trajectory(Grid(0.0, 1.0, 8), 0.0, "limit")
+    with pytest.raises(StructuralError, match="needs a stored state, got 0"):
+        mass_identity_residual(traj, MAT)
+
+
 # --- weak form ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_states", [0, 1])
+def test_weak_form_refuses_fewer_than_two_states(n_states):
+    g = Grid(0.0, 1.0, 8)
+    traj = Trajectory(g, 0.0, "limit", states=[equilibrium(g)][:n_states])
+    with pytest.raises(StructuralError, match=f"at least two snapshots, got {n_states}"):
+        weak_form_residual(traj, MAT, default_test_bank(g, 0.25, n=2))
 
 
 def test_weak_form_zero_solution():
@@ -325,38 +339,6 @@ def test_energy_and_hfunc_values():
     assert y == pytest.approx(1.0 + 0.09 * np.pi**4 / 4, rel=1e-3)
 
 
-def composed_row(state, material, grid, epsilon, prev):
-    """The diagnostics row composed from the public operators."""
-    th = state.theta.values
-    thx_sq = l2_norm_sq(dx(state.theta, grid).values, grid)
-    vxx_sq = l2_norm_sq(dxx(state.v, grid).values, grid)
-    uxx_sq = l2_norm_sq(dxx(state.u, grid).values, grid)
-    y = hfunc(state, material, grid)
-    diss = eps_diss = 0.0
-    if prev is not None:
-        half_dt = 0.5 * (state.t - prev.t)
-        diss = prev.dissipation_accum + half_dt * (prev.thetax_l2sq + thx_sq)
-        eps_diss = prev.eps_dissipation_accum + epsilon * half_dt * (
-            (prev.vxx_l2sq + prev.uxx_l2sq) + (vxx_sq + uxx_sq)
-        )
-    return DiagnosticsRecord(
-        t=state.t,
-        energy=energy(state, grid),
-        theta_mass=integrate(th, grid),
-        theta_min=float(th.min()),
-        theta_max=float(th.max()),
-        hfunc=y,
-        hfunc_valid=y is not None,
-        thetax_l2sq=thx_sq,
-        thetaxx_l2sq=l2_norm_sq(dxx(state.theta, grid).values, grid),
-        vx_l2sq=l2_norm_sq(dx(state.v, grid).values, grid),
-        vxx_l2sq=vxx_sq,
-        uxx_l2sq=uxx_sq,
-        dissipation_accum=diss,
-        eps_dissipation_accum=eps_diss,
-    )
-
-
 def _bits(rec):
     return [x.hex() if isinstance(x, float) else x
             for x in (getattr(rec, name) for name in RECORD_FIELDS)]
@@ -412,9 +394,10 @@ def test_compute_record_equals_composed_row_bitwise(n, seed, mat, theta_base, ep
 def test_chunk_records_equal_compute_record_chained(c, n, n_low, low, seed, mat, epsilon,
                                                     chained):
     """The rows of a ``(C, 3, N)`` stack, n_low of its states with a node
-    below the rho floor (at any place in the chunk), equal compute_record
-    chained state by state, bit for bit, from ``prev`` (the row before the
-    C written) or from None (C rows only); the row before is not written."""
+    below the rho floor (at any place in the chunk), equal
+    ``helpers.composed_row`` chained state by state, bit for bit, from
+    ``prev`` (the row before the C written) or from None (C rows only); the
+    row before is not written."""
     g = Grid(-0.5, 1.5, n)
     rng = np.random.default_rng(seed)
     k = g.n_nodes
@@ -426,7 +409,7 @@ def test_chunk_records_equal_compute_record_chained(c, n, n_low, low, seed, mat,
     times = (1.0 + np.cumsum(rng.uniform(0.5, 1.5, c))).tolist()
     prev = None
     if chained:
-        prev = compute_record(make_state(0.0, *rng.normal(size=(3, k))), mat, g, epsilon)
+        prev = composed_row(make_state(0.0, *rng.normal(size=(3, k))), mat, g, epsilon, None)
     out = np.empty((c + chained, len(RECORD_FIELDS)))
     if chained:
         out[0] = prev.row
@@ -436,7 +419,7 @@ def test_chunk_records_equal_compute_record_chained(c, n, n_low, low, seed, mat,
     got = [record_on(row) for row in written]
     ref = []
     for t, block in zip(times, stack):
-        prev = compute_record(make_state(t, *block), mat, g, epsilon, prev)
+        prev = composed_row(make_state(t, *block), mat, g, epsilon, prev)
         ref.append(prev)
     assert [record_bits(r) for r in got] == [record_bits(r) for r in ref]
     assert [r.hfunc_valid for r in got] == [not np.any(b[2] < mat.rho_floor) for b in stack]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,7 +187,9 @@ def test_limit_steps_equal_the_reference_formula_bitwise(n_cells, material, dt_f
                                                          first, undershoot, seed):
     """Eight limit steps equal ``helpers.limit_step_reference`` chained bit
     for bit: ``run_limit`` and a chained stepper (the closing wave part is
-    carried), ``step_limit`` and a fresh stepper per step (it is not).
+    carried), ``step_limit``, a fresh stepper per step and one stepper fed
+    copies of its own output (it is not: every opening wave part is formed,
+    into the buffer sets in turn).
     Forced steps use the manufactured forcing at on-grid times k dt, where
     for most grids (k - 1) dt + dt differs from k dt by an ulp at some k <=
     8, or at times an ulp past them.  An undershoot sets Theta0 at two
@@ -216,7 +219,8 @@ def test_limit_steps_equal_the_reference_formula_bitwise(n_cells, material, dt_f
         admissible &= block[2].min() >= -cfg.positivity_tol
 
     chained = LimitStepper(g, material, cfg, forcing=forcing)
-    got = {"chained": [], "fresh": []}
+    copied = LimitStepper(g, material, cfg, forcing=forcing)
+    got = {"chained": [], "fresh": [], "copied": []}
     block = init.block.copy()
     for t in times:
         block = chained.advance(*block, t)
@@ -225,6 +229,10 @@ def test_limit_steps_equal_the_reference_formula_bitwise(n_cells, material, dt_f
     for t in times:
         block = LimitStepper(g, material, cfg, forcing=forcing).advance(*block, t)
         got["fresh"].append(_bits(block))
+    block = init.block.copy()
+    for t in times:
+        block = copied.advance(*(a.copy() for a in block), t)
+        got["copied"].append(_bits(block))
     # run_limit and step_limit stop where Theta falls below -positivity_tol
     # (a coarse grid's large dt with the forcing, or an undershoot node)
     if forced != "off_grid" and admissible:
@@ -237,6 +245,31 @@ def test_limit_steps_equal_the_reference_formula_bitwise(n_cells, material, dt_f
             got["step_limit"].append(_bits(state.block))
     for name, steps in got.items():
         assert steps == ref, name
+
+
+def test_a_step_that_raises_leaves_the_carry_intact(monkeypatch):
+    """A step that raises while it forms its closing wave part writes no
+    buffer the carry holds: fed the same arrays again, the stepper goes on
+    bit for bit as one never interrupted.  With the identity material the
+    carried f(Theta) is max(Theta, 0) in a buffer set, the first array the
+    closing wave part writes."""
+    g = Grid(0.0, 1.0, 32)
+    material = identity_material()
+    cfg = SolverConfig(dt=0.5 * g.h, t_end=4 * g.h)
+    init = initial_data.random_smooth(g, seed=4)
+    ref = LimitStepper(g, material, cfg)
+    first = ref.advance(*init.block.copy(), 0.0)
+    expected = _bits(ref.advance(*first, cfg.dt))
+    stepper = LimitStepper(g, material, cfg)
+    first = stepper.advance(*init.block.copy(), 0.0)
+
+    def raising(*args):
+        raise RuntimeError("interrupted")
+
+    with monkeypatch.context() as patched, pytest.raises(RuntimeError, match="interrupted"):
+        patched.setattr(stepping, "f_kernel", raising)
+        stepper.advance(*first, cfg.dt)
+    assert _bits(stepper.advance(*first, cfg.dt)) == expected
 
 
 #: the names ``import thermoelast1d`` gives, apart from submodules and dunders
